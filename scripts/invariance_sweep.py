@@ -5,7 +5,9 @@ For each trial a random similarity is applied to the chosen base curve
 and the indicatrix arc lengths, shape curvatures, and (in E^3) Sabban
 geodesic curvatures are compared against the untransformed values. The
 worst deviation per property and index is printed as a table; all of
-them should sit many orders of magnitude below 1e-3.
+them should sit many orders of magnitude below 1e-3. The sweep is
+frenetsim.invariance_sweep, the same one `frenetsim verify` runs: each
+image keeps the sample grid of the base curve.
 
 Usage:
     python3 scripts/invariance_sweep.py --curve helix --trials 20
@@ -13,13 +15,13 @@ Usage:
 """
 
 import argparse
-import csv
+import math
 import sys
 
 import numpy as np
 
 import frenetsim as fs
-from frenetsim import errors as E
+from frenetsim.curves import _write_table
 
 BASES = {
     "helix": lambda: fs.helix(3.0, 4.0, t_span=(0.0, 5.0)),
@@ -43,39 +45,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     cur = fs.arclength_reparam(BASES[args.curve](), args.samples)
-    fr = fs.frenet_apparatus(cur)
-    n = fr.dimension
-
-    base_sigma, base_sig, base_kg = {}, {}, {}
+    n = cur.dimension
+    transforms = [fs.random_similarity(args.seed + k, (0.5, 2.0), n)
+                  for k in range(args.trials)]
+    dev = fs.invariance_sweep(cur, transforms)
     for i in range(1, n + 1):
-        try:
-            sc = fs.indicatrix_curve(fr, i)
-        except E.IndicatrixDegenerate:
+        if i not in dev["sigma_invariance"]:
             print(f"index {i}: indicatrix degenerate, skipped")
-            continue
-        base_sigma[i] = sc.sigma
-        base_sig[i] = fs.shape_curvatures(fr, i)
-        if n == 3:
-            base_kg[i] = fs.sabban_geodesic_curvature(sc).kappa_g
-
-    rows = []
-    for i in sorted(base_sigma):
-        dev_sigma = dev_shape = dev_kg = 0.0
-        for k in range(args.trials):
-            T = fs.random_similarity(args.seed + k, (0.5, 2.0), n)
-            fri = fs.frenet_apparatus(fs.arclength_reparam(
-                fs.apply_similarity(T, cur), args.samples))
-            sci = fs.indicatrix_curve(fri, i)
-            dev_sigma = max(dev_sigma, np.abs(sci.sigma - base_sigma[i]).max())
-            sigi = fs.shape_curvatures(fri, i)
-            dev_shape = max(dev_shape,
-                            np.abs(sigi.kt - base_sig[i].kt).max(),
-                            np.abs(np.array(sigi.ktj)
-                                   - np.array(base_sig[i].ktj)).max())
-            if i in base_kg:
-                kgi = fs.sabban_geodesic_curvature(sci).kappa_g
-                dev_kg = max(dev_kg, np.abs(kgi - base_kg[i]).max())
-        rows.append((i, dev_sigma, dev_shape, dev_kg if n == 3 else float("nan")))
+    kg = dev.get("geodesic_invariance", {})
+    rows = [(i, dev["sigma_invariance"][i], dev["shape_invariance"][i],
+             kg.get(i, math.nan)) for i in dev["sigma_invariance"]]
 
     print(f"\n{args.curve}: {args.trials} random similarities, "
           f"{args.samples} samples")
@@ -84,10 +63,8 @@ def main(argv=None) -> int:
         print(f"{i:>3} {ds:>12.3e} {dh:>12.3e} {dk:>12.3e}")
 
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["index", "sigma_dev", "shape_dev", "kappa_g_dev"])
-            w.writerows(rows)
+        _write_table(args.csv, ["index", "sigma_dev", "shape_dev",
+                                "kappa_g_dev"], [np.array(rows)])
         print(f"wrote {args.csv}")
     return 0
 

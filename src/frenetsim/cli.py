@@ -22,18 +22,13 @@ import numpy as np
 
 from .curves import (
     TRIM,
+    _write_table,
     arclength_reparam,
     curve_from_csv,
     curve_to_csv,
     frenet_apparatus,
 )
-from .errors import (
-    BadParameters,
-    BadRange,
-    GeometryError,
-    IndicatrixDegenerate,
-    UsageError,
-)
+from .errors import BadParameters, BadRange, GeometryError, UsageError
 from .evolute import evolute_e3, evolute_invariant_report
 from .focal import focal_curvatures
 from .indicatrix import (
@@ -48,7 +43,12 @@ from .selfsimilar import (
     solve_self_similar,
     synthesize_self_similar,
 )
-from .signatures import shape_curvatures, signature_to_json, similarity_test
+from .signatures import (
+    invariance_sweep,
+    shape_curvatures,
+    signature_to_json,
+    similarity_test,
+)
 from .transforms import (
     apply_similarity,
     random_similarity,
@@ -76,12 +76,6 @@ def _base_path(args) -> Path:
         p = Path(args.output)
         return p.with_suffix("") if p.suffix == ".csv" else p
     return Path(args.input).with_suffix("")
-
-
-def _write_table(path, header_cols, columns) -> None:
-    data = np.column_stack(columns)
-    np.savetxt(path, data, delimiter=",", comments="",
-               header=",".join(header_cols), fmt="%.17g")
 
 
 def cmd_analyze(args) -> int:
@@ -266,53 +260,21 @@ def cmd_verify(args) -> int:
     if args.trials <= 0:
         raise BadRange("trials must be a positive integer")
     cur = _load_curve(args.input, args.samples)
-    fr = frenet_apparatus(cur)
     n = cur.dimension
-    indices = list(range(1, n + 1))
-    base_sc = {}
-    base_sig = {}
-    base_kg = {}
-    for i in indices:
-        try:
-            base_sc[i] = indicatrix_curve(fr, i)
-        except IndicatrixDegenerate:
-            continue
-        base_sig[i] = shape_curvatures(fr, i)
-        if n == 3:
-            base_kg[i] = sabban_geodesic_curvature(base_sc[i]).kappa_g
-
-    dev_sigma = {i: 0.0 for i in base_sc}
-    dev_shape = {i: 0.0 for i in base_sig}
-    dev_kg = {i: 0.0 for i in base_kg}
+    transforms = []
     for trial in range(args.trials):
-        T = random_similarity(args.seed + trial, LAMBDA_RANGE, n)
-        fri = frenet_apparatus(apply_similarity(T, cur))
-        log.info("trial %d: lambda = %.6g", trial, T.lam)
-        for i in base_sc:
-            sci = indicatrix_curve(fri, i)
-            dev_sigma[i] = max(dev_sigma[i], float(
-                np.abs(base_sc[i].sigma - sci.sigma).max()))
-            sigi = shape_curvatures(fri, i)
-            d = np.abs(base_sig[i].kt - sigi.kt).max()
-            d = max(d, np.abs(base_sig[i].ktj - sigi.ktj).max())
-            dev_shape[i] = max(dev_shape[i], float(d))
-            if i in base_kg:
-                dev_kg[i] = max(dev_kg[i], float(
-                    np.abs(base_kg[i] - sabban_geodesic_curvature(sci).kappa_g).max()))
-
-    properties = {
-        "sigma_invariance": {str(i): dev_sigma[i] for i in dev_sigma},
-        "shape_invariance": {str(i): dev_shape[i] for i in dev_shape},
-    }
-    if n == 3:
-        properties["geodesic_invariance"] = {str(i): dev_kg[i] for i in dev_kg}
+        transforms.append(random_similarity(args.seed + trial, LAMBDA_RANGE, n))
+        log.info("trial %d: lambda = %.6g", trial, transforms[-1].lam)
+    dev = invariance_sweep(cur, transforms)
+    properties = {name: {str(i): v for i, v in per.items()}
+                  for name, per in dev.items()}
     failing = [
         f"{name}[i={i}]"
         for name, per in properties.items()
         for i, v in per.items() if not v <= args.tol
     ]
     worst = max(v for per in properties.values() for v in per.values())
-    skipped = [i for i in indices if i not in base_sc]
+    skipped = [i for i in range(1, n + 1) if i not in dev["sigma_invariance"]]
     sys.stdout.write(dump_pretty({
         "input": args.input,
         "trials": args.trials,

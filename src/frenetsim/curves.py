@@ -164,6 +164,11 @@ class SampledCurve:
                 f"points shape {pts.shape} does not match "
                 f"{len(t)} samples in E^{self.dimension}"
             )
+        for name, arr in (("parameter t", t), ("point coordinate", pts)):
+            bad = np.argwhere(~np.isfinite(arr))
+            if len(bad):
+                raise BadParameters(f"{name} values must be finite; sample "
+                                    f"{bad[0, 0]} holds NaN or Inf")
         if not np.all(np.diff(t) > 0):
             raise BadParameters("parameter values must be strictly increasing")
         if self.param_kind not in ("generic", "unit_speed", "sigma_i"):
@@ -617,13 +622,17 @@ def field_derivative(x: np.ndarray, y: np.ndarray, order: int = 1,
 # CSV input and output
 
 
+def _write_table(path, header_cols, columns) -> None:
+    """Write a headed CSV table of column arrays, 17 significant digits per cell."""
+    data = np.column_stack(columns)
+    np.savetxt(path, data, delimiter=",", comments="",
+               header=",".join(header_cols), fmt="%.17g")
+
+
 def curve_to_csv(curve: SampledCurve, path) -> None:
     """Write the `t,x1,...,xn` CSV format with 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"x{d + 1}" for d in range(curve.dimension)])
-        for t, p in zip(curve.t, curve.points):
-            w.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in p])
+    _write_table(path, ["t"] + [f"x{d + 1}" for d in range(curve.dimension)],
+                 [curve.t, curve.points])
 
 
 def curve_from_csv(path) -> SampledCurve:

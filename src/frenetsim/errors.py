@@ -102,10 +102,3 @@ class RepeatedEigenvalue(GeometryError):
 class IntegrationFailure(GeometryError):
     """The frame ODE integrator failed to converge."""
 
-
-class ZeroKt(GeometryError):
-    """Reserved: the kt == 0 synthesis limit.
-
-    Never raised in practice; the closed form takes the analytic
-    circular/helical limit instead of dividing by kt.
-    """

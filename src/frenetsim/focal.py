@@ -13,13 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
-from .curves import TRIM, FrenetData, field_derivative
-from .errors import BadIndex, ZeroCurvature, ZeroFocalPivot
-from .signatures import ShapeSignature
-
-PIVOT_REL = 1e-8
+from .curves import PIVOT_REL, FrenetData, field_derivative
+from .errors import ZeroCurvature, ZeroFocalPivot
+from .signatures import ShapeSignature, _ladder_signature
 
 
 @dataclass(frozen=True)
@@ -81,8 +78,6 @@ def shape_from_focal(fd: FocalData, i: int) -> ShapeSignature:
     """
     npts, ncols = fd.f.shape
     n = ncols + 1
-    if not 1 <= i <= n:
-        raise BadIndex(f"index must be in 1..{n}, got {i}")
     floor = PIVOT_REL * max(np.abs(fd.f).max(), 1e-300)
     if np.any(np.abs(fd.f) <= floor):
         col = int(np.argmax(np.any(np.abs(fd.f) <= floor, axis=0)))
@@ -104,19 +99,8 @@ def shape_from_focal(fd: FocalData, i: int) -> ShapeSignature:
     kap = np.zeros((n + 1, npts))
     for j in range(1, n):
         kap[j] = S[j] / (f_ext[:, j] * f_ext[:, j + 1])
-    q = np.hypot(kap[i - 1], kap[i])
-    sl = slice(TRIM, npts - TRIM)
-    qs = q[sl]
-    scale = max(qs.max(), 2.0 / (fd.s[-1] - fd.s[0]))
-    if qs.min() <= 1e-8 * scale:
-        raise ZeroFocalPivot(
-            f"V_{i}-indicatrix speed derived from focal data collapses"
-        )
-    sigma = cumulative_simpson(qs, x=fd.s[sl], initial=0.0)
-    kt = qs * field_derivative(sigma, 1.0 / qs, order=1)
-    ktj = kap[1:n, sl] / qs
     notes = ()
     if i <= 2:
         notes = ("boundary conventions f_{-1}=f_0=1, S_{-1}=0, S_0=1 "
                  "extrapolate the focal expressions below j=3",)
-    return ShapeSignature(n, i, sigma, kt, ktj, s=fd.s[sl], notes=notes)
+    return _ladder_signature(kap, fd.s, i, notes)

@@ -9,13 +9,12 @@ boundary noise) and is invariant under direct similarities.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .curves import TRIM, FrenetData, SampledCurve, field_derivative, frenet_apparatus
+from .curves import TRIM, FrenetData, _write_table, field_derivative
 from .errors import (
     BadIndex,
     DegenerateSpeed,
@@ -23,25 +22,43 @@ from .errors import (
     IndicatrixDegenerate,
     NotThreeDimensional,
 )
-from .transforms import SimilarityTransform, apply_similarity
 
 INDICATRIX_REL_TOL = 1e-8
 
 
-def indicatrix_speed(fr: FrenetData, i: int) -> np.ndarray:
-    """sqrt(kappa_{i-1}^2 + kappa_i^2) at every (untrimmed) sample."""
-    n = fr.dimension
+def _curvature_ladder(fr: FrenetData) -> np.ndarray:
+    """kappa_0..kappa_n as rows, with kappa_0 = kappa_n = 0."""
+    return np.pad(fr.kappas.T, ((1, 1), (0, 0)))
+
+
+def _ladder_speed(ladder: np.ndarray, i: int) -> np.ndarray:
+    n = len(ladder) - 1
     if not 1 <= i <= n:
         raise BadIndex(f"indicatrix index must be in 1..{n}, got {i}")
-    kap = fr.kappas
-    lo = kap[:, i - 2] if i >= 2 else np.zeros(fr.n_samples)
-    hi = kap[:, i - 1] if i <= n - 1 else np.zeros(fr.n_samples)
-    return np.hypot(lo, hi)
+    return np.hypot(ladder[i - 1], ladder[i])
 
 
-def _trimmed(fr: FrenetData):
-    sl = slice(TRIM, fr.n_samples - TRIM)
-    return sl, fr.s[sl]
+def indicatrix_speed(fr: FrenetData, i: int) -> np.ndarray:
+    """sqrt(kappa_{i-1}^2 + kappa_i^2) at every (untrimmed) sample."""
+    return _ladder_speed(_curvature_ladder(fr), i)
+
+
+def _sigma_grid(ladder: np.ndarray, s: np.ndarray, i: int):
+    """Retained slice, trimmed speed and sigma_i of a V_i-indicatrix.
+
+    ladder holds kappa_0..kappa_n over the arc-length grid s. Two
+    samples per end are dropped as boundary noise; sigma_i is the
+    cumulative Simpson integral of the remaining speed, anchored at 0.
+    """
+    sl = slice(TRIM, len(s) - TRIM)
+    qs = _ladder_speed(ladder, i)[sl]
+    scale = max(qs.max(), 2.0 / (s[-1] - s[0]))
+    if qs.min() <= INDICATRIX_REL_TOL * scale:
+        raise IndicatrixDegenerate(
+            f"V_{i}-indicatrix speed collapses "
+            f"(min {qs.min():.3g} against scale {scale:.3g})"
+        )
+    return sl, qs, cumulative_simpson(qs, x=s[sl], initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -75,30 +92,8 @@ def indicatrix_curve(fr: FrenetData, i: int) -> SphericalCurve:
     sigma_i integrates the indicatrix speed by cumulative Simpson
     quadrature over s, anchored at 0 on the first retained sample.
     """
-    q = indicatrix_speed(fr, i)
-    sl, s = _trimmed(fr)
-    qs = q[sl]
-    scale = max(qs.max(), 2.0 / (fr.s[-1] - fr.s[0]))
-    if qs.min() <= INDICATRIX_REL_TOL * scale:
-        raise IndicatrixDegenerate(
-            f"V_{i}-indicatrix speed collapses "
-            f"(min {qs.min():.3g} against scale {scale:.3g})"
-        )
-    sigma = cumulative_simpson(qs, x=s, initial=0.0)
+    sl, _, sigma = _sigma_grid(_curvature_ladder(fr), fr.s, i)
     return SphericalCurve(fr.dimension, i, sigma, fr.frames[sl, i - 1, :])
-
-
-def sigma_invariance_check(curve: SampledCurve, T: SimilarityTransform,
-                           i: int) -> float:
-    """Max deviation |sigma_i - sigmabar_i| over matched samples.
-
-    The similarity image keeps the parameter grid, so sample j of the
-    image corresponds to sample j of the original; both sigmas anchor
-    at the first retained sample.
-    """
-    a = indicatrix_curve(frenet_apparatus(curve), i)
-    b = indicatrix_curve(frenet_apparatus(apply_similarity(T, curve)), i)
-    return float(np.abs(a.sigma - b.sigma).max())
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +175,9 @@ def geodesic_closed_form(sig, which: str) -> np.ndarray:
 
 def indicatrix_to_csv(sc: SphericalCurve, path, kappa_g=None) -> None:
     """Write `sigma,g1,...,gn[,kappa_g]` with 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        head = ["sigma"] + [f"g{d + 1}" for d in range(sc.dimension)]
-        if kappa_g is not None:
-            head.append("kappa_g")
-        w.writerow(head)
-        for j in range(len(sc.sigma)):
-            row = [f"{sc.sigma[j]:.17g}"] + [f"{v:.17g}" for v in sc.gamma[j]]
-            if kappa_g is not None:
-                row.append(f"{kappa_g[j]:.17g}")
-            w.writerow(row)
+    head = ["sigma"] + [f"g{d + 1}" for d in range(sc.dimension)]
+    cols = [sc.sigma, sc.gamma]
+    if kappa_g is not None:
+        head.append("kappa_g")
+        cols.append(kappa_g)
+    _write_table(path, head, cols)

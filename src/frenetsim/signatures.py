@@ -20,9 +20,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import TRIM, FrenetData, SampledCurve, field_derivative, frenet_apparatus
-from .errors import BadIndex, BadParameters, IncompatibleSignatures
-from .indicatrix import indicatrix_curve, indicatrix_speed
+from .errors import (
+    BadIndex,
+    BadParameters,
+    IncompatibleSignatures,
+    IndicatrixDegenerate,
+)
+from .indicatrix import (
+    _curvature_ladder,
+    _sigma_grid,
+    indicatrix_curve,
+    sabban_geodesic_curvature,
+)
 from .jsonio import render
+from .transforms import apply_similarity
 
 log = logging.getLogger("frenetsim.signatures")
 
@@ -83,17 +94,35 @@ class ShapeSignature:
         return float(self.sigma[-1] - self.sigma[0])
 
 
-def shape_curvatures(fr: FrenetData, i: int) -> ShapeSignature:
-    """Shape curvatures of the V_i-indicatrix, on its sigma_i grid."""
-    sphere = indicatrix_curve(fr, i)  # validates i and degeneracy
-    sl = slice(TRIM, fr.n_samples - TRIM)
-    q = indicatrix_speed(fr, i)[sl]
-    sigma = sphere.sigma
+def _ladder_signature(ladder: np.ndarray, s: np.ndarray, i: int,
+                      notes: tuple = ()) -> ShapeSignature:
+    """Shape signature of index i from a curvature ladder over arc length s.
+
+    ladder holds kappa_0..kappa_n as rows (kappa_0 = kappa_n = 0); the
+    direct and the focal route both end here. Where Q reduces to
+    |kappa_{n-1}| (i = n, or n = 2), a sign change of the signed
+    kappa_{n-1} is an inflection at which Q vanishes between samples.
+    """
+    n = len(ladder) - 1
+    sl, q, sigma = _sigma_grid(ladder, s, i)
+    if i == n or n == 2:
+        last = ladder[n - 1, sl]
+        flips = np.flatnonzero(last[:-1] * last[1:] < 0)
+        if len(flips):
+            raise IndicatrixDegenerate(
+                f"kappa_{n - 1} changes sign at sample {TRIM + flips[0] + 1}, "
+                f"so the V_{i}-indicatrix speed vanishes there"
+            )
     # kt = -(dQ/dsigma)/Q == Q * d(1/Q)/dsigma; the latter differentiates
     # the flatter samples when Q decays exponentially
     kt = q * field_derivative(sigma, 1.0 / q, order=1)
-    ktj = fr.kappas[sl].T / q
-    return ShapeSignature(fr.dimension, i, sigma, kt, ktj, s=fr.s[sl])
+    ktj = ladder[1:n, sl] / q
+    return ShapeSignature(n, i, sigma, kt, ktj, s=s[sl], notes=notes)
+
+
+def shape_curvatures(fr: FrenetData, i: int) -> ShapeSignature:
+    """Shape curvatures of the V_i-indicatrix, on its sigma_i grid."""
+    return _ladder_signature(_curvature_ladder(fr), fr.s, i)
 
 
 def structure_matrix(fr: FrenetData, i: int, sample_index: int) -> np.ndarray:
@@ -138,12 +167,12 @@ def _interp_tuple(sig: ShapeSignature, grid: np.ndarray, shift: float = 0.0):
     return np.stack(rows)
 
 
-def signature_distance(a: ShapeSignature, b: ShapeSignature,
-                       shift: float = 0.0) -> float:
-    """RMS distance between signature tuples over the sigma overlap.
+def _overlap_difference(a: ShapeSignature, b: ShapeSignature, shift: float,
+                        min_width: float = 0.0):
+    """a's signature tuple minus b's on 512 points of their sigma overlap.
 
-    b's grid is displaced by `shift` before comparison. Returns inf
-    when the overlap is shorter than 10% of the shorter signature.
+    b's grid is displaced by `shift`. None when the overlap is empty or
+    shorter than min_width.
     """
     if a.dimension != b.dimension or a.index != b.index:
         raise IncompatibleSignatures(
@@ -152,25 +181,31 @@ def signature_distance(a: ShapeSignature, b: ShapeSignature,
         )
     lo = max(a.sigma[0], b.sigma[0] + shift)
     hi = min(a.sigma[-1], b.sigma[-1] + shift)
-    if hi - lo < MIN_OVERLAP_FRACTION * min(a.span, b.span):
-        return math.inf
+    if hi <= lo or hi - lo < min_width:
+        return None
     grid = np.linspace(lo, hi, 512)
-    ta = _interp_tuple(a, grid)
-    tb = _interp_tuple(b, grid, shift)
-    return float(np.sqrt(np.mean(np.sum((ta - tb) ** 2, axis=0))))
+    return _interp_tuple(a, grid) - _interp_tuple(b, grid, shift)
+
+
+def signature_distance(a: ShapeSignature, b: ShapeSignature,
+                       shift: float = 0.0) -> float:
+    """RMS distance between signature tuples over the sigma overlap.
+
+    b's grid is displaced by `shift` before comparison. Returns inf
+    when the overlap is shorter than 10% of the shorter signature.
+    """
+    diff = _overlap_difference(a, b, shift,
+                               MIN_OVERLAP_FRACTION * min(a.span, b.span))
+    if diff is None:
+        return math.inf
+    return float(np.sqrt(np.mean(np.sum(diff ** 2, axis=0))))
 
 
 def signature_supnorm_deviation(a: ShapeSignature, b: ShapeSignature,
                                 shift: float = 0.0) -> float:
     """Componentwise sup-norm deviation over the sigma overlap."""
-    if a.dimension != b.dimension or a.index != b.index:
-        raise IncompatibleSignatures("signatures are not comparable")
-    lo = max(a.sigma[0], b.sigma[0] + shift)
-    hi = min(a.sigma[-1], b.sigma[-1] + shift)
-    if hi <= lo:
-        return math.inf
-    grid = np.linspace(lo, hi, 512)
-    return float(np.abs(_interp_tuple(a, grid) - _interp_tuple(b, grid, shift)).max())
+    diff = _overlap_difference(a, b, shift)
+    return math.inf if diff is None else float(np.abs(diff).max())
 
 
 def _golden_minimize(f, lo: float, hi: float, iterations: int = 60):
@@ -237,6 +272,52 @@ def similarity_test(curve_a: SampledCurve, curve_b: SampledCurve, i: int,
     ok = bool(dist <= tol)
     log.debug("match: distance %.3g at shift %.3g, lambda %.6g", dist, shift, lam)
     return MatchResult(ok, float(dist), lam, float(shift))
+
+
+# ---------------------------------------------------------------------------
+# invariance under direct similarities
+
+
+def invariance_sweep(curve: SampledCurve, transforms) -> dict:
+    """Worst deviation of each invariant over a set of direct similarities.
+
+    Each image keeps the curve's sample grid, so sample j of the image
+    matches sample j of the curve, and one Frenet apparatus per image
+    serves every index. Returns {property: {i: worst deviation}} for
+    "sigma_invariance" (sigma_i), "shape_invariance" (kt and every
+    kt_j) and, in E^3, "geodesic_invariance" (the Sabban kappa_g).
+    Indices whose indicatrix is degenerate on the curve itself are left
+    out; when every index is, that IndicatrixDegenerate is raised.
+    """
+    fr = frenet_apparatus(curve)
+    base = {}
+    for i in range(1, fr.dimension + 1):
+        try:
+            base[i] = shape_curvatures(fr, i)
+        except IndicatrixDegenerate as exc:
+            degenerate = exc
+    if not base:
+        raise degenerate
+    dev = {"sigma_invariance": dict.fromkeys(base, 0.0),
+           "shape_invariance": dict.fromkeys(base, 0.0)}
+    base_kg = {}
+    if fr.dimension == 3:
+        dev["geodesic_invariance"] = dict.fromkeys(base, 0.0)
+        base_kg = {i: sabban_geodesic_curvature(indicatrix_curve(fr, i)).kappa_g
+                   for i in base}
+    for T in transforms:
+        fri = frenet_apparatus(apply_similarity(T, curve))
+        for i, sig in base.items():
+            img = shape_curvatures(fri, i)
+            now = {"sigma_invariance": np.abs(sig.sigma - img.sigma).max(),
+                   "shape_invariance": max(np.abs(sig.kt - img.kt).max(),
+                                           np.abs(sig.ktj - img.ktj).max())}
+            if base_kg:
+                kg = sabban_geodesic_curvature(indicatrix_curve(fri, i)).kappa_g
+                now["geodesic_invariance"] = np.abs(base_kg[i] - kg).max()
+            for prop, value in now.items():
+                dev[prop][i] = max(dev[prop][i], float(value))
+    return dev
 
 
 # ---------------------------------------------------------------------------

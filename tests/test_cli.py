@@ -208,3 +208,41 @@ def test_unknown_command(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["analyze", "--help"]) == 0
+
+
+def test_verify_properties_match_invariance_sweep(data_dir, capsys):
+    path = str(data_dir / "helix.csv")
+    rc, out = run(capsys, "verify", "--input", path, "--trials", "2",
+                  "--seed", "4", "--samples", "600")
+    assert rc == 0
+    cur = fs.arclength_reparam(fs.curve_from_csv(path), 600)
+    transforms = [fs.random_similarity(4 + k, (0.5, 2.0), 3) for k in range(2)]
+    dev = fs.invariance_sweep(cur, transforms)
+    assert json.loads(out)["properties"] == {
+        name: {str(i): v for i, v in per.items()} for name, per in dev.items()}
+
+
+def test_inflection_exits_degenerate(tmp_path, capsys):
+    # kappa_1 of (t, t^3) changes sign at t = 0, where both indicatrix
+    # speeds |kappa_1| vanish
+    t = np.linspace(-1.0, 1.0, 901)
+    path = tmp_path / "inflection.csv"
+    fs.curve_to_csv(fs.SampledCurve(2, t, np.column_stack([t, t ** 3])), path)
+    for index in ("1", "2"):
+        rc = main(["analyze", "--input", str(path), "--index", index,
+                   "--samples", "900", "--output", str(tmp_path / "out")])
+        assert rc == 3
+        assert "kappa_1 changes sign" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["1.0,nan,1.0", "nan,2.0,1.0"])
+def test_nonfinite_cell_exits_usage(tmp_path, capsys, row):
+    path = tmp_path / "nan.csv"
+    fs.curve_to_csv(fs.builtin_evaluate(fs.circle(1.0),
+                                        np.linspace(0.0, 2.0, 40)), path)
+    lines = path.read_text().splitlines()
+    lines[5] = row
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["analyze", "--input", str(path)])
+    assert rc == 2
+    assert "must be finite; sample 4" in capsys.readouterr().err

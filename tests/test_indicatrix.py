@@ -45,15 +45,16 @@ def test_degenerate_indicatrix(planar_circle_frenet):
 def test_sigma_invariance_random(helix_curve):
     for seed in (1, 2, 3):
         T = fs.random_similarity(seed, (0.5, 2.0), 3)
-        for i in (1, 2, 3):
-            assert fs.sigma_invariance_check(helix_curve, T, i) < 1e-9
+        dev = fs.invariance_sweep(helix_curve, [T])["sigma_invariance"]
+        assert sorted(dev) == [1, 2, 3]
+        assert max(dev.values()) < 1e-9
 
 
 def test_sigma_invariance_identity_and_pure_scale(helix_curve):
     ident = fs.SimilarityTransform(1.0, np.eye(3), np.zeros(3))
-    assert fs.sigma_invariance_check(helix_curve, ident, 2) < 1e-12
+    assert fs.invariance_sweep(helix_curve, [ident])["sigma_invariance"][2] < 1e-12
     scale5 = fs.SimilarityTransform(5.0, np.eye(3), np.zeros(3))
-    assert fs.sigma_invariance_check(helix_curve, scale5, 2) < 1e-9
+    assert fs.invariance_sweep(helix_curve, [scale5])["sigma_invariance"][2] < 1e-9
 
 
 def test_structure_matrix_helix(helix_frenet):

@@ -111,6 +111,12 @@ def test_signature_distance_incompatible(helix_frenet, selfsim4_frenet):
 def test_signature_distance_no_overlap(helix_frenet):
     a = fs.shape_curvatures(helix_frenet, 2)
     assert fs.signature_distance(a, a, shift=1e6) == math.inf
+    assert fs.signature_supnorm_deviation(a, a, shift=1e6) == math.inf
+    # an overlap of 5% of the span is too short to score a distance but
+    # still has a sup-norm deviation
+    shift = 0.95 * a.span
+    assert fs.signature_distance(a, a, shift=shift) == math.inf
+    assert fs.signature_supnorm_deviation(a, a, shift=shift) < 1e-9
 
 
 def test_signature_json_round_trip(cubic_frenet):
