@@ -32,7 +32,7 @@ from .errors import BadParameters, BadRange, GeometryError, UsageError
 from .evolute import evolute_e3, evolute_invariant_report
 from .focal import focal_curvatures
 from .indicatrix import (
-    indicatrix_curve,
+    SphericalCurve,
     indicatrix_to_csv,
     sabban_geodesic_curvature,
 )
@@ -95,7 +95,8 @@ def cmd_analyze(args) -> int:
     for j in range(n - 1):
         cols.append(sig.ktj[j])
         names.append(f"kt_{j + 1}")
-    sc = indicatrix_curve(fr, args.index)
+    # the indicatrix lives on the sigma grid the signature already holds
+    sc = SphericalCurve(n, args.index, sig.sigma, fr.frames[sl, args.index - 1])
     kappa_g = None
     if n == 3:
         kappa_g = sabban_geodesic_curvature(sc).kappa_g

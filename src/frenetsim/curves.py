@@ -10,10 +10,10 @@ Two evaluation paths feed the same downstream pipeline:
 
 Either way, jets in the curve parameter are converted to jets in arc
 length through truncated-series composition (see series.py), so no
-finite differencing of positions ever happens. Frames come from
-Gram-Schmidt on the arclength derivatives; curvatures from pivot-norm
-ratios, the last one signed by the projection of the n-th derivative
-on V_n.
+finite differencing of positions ever happens. Frames come from one
+batched Householder QR of the arclength derivatives; curvatures from
+ratios of the pivots |R_jj|, the last one signed by the projection of
+the n-th derivative on V_n.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator, make_interp_spline
@@ -47,7 +47,7 @@ log = logging.getLogger("frenetsim.curves")
 
 # boundary samples trimmed from all downstream signatures
 TRIM = 2
-# Gram-Schmidt pivot threshold, relative to the raw derivative magnitude
+# QR pivot threshold on |R_jj|, relative to the raw derivative magnitude
 PIVOT_REL = 1e-8
 # relative data noise assumed by the knot-stride rule
 POSITION_NOISE = 1e-16
@@ -352,22 +352,16 @@ def arclength_jet(source, tq: np.ndarray, order: int) -> np.ndarray:
 
     Entry [j] times j! is d^j alpha / ds^j. Uses the chain rule in
     truncated-series form: invert the local speed series into t(s) by a
-    flow recurrence, then compose.
+    flow recurrence, then compose. A reparameterized source's jets are
+    arc-length jets already and come back as they are.
     """
     P = _jet(source, tq, order)
-    if order == 0:
+    if order == 0 or isinstance(source, _ReparamSource):
         return P
     v = series_derivative(P)
-    sp2 = np.zeros(v.shape[:2])
-    for d in range(P.shape[-1]):
-        sp2 += series_mul(v[..., d], v[..., d])
-    speed = series_sqrt(sp2)
-    g = series_reciprocal(speed)
-    tau = flow_series(g, order)
-    out = np.empty_like(P)
-    for d in range(P.shape[-1]):
-        out[..., d] = series_compose(P[..., d], tau)
-    return out
+    speed = series_sqrt(series_mul(v, v).sum(axis=-1))
+    tau = flow_series(series_reciprocal(speed), order)
+    return series_compose(P, tau[..., None])
 
 
 def parameter_speeds(source, tq: np.ndarray) -> np.ndarray:
@@ -405,11 +399,12 @@ def arclength_values(curve: SampledCurve) -> np.ndarray:
 class _ReparamSource:
     """Arclength reparameterization of another jet source.
 
-    Quer parameters are arc lengths; each jet call inverts s -> t by
+    Query parameters are arc lengths; each jet call inverts s -> t by
     Newton on the speed antiderivative, then chains the inner jet
-    through arclength_jet. Keeping the inner source alive avoids
-    refitting splines to resampled data, which would destroy the
-    high-order derivatives.
+    through arclength_jet, so this source's jets are already arc-length
+    jets. The t grid inverted for the sample grid s_grid is kept and
+    reused. Keeping the inner source alive avoids refitting splines to
+    resampled data, which would destroy the high-order derivatives.
     """
 
     inner: object
@@ -418,8 +413,12 @@ class _ReparamSource:
     t_lo: float
     t_hi: float
     guess: object
+    s_grid: np.ndarray = field(default=None, compare=False)
+    t_grid: np.ndarray = field(default=None, compare=False)
 
     def t_of_s(self, sq: np.ndarray) -> np.ndarray:
+        if self.s_grid is not None and np.array_equal(sq, self.s_grid):
+            return self.t_grid
         total = float(self.s_spline(self.t_hi)) - self.s0
         t = np.clip(self.guess(np.clip(sq, 0.0, total)), self.t_lo, self.t_hi)
         target = np.asarray(sq, dtype=float) + self.s0
@@ -461,6 +460,8 @@ def arclength_reparam(curve, n_samples: int) -> SampledCurve:
     rep = _ReparamSource(src, S, s0, t_lo, t_hi, guess)
     s_targets = np.linspace(0.0, total, n_samples)
     tk = rep.t_of_s(s_targets)
+    tk.setflags(write=False)
+    rep = replace(rep, s_grid=s_targets, t_grid=tk)
     pts = _jet(src, tk, 0)[0]
     return SampledCurve(dim, s_targets, pts, "unit_speed", source=rep)
 
@@ -507,9 +508,11 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     """Compute frames and curvatures at every sample of the curve.
 
     The curve may carry any parameterization; derivatives are taken
-    with respect to arc length internally. Raises FrameDegenerate when
-    a Gram-Schmidt pivot collapses (some kappa_i is effectively zero)
-    and ZeroSpeed for stationary samples.
+    with respect to arc length internally. The frame is one batched
+    Householder QR of [D_1 ... D_n], signed so that R_jj > 0 for the
+    first n-1 columns and det = +1. Raises FrameDegenerate when a pivot
+    |R_jj| collapses (some kappa_i is effectively zero) and ZeroSpeed
+    for stationary samples.
     """
     n = curve.dimension
     if curve.n_samples < min_samples(n):
@@ -518,49 +521,39 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
             f"got {curve.n_samples}"
         )
     src = _engine(curve)
-    speeds = parameter_speeds(src, curve.t)
-    mx = speeds.max()
-    if mx <= 0 or speeds.min() <= 1e-9 * mx:
-        raise ZeroSpeed(
-            f"curve speed collapses at sample {int(np.argmin(speeds))}"
-        )
-    jets = arclength_jet(src, curve.t, n)
-    D = jet_to_derivatives(jets)[1:]  # D[j-1] = d^j alpha/ds^j, j = 1..n
-
-    nq = curve.n_samples
-    basis = []
-    pivots = []
-    for j in range(n - 1):
-        w = D[j].copy()
-        for e in basis:
-            w -= np.einsum("qd,qd->q", D[j], e)[:, None] * e
-        norm = np.linalg.norm(w, axis=1)
-        dmag = np.linalg.norm(D[j], axis=1)
-        bad = norm <= PIVOT_REL * dmag
-        if np.any(bad):
-            q = int(np.argmax(bad))
-            raise FrameDegenerate(
-                f"Gram-Schmidt pivot {j + 1} collapsed at sample {q} "
-                f"(|w|={norm[q]:.3g} vs |d^{j + 1}a/ds^{j + 1}|={dmag[q]:.3g})"
+    # a reparameterized source has unit speed; arclength_reparam already
+    # raised ZeroSpeed on its inner source
+    if not isinstance(src, _ReparamSource):
+        speeds = parameter_speeds(src, curve.t)
+        mx = speeds.max()
+        if mx <= 0 or speeds.min() <= 1e-9 * mx:
+            raise ZeroSpeed(
+                f"curve speed collapses at sample {int(np.argmin(speeds))}"
             )
-        pivots.append(norm)
-        basis.append(w / norm[:, None])
+    jets = arclength_jet(src, curve.t, n)
+    # columns of D[q] are d^j alpha/ds^j at sample q, j = 1..n
+    D = np.moveaxis(jet_to_derivatives(jets)[1:], 0, -1)
 
-    B = np.stack(basis, axis=1)  # (nq, n-1, n)
-    # complete V_n by the cofactor rule; guarantees det(frame) = +1
-    Vn = np.empty((nq, n))
-    for d in range(n):
-        cols = [c for c in range(n) if c != d]
-        Vn[:, d] = (-1.0) ** (n - 1 + d) * np.linalg.det(B[:, :, cols])
-    frames = np.concatenate([B, Vn[:, None, :]], axis=1)
-
-    if n > 2:
-        kap = np.stack([pivots[j + 1] / pivots[j] for j in range(n - 2)], axis=1)
-    else:
-        kap = np.empty((nq, 0))
-    # signed last curvature: V_n-component of the n-th derivative
-    last = np.einsum("qd,qd->q", D[n - 1], Vn) / pivots[n - 2]
-    kappas = np.concatenate([kap, last[:, None]], axis=1)
+    Q, R = np.linalg.qr(D)
+    r = np.diagonal(R, axis1=1, axis2=2).copy()
+    dmag = np.linalg.norm(D[:, :, : n - 1], axis=1)
+    bad = np.abs(r[:, : n - 1]) <= PIVOT_REL * dmag
+    if np.any(bad):
+        j = int(np.argmax(bad.any(axis=0)))
+        q = int(np.argmax(bad[:, j]))
+        raise FrameDegenerate(
+            f"QR pivot {j + 1} collapsed at sample {q} (|R_jj|={abs(r[q, j]):.3g}"
+            f" vs |d^{j + 1}a/ds^{j + 1}|={dmag[q, j]:.3g})"
+        )
+    # flip columns so that R_jj > 0 for j < n; V_n's sign makes det = +1
+    sign = np.sign(r)
+    sign[:, n - 1] = np.sign(np.linalg.det(Q)) * np.prod(sign[:, : n - 1], axis=1)
+    frames = np.swapaxes(Q * sign[:, None, :], 1, 2)
+    # a flipped R_jj (j < n) is the norm of D_j's part orthogonal to the
+    # lower derivatives, R_nn the signed V_n-component of D_n;
+    # kappa_j = R_{j+1,j+1} / R_jj
+    r *= sign
+    kappas = r[:, 1:] / r[:, :-1]
 
     s = arclength_values(curve) if not isinstance(src, _ReparamSource) else (
         curve.t - curve.t[0])

@@ -60,7 +60,7 @@ class ZeroSpeed(GeometryError):
 
 
 class FrameDegenerate(GeometryError):
-    """Gram-Schmidt pivot below tolerance; some curvature is effectively 0."""
+    """QR pivot |R_jj| below tolerance; some curvature is effectively 0."""
 
 
 class IndicatrixDegenerate(GeometryError):

@@ -7,6 +7,11 @@ truncate consistently at the input order, so composing them propagates
 derivatives exactly up to roundoff. This is how the library turns a
 parameter-space jet of a curve into an arclength-space jet without any
 finite differencing.
+
+Products are vectorized (Griewank & Walther, Evaluating Derivatives,
+2nd ed., ch. 13): order k of a Cauchy product is one whole-array
+product-and-sum over j, and a composition scales every payload column
+by each power of inner at once, so Python loops run over orders only.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ __all__ = [
     "derivatives_to_jet",
 ]
 
+# product-and-sum over the leading (order) axis, payload broadcast
+_SUM_J = "j...,j...->..."
+
 
 def series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cauchy product truncated at the common order."""
@@ -34,8 +42,7 @@ def series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("series orders differ")
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
     for k in range(M):
-        for j in range(k + 1):
-            out[k] += a[j] * b[k - j]
+        out[k] = np.einsum(_SUM_J, a[: k + 1], b[k::-1])
     return out
 
 
@@ -45,10 +52,7 @@ def series_reciprocal(a: np.ndarray) -> np.ndarray:
     out = np.zeros_like(a)
     out[0] = 1.0 / a[0]
     for k in range(1, M):
-        acc = np.zeros_like(a[0])
-        for j in range(1, k + 1):
-            acc = acc + a[j] * out[k - j]
-        out[k] = -acc * out[0]
+        out[k] = -np.einsum(_SUM_J, a[1 : k + 1], out[k - 1 :: -1]) * out[0]
     return out
 
 
@@ -59,24 +63,24 @@ def series_sqrt(a: np.ndarray) -> np.ndarray:
     out[0] = np.sqrt(a[0])
     inv2 = 0.5 / out[0]
     for k in range(1, M):
-        acc = np.zeros_like(a[0])
-        for j in range(1, k):
-            acc = acc + out[j] * out[k - j]
-        out[k] = (a[k] - acc) * inv2
+        out[k] = (a[k] - np.einsum(_SUM_J, out[1:k], out[k - 1 : 0 : -1])) * inv2
     return out
 
 
 def series_compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """outer(inner(h)) by Horner's rule; inner must have zero constant term."""
+    """outer(inner(h)) = sum_k outer_k inner^k; inner must have zero constant term.
+
+    Each power inner^k is built once and starts at order k.
+    """
     M = outer.shape[0]
     if inner.shape[0] != M:
         raise ValueError("series orders differ")
-    shape = np.broadcast_shapes(outer.shape, inner.shape)
-    out = np.zeros(shape, dtype=np.result_type(outer, inner))
-    out[0] = outer[M - 1]
-    for k in range(M - 2, -1, -1):
-        out = series_mul(out, inner)
-        out[0] += outer[k]
+    power = np.zeros_like(inner, dtype=float)
+    power[0] = 1.0
+    out = outer[0] * power
+    for k in range(1, M):
+        power = series_mul(power, inner)
+        out[k:] += outer[k] * power[k:]
     return out
 
 

@@ -77,8 +77,9 @@ class ShapeSignature:
             raise BadParameters("signature contains non-finite entries")
         i = self.index
         if i == 1:
-            if np.any(np.abs(ktj[0] - 1.0) > UNIT_CIRCLE_TOL):
-                raise BadParameters("for index 1, kt_1 must be identically 1")
+            # kt_1 = kappa_1/|kappa_1|: -1 on a clockwise plane curve
+            if np.any(np.abs(np.abs(ktj[0]) - 1.0) > UNIT_CIRCLE_TOL):
+                raise BadParameters("for index 1, |kt_1| must be identically 1")
         elif i < n:
             circ = ktj[i - 2] ** 2 + ktj[i - 1] ** 2
             if np.any(np.abs(circ - 1.0) > UNIT_CIRCLE_TOL):

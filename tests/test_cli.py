@@ -246,3 +246,26 @@ def test_nonfinite_cell_exits_usage(tmp_path, capsys, row):
     rc = main(["analyze", "--input", str(path)])
     assert rc == 2
     assert "must be finite; sample 4" in capsys.readouterr().err
+
+
+def test_clockwise_circle(tmp_path, capsys):
+    # kt_1 = kappa_1/|kappa_1| is -1 on a clockwise plane curve; its mirror
+    # image is not a direct-similar copy
+    t = np.linspace(0.0, 5.0, 400)
+    cw, ccw = tmp_path / "cw.csv", tmp_path / "ccw.csv"
+    fs.curve_to_csv(fs.SampledCurve(
+        2, t, np.column_stack([2 * np.cos(t), -2 * np.sin(t)])), cw)
+    fs.curve_to_csv(fs.SampledCurve(
+        2, t, np.column_stack([2 * np.cos(t), 2 * np.sin(t)])), ccw)
+    base = tmp_path / "cw"
+    rc, _ = run(capsys, "analyze", "--input", str(cw), "--index", "1",
+                "--samples", "800", "--output", str(base))
+    assert rc == 0
+    sig = json.loads((tmp_path / "cw.signature.json").read_text())
+    assert np.abs(np.asarray(sig["ktj"][0]) + 1.0).max() < 1e-9
+    rc, out = run(capsys, "verify", "--input", str(cw), "--trials", "3",
+                  "--samples", "800")
+    assert rc == 0 and json.loads(out)["pass"] is True
+    rc, out = run(capsys, "match", "--input", str(cw), "--input-b", str(ccw),
+                  "--samples", "800")
+    assert rc == 1 and json.loads(out)["is_similar"] is False

@@ -5,7 +5,13 @@ import pytest
 
 import frenetsim as fs
 from frenetsim import errors as E
-from frenetsim.curves import min_samples
+from frenetsim.curves import _engine, arclength_jet, min_samples
+from frenetsim.series import (
+    jet_to_derivatives,
+    series_derivative,
+    series_mul,
+    series_sqrt,
+)
 
 TAU = 2 * math.pi
 
@@ -75,8 +81,57 @@ def test_structure_residual_converges():
 
 def test_line_is_degenerate():
     cur = fs.arclength_reparam(fs.line(3), 200)
-    with pytest.raises(E.FrameDegenerate):
+    # d^2a/ds^2 vanishes, so the second pivot collapses at once
+    with pytest.raises(E.FrameDegenerate, match="pivot 2 collapsed at sample 0"):
         fs.frenet_apparatus(cur)
+
+
+def test_reparam_jet_is_arclength_jet(helix_curve):
+    src = _engine(helix_curve)
+    jet = arclength_jet(src, helix_curve.t, 6)
+    assert np.array_equal(jet, src.jet(helix_curve.t, 6))
+    v = series_derivative(jet)
+    speed = series_sqrt(series_mul(v, v).sum(axis=-1))
+    assert np.abs(speed[0] - 1.0).max() < 1e-12
+    assert np.abs(speed[1:]).max() < 1e-12
+
+
+def _gram_schmidt_frenet(D):
+    """Classical Gram-Schmidt frames and curvatures from derivatives D[j-1].
+
+    Each projection is applied twice: one pass loses orthogonality in
+    the last E^9 vectors by about 1e-12.
+    """
+    n = len(D)
+    F = np.zeros((D.shape[1], n, n))
+    pivots = []
+    for j in range(n):
+        w = D[j].copy()
+        for _ in range(2):
+            w -= np.einsum("qk,qkd->qd", np.einsum("qkd,qd->qk", F, w), F)
+        pivots.append(np.linalg.norm(w, axis=1))
+        F[:, j] = w / pivots[-1][:, None]
+    # the last vector completes a positively oriented frame
+    F[:, -1] *= np.sign(np.linalg.det(F))[:, None]
+    kap = [pivots[j + 1] / pivots[j] for j in range(n - 2)]
+    kap.append(np.einsum("qd,qd->q", D[-1], F[:, -1]) / pivots[n - 2])
+    return F, np.stack(kap, axis=1)
+
+
+@pytest.mark.parametrize("ktj", [
+    (math.cos(0.6), math.sin(0.6), 0.8, -0.7),
+    (math.cos(0.6), math.sin(0.6), 0.8, -0.7, 0.9, 0.6, -1.0, 0.75),
+])
+def test_qr_frames_match_gram_schmidt(ktj):
+    n = len(ktj) + 1
+    spec = fs.SelfSimilarSpec(n, 2, 0.05, ktj)
+    cur = fs.arclength_reparam(fs.synthesize_self_similar(spec), 600)
+    fr = fs.frenet_apparatus(cur)
+    D = jet_to_derivatives(arclength_jet(_engine(cur), cur.t, n))[1:]
+    F, kap = _gram_schmidt_frenet(D)
+    assert np.abs(fr.frames - F).max() < 1e-12
+    assert np.abs(fr.kappas - kap).max() < 1e-12
+    assert np.abs(np.linalg.det(fr.frames) - 1.0).max() < 1e-12
 
 
 def test_reversal_keeps_curvatures(helix_curve):

@@ -55,6 +55,46 @@ def test_mul_commutes(a, b):
     assert np.abs(series_mul(a, b) - series_mul(b, a)).max() < 1e-12
 
 
+payload = st.sampled_from([(), (3,), (3, 2)])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=1, max_value=12), payload,
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_mul_is_truncated_convolution(M, shape, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2.0, 2.0, (M,) + shape)
+    b = rng.uniform(-2.0, 2.0, (M,) + shape)
+    out = series_mul(a, b)
+    assert out.shape == a.shape
+    for col in np.ndindex(*shape):
+        want = np.convolve(a[(slice(None),) + col], b[(slice(None),) + col])[:M]
+        assert np.abs(out[(slice(None),) + col] - want).max() < 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=1, max_value=12), payload,
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_compose_is_truncated_polynomial(M, shape, seed):
+    rng = np.random.default_rng(seed)
+    outer = rng.uniform(-2.0, 2.0, (M,) + shape)
+    inner = rng.uniform(-1.0, 1.0, (M,) + shape)
+    inner[0] = 0.0
+    out = series_compose(outer, inner)
+
+    def truncated(out_c, in_c):
+        u = np.polynomial.Polynomial(in_c)
+        full = sum(out_c[k] * u ** k for k in range(M)).coef[:M]
+        return np.pad(full, (0, M - len(full)))
+
+    for col in np.ndindex(*shape):
+        c = (slice(None),) + col
+        want = truncated(outer[c], inner[c])
+        # roundoff scales with the composition of the absolute values
+        scale = max(1.0, truncated(np.abs(outer[c]), np.abs(inner[c])).max())
+        assert np.abs(out[c] - want).max() < 1e-12 * scale
+
+
 @settings(deadline=None, max_examples=20)
 @given(series(5))
 def test_flow_solves_its_equation(g):
