@@ -88,13 +88,9 @@ def cmd_analyze(args) -> int:
     sig_path.write_text(signature_to_json(sig) + "\n")
 
     sl = slice(TRIM, fr.n_samples - TRIM)
-    cols = [sig.s, sig.sigma] + [fr.kappas[sl, j] for j in range(n - 1)]
-    names = ["s", "sigma"] + [f"kappa_{j + 1}" for j in range(n - 1)]
-    cols.append(sig.kt)
-    names.append("kt")
-    for j in range(n - 1):
-        cols.append(sig.ktj[j])
-        names.append(f"kt_{j + 1}")
+    cols = [sig.s, sig.sigma, fr.kappas[sl], sig.kt, sig.ktj.T]
+    names = ["s", "sigma", *[f"kappa_{j}" for j in range(1, n)],
+             "kt", *[f"kt_{j}" for j in range(1, n)]]
     # the indicatrix lives on the sigma grid the signature already holds
     sc = SphericalCurve(n, args.index, sig.sigma, fr.frames[sl, args.index - 1])
     kappa_g = None
@@ -222,9 +218,7 @@ def cmd_focal(args) -> int:
     out_csv = Path(f"{base}.focal.csv")
     names = ["s"] + [f"f_{j + 1}" for j in range(n - 1)] \
         + [f"c{j + 1}" for j in range(n)]
-    _write_table(out_csv, names,
-                 [fd.s] + [fd.f[:, j] for j in range(n - 1)]
-                 + [fd.focal_points[:, j] for j in range(n)])
+    _write_table(out_csv, names, [fd.s, fd.f, fd.focal_points])
     center = fd.focal_points.mean(axis=0)
     radii = np.linalg.norm(fd.focal_points - center, axis=1)
     sys.stdout.write(dump_pretty({
@@ -246,8 +240,7 @@ def cmd_evolute(args) -> int:
     base = _base_path(args)
     out_csv = Path(f"{base}.evolute.csv")
     _write_table(out_csv, ["s", "m1", "m2", "b1", "b2", "b3"],
-                 [ed.s, ed.m1, ed.m2,
-                  ed.beta[:, 0], ed.beta[:, 1], ed.beta[:, 2]])
+                 [ed.s, ed.m1, ed.m2, ed.beta])
     sys.stdout.write(dump_pretty({
         "phi0": args.phi0,
         "residual_shape": rep.residual_shape,

@@ -1,19 +1,24 @@
 """Curve models and the numerical Frenet apparatus in E^n.
 
-Two evaluation paths feed the same downstream pipeline:
+The pipeline reads every curve through a jet source: an object whose
+jet(tq, order) returns the Taylor coefficients of the curve around each
+query parameter, entry [k] being the k-th derivative over k!.
 
-* analytic sources (built-in curves, their similarity images, arclength
-  reparameterizations of either) expose exact parameter-space jets;
-* raw samples are interpolated once by a B-spline whose knots are
-  subsampled to keep high-order derivatives away from the roundoff
-  amplification floor.
+* BuiltinCurve: an analytic fixture curve with exact jets;
+* AffineImage: a direct-similarity image of another source;
+* _SplineSource: raw samples interpolated once by a B-spline whose knots
+  are subsampled to keep high-order derivatives away from the roundoff
+  amplification floor;
+* _ReparamSource: the arclength reparameterization of another source,
+  whose jets are arc-length jets already.
 
-Either way, jets in the curve parameter are converted to jets in arc
-length through truncated-series composition (see series.py), so no
-finite differencing of positions ever happens. Frames come from one
-batched Householder QR of the arclength derivatives; curvatures from
-ratios of the pivots |R_jj|, the last one signed by the projection of
-the n-th derivative on V_n.
+A SampledCurve carries its source, or gets a spline fitted to its
+samples. Jets in the curve parameter are converted to jets in arc length
+through truncated-series composition (see series.py), so no finite
+differencing of positions ever happens. Frames come from one batched
+Householder QR of the arclength derivatives; curvatures from ratios of
+the pivots |R_jj|, the last one signed by the projection of the n-th
+derivative on V_n.
 """
 
 from __future__ import annotations
@@ -65,8 +70,28 @@ def min_samples(dimension: int) -> int:
     return 2 * (dimension + 2)
 
 
+def _require_samples(count: int, dimension: int) -> None:
+    if count < min_samples(dimension):
+        raise TooFewSamples(f"need at least {min_samples(dimension)} samples "
+                            f"in E^{dimension}, got {count}")
+
+
 # ---------------------------------------------------------------------------
 # curve models
+
+
+def _fill_exp_jet(out: np.ndarray, amp: float, mu: complex, tq: np.ndarray) -> None:
+    """Write the jet of amp e^(mu t), read as x1 + i x2, into out[:, :, :2].
+
+    Entry [k] is amp mu^k e^(mu t) / k!.
+    """
+    z = amp * np.exp(mu * tq)
+    f = 1.0
+    for k in range(len(out)):
+        w = z * mu**k / f
+        out[k, :, 0] = w.real
+        out[k, :, 1] = w.imag
+        f *= k + 1
 
 
 @dataclass(frozen=True)
@@ -87,6 +112,34 @@ class BuiltinCurve:
         if len(self.t_span) != 2 or not self.t_span[0] < self.t_span[1]:
             raise BadParameters(
                 f"t_span must be an increasing pair, got {self.t_span}")
+
+    def jet(self, tq: np.ndarray, order: int) -> np.ndarray:
+        out = np.zeros((order + 1, len(tq), self.dimension))
+        if self.kind == "circle":
+            _fill_exp_jet(out, self.params[0], 1j, tq)
+        elif self.kind == "helix":
+            a, b = self.params
+            _fill_exp_jet(out, a, 1j, tq)
+            out[0, :, 2] = b * tq
+            out[1:2, :, 2] = b
+        elif self.kind == "log_spiral":
+            _fill_exp_jet(out, 1.0, self.params[0] + 1j, tq)
+        elif self.kind == "line":
+            out[0, :, 0] = tq
+            out[1:2, :, 0] = 1.0
+        elif self.kind == "custom_poly":
+            from numpy.polynomial import polynomial as P
+
+            for d, row in enumerate(self.params):
+                c = np.asarray(row, dtype=float)
+                f = 1.0
+                for k in range(order + 1):
+                    out[k, :, d] = P.polyval(tq, c) / f
+                    c = P.polyder(c) if len(c) > 1 else np.zeros(1)
+                    f *= k + 1
+        else:
+            raise BadParameters(f"unknown builtin curve kind {self.kind!r}")
+        return out
 
 
 def circle(r: float, t_span=(0.0, TAU)) -> BuiltinCurve:
@@ -133,6 +186,11 @@ class AffineImage:
     scale: float
     matrix: np.ndarray
     offset: np.ndarray
+
+    def jet(self, tq: np.ndarray, order: int) -> np.ndarray:
+        out = self.scale * (self.source.jet(tq, order) @ self.matrix.T)
+        out[0] += self.offset
+        return out
 
 
 @dataclass(frozen=True)
@@ -200,84 +258,15 @@ def builtin_evaluate(curve: BuiltinCurve, t_values) -> SampledCurve:
     t = np.asarray(t_values, dtype=float)
     if t.ndim != 1 or len(t) < 2 or not np.all(np.diff(t) > 0):
         raise BadParameters("t_values must be strictly increasing, length >= 2")
-    pts = _jet(curve, t, 0)[0]
+    pts = curve.jet(t, 0)[0]
     return SampledCurve(curve.dimension, t, pts, "generic", source=curve)
 
 
 # ---------------------------------------------------------------------------
-# jets
+# strided splines
 
 
-def _builtin_jet(bc: BuiltinCurve, tq: np.ndarray, order: int) -> np.ndarray:
-    nq = len(tq)
-    out = np.zeros((order + 1, nq, bc.dimension))
-    if bc.kind == "circle":
-        (r,) = bc.params
-        z = r * np.exp(1j * tq)
-        f = 1.0
-        for k in range(order + 1):
-            w = z * (1j**k) / f
-            out[k, :, 0] = w.real
-            out[k, :, 1] = w.imag
-            f *= k + 1
-    elif bc.kind == "helix":
-        a, b = bc.params
-        z = a * np.exp(1j * tq)
-        f = 1.0
-        for k in range(order + 1):
-            w = z * (1j**k) / f
-            out[k, :, 0] = w.real
-            out[k, :, 1] = w.imag
-            f *= k + 1
-        out[0, :, 2] = b * tq
-        if order >= 1:
-            out[1, :, 2] = b
-    elif bc.kind == "log_spiral":
-        (c,) = bc.params
-        lam = c + 1j
-        z = np.exp(lam * tq)
-        f = 1.0
-        for k in range(order + 1):
-            w = z * lam**k / f
-            out[k, :, 0] = w.real
-            out[k, :, 1] = w.imag
-            f *= k + 1
-    elif bc.kind == "line":
-        out[0, :, 0] = tq
-        if order >= 1:
-            out[1, :, 0] = 1.0
-    elif bc.kind == "custom_poly":
-        from numpy.polynomial import polynomial as P
-
-        for d, row in enumerate(bc.params):
-            c = np.asarray(row, dtype=float)
-            f = 1.0
-            for k in range(order + 1):
-                out[k, :, d] = P.polyval(tq, c) / f
-                c = P.polyder(c) if len(c) > 1 else np.zeros(1)
-                f *= k + 1
-    else:
-        raise BadParameters(f"unknown builtin curve kind {bc.kind!r}")
-    return out
-
-
-def _jet(source, tq: np.ndarray, order: int) -> np.ndarray:
-    """Taylor coefficients of the curve around each query parameter."""
-    if isinstance(source, BuiltinCurve):
-        return _builtin_jet(source, tq, order)
-    if isinstance(source, AffineImage):
-        base = _jet(source.source, tq, order)
-        out = source.scale * (base @ source.matrix.T)
-        out[0] += source.offset
-        return out
-    if isinstance(source, _ReparamSource):
-        return source.jet(tq, order)
-    if isinstance(source, _SplineSource):
-        return source.jet(tq, order)
-    raise BadParameters(f"cannot evaluate jets of {type(source).__name__}")
-
-
-def _auto_stride(x: np.ndarray, points: np.ndarray, k: int, noise: float) -> int:
+def _auto_stride(points: np.ndarray, k: int, noise: float) -> int:
     """Knot stride balancing spline truncation against roundoff blowup.
 
     Target knot spacing ~ rho * noise^(1/(k+1)) where rho is the
@@ -286,9 +275,6 @@ def _auto_stride(x: np.ndarray, points: np.ndarray, k: int, noise: float) -> int
     """
     ch = np.diff(points, axis=0)
     cl = np.linalg.norm(ch, axis=1)
-    if np.any(cl == 0):
-        # fall back to the parameter spacing when points repeat
-        cl = np.diff(x)
     total = cl.sum()
     u = ch / np.maximum(cl, 1e-300)[:, None]
     cosang = np.clip(np.einsum("jd,jd->j", u[:-1], u[1:]), -1.0, 1.0)
@@ -296,8 +282,28 @@ def _auto_stride(x: np.ndarray, points: np.ndarray, k: int, noise: float) -> int
     rho = total / max(turning, 1e-12)
     target = STRIDE_C * rho * noise ** (1.0 / (k + 1))
     stride = max(1, int(round(target / max(np.median(cl), 1e-300))))
-    max_stride = max(1, (len(x) - 1) // (3 * (k + 1)))
+    max_stride = max(1, (len(points) - 1) // (3 * (k + 1)))
     return min(stride, max_stride)
+
+
+def _strided_spline(x: np.ndarray, y: np.ndarray, graph: np.ndarray, k: int,
+                    noise: float):
+    """Interpolating spline of y(x) through every stride-th sample and the last.
+
+    The stride comes from _auto_stride on the polyline graph; the degree
+    is k, lowered to an odd number below the knot count.
+    """
+    stride = _auto_stride(graph, k, noise)
+    idx = np.arange(0, len(x), stride)
+    if idx[-1] != len(x) - 1:
+        idx = np.append(idx, len(x) - 1)
+    k = min(k, len(idx) - 1)
+    if k % 2 == 0:
+        k -= 1
+    if k < 1:
+        raise TooFewSamples(f"{len(x)} samples are too few to fit a spline")
+    log.debug("spline fit: degree %d, stride %d, %d knots", k, stride, len(idx))
+    return make_interp_spline(x[idx], y[idx], k=k)
 
 
 @dataclass(frozen=True)
@@ -305,46 +311,35 @@ class _SplineSource:
     """Strided B-spline interpolant of raw samples, exposing jets."""
 
     spline: object
-    degree: int
 
     def jet(self, tq: np.ndarray, order: int) -> np.ndarray:
         out = np.zeros((order + 1, len(tq), self.spline.c.shape[-1]))
-        for j in range(order + 1):
-            if j <= self.degree:
-                out[j] = self.spline(tq, j) / math.factorial(j)
+        for j in range(min(order, self.spline.k) + 1):
+            out[j] = self.spline(tq, j) / math.factorial(j)
         return out
 
 
 def _fit_spline_source(curve: SampledCurve) -> _SplineSource:
     n = curve.dimension
+    _require_samples(curve.n_samples, n)
+    same = np.flatnonzero(np.all(np.diff(curve.points, axis=0) == 0, axis=1))
+    if len(same):
+        raise ZeroSpeed(f"samples {same[0]} and {same[0] + 1} repeat one point, "
+                        "so the curve speed vanishes there")
     k = n + 4
     if k % 2 == 0:
         k += 1
-    stride = _auto_stride(curve.t, curve.points, k, POSITION_NOISE)
-    idx = np.arange(0, curve.n_samples, stride)
-    if idx[-1] != curve.n_samples - 1:
-        idx = np.append(idx, curve.n_samples - 1)
-    if len(idx) <= k:
-        k = len(idx) - 1
-        if k % 2 == 0:
-            k -= 1
-        if k < 3:
-            raise TooFewSamples(
-                f"{curve.n_samples} samples are too few to fit a usable spline"
-            )
-    log.debug("spline fit: degree %d, stride %d, %d knots", k, stride, len(idx))
-    spl = make_interp_spline(curve.t[idx], curve.points[idx], k=k)
-    return _SplineSource(spl, k)
+    return _SplineSource(_strided_spline(curve.t, curve.points, curve.points, k,
+                                         POSITION_NOISE))
 
 
-def _engine(curve) -> object:
-    if isinstance(curve, BuiltinCurve):
-        return curve
-    if isinstance(curve, SampledCurve):
-        return curve.source if curve.source is not None else _fit_spline_source(curve)
-    if isinstance(curve, (AffineImage, _ReparamSource, _SplineSource)):
-        return curve
-    raise BadParameters(f"not a curve: {type(curve).__name__}")
+def _engine(curve: SampledCurve) -> object:
+    """The curve's jet source, or a spline fitted to its samples."""
+    return curve.source if curve.source is not None else _fit_spline_source(curve)
+
+
+# ---------------------------------------------------------------------------
+# jets
 
 
 def arclength_jet(source, tq: np.ndarray, order: int) -> np.ndarray:
@@ -355,7 +350,7 @@ def arclength_jet(source, tq: np.ndarray, order: int) -> np.ndarray:
     flow recurrence, then compose. A reparameterized source's jets are
     arc-length jets already and come back as they are.
     """
-    P = _jet(source, tq, order)
+    P = source.jet(tq, order)
     if order == 0 or isinstance(source, _ReparamSource):
         return P
     v = series_derivative(P)
@@ -366,8 +361,7 @@ def arclength_jet(source, tq: np.ndarray, order: int) -> np.ndarray:
 
 def parameter_speeds(source, tq: np.ndarray) -> np.ndarray:
     """||dalpha/dt|| at the query parameters."""
-    j = _jet(source, tq, 1)
-    return np.linalg.norm(j[1], axis=1)
+    return np.linalg.norm(source.jet(tq, 1)[1], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +382,14 @@ def _speed_antiderivative(source, t_lo: float, t_hi: float, n_hint: int):
     return S, guess
 
 
+def _arclength(source, t: np.ndarray) -> np.ndarray:
+    S, _ = _speed_antiderivative(source, t[0], t[-1], len(t))
+    return np.asarray(S(t) - S(t[0]))
+
+
 def arclength_values(curve: SampledCurve) -> np.ndarray:
     """Arc length at each sample, measured from the first sample."""
-    src = _engine(curve)
-    S, _ = _speed_antiderivative(src, curve.t[0], curve.t[-1], curve.n_samples)
-    return np.asarray(S(curve.t) - S(curve.t[0]))
+    return _arclength(_engine(curve), curve.t)
 
 
 @dataclass(frozen=True)
@@ -440,20 +437,16 @@ def arclength_reparam(curve, n_samples: int) -> SampledCurve:
     downstream analysis keeps full accuracy.
     """
     if isinstance(curve, BuiltinCurve):
-        dim = curve.dimension
         t_lo, t_hi = curve.t_span
         src = curve
     elif isinstance(curve, SampledCurve):
-        dim = curve.dimension
         t_lo, t_hi = float(curve.t[0]), float(curve.t[-1])
         src = _engine(curve)
     else:
         raise BadParameters(f"not a curve: {type(curve).__name__}")
+    dim = curve.dimension
     n_samples = int(n_samples)
-    if n_samples < min_samples(dim):
-        raise TooFewSamples(
-            f"need at least {min_samples(dim)} samples in E^{dim}, got {n_samples}"
-        )
+    _require_samples(n_samples, dim)
     S, guess = _speed_antiderivative(src, t_lo, t_hi, n_samples)
     s0 = float(S(t_lo))
     total = float(S(t_hi)) - s0
@@ -462,7 +455,7 @@ def arclength_reparam(curve, n_samples: int) -> SampledCurve:
     tk = rep.t_of_s(s_targets)
     tk.setflags(write=False)
     rep = replace(rep, s_grid=s_targets, t_grid=tk)
-    pts = _jet(src, tk, 0)[0]
+    pts = src.jet(tk, 0)[0]
     return SampledCurve(dim, s_targets, pts, "unit_speed", source=rep)
 
 
@@ -515,15 +508,12 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     for stationary samples.
     """
     n = curve.dimension
-    if curve.n_samples < min_samples(n):
-        raise TooFewSamples(
-            f"need at least {min_samples(n)} samples in E^{n}, "
-            f"got {curve.n_samples}"
-        )
+    _require_samples(curve.n_samples, n)
     src = _engine(curve)
     # a reparameterized source has unit speed; arclength_reparam already
     # raised ZeroSpeed on its inner source
-    if not isinstance(src, _ReparamSource):
+    unit_speed = isinstance(src, _ReparamSource)
+    if not unit_speed:
         speeds = parameter_speeds(src, curve.t)
         mx = speeds.max()
         if mx <= 0 or speeds.min() <= 1e-9 * mx:
@@ -555,8 +545,7 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     r *= sign
     kappas = r[:, 1:] / r[:, :-1]
 
-    s = arclength_values(curve) if not isinstance(src, _ReparamSource) else (
-        curve.t - curve.t[0])
+    s = curve.t - curve.t[0] if unit_speed else _arclength(src, curve.t)
     return FrenetData(np.asarray(s, dtype=float), curve.points, frames, kappas)
 
 
@@ -598,17 +587,7 @@ def field_derivative(x: np.ndarray, y: np.ndarray, order: int = 1,
     xr = x[-1] - x[0]
     scale = max(np.abs(flat).max(), 1e-300)
     graph = np.column_stack([np.asarray(x) / max(xr, 1e-300), flat / scale])
-    stride = _auto_stride(x, graph, k, noise)
-    idx = np.arange(0, len(x), stride)
-    if idx[-1] != len(x) - 1:
-        idx = np.append(idx, len(x) - 1)
-    kk = min(k, len(idx) - 1)
-    if kk % 2 == 0:
-        kk -= 1
-    if kk < 1:
-        raise TooFewSamples("too few samples to differentiate a field")
-    spl = make_interp_spline(x[idx], y[idx], k=kk)
-    return np.asarray(spl(x, order))
+    return np.asarray(_strided_spline(x, y, graph, k, noise)(x, order))
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,10 @@ class SelfSimilarSpec:
             )
         i = self.index
         if i == 1:
-            if abs(ktj[0] - 1.0) > CONSTRAINT_TOL:
-                raise BadParameters("for index 1, kt_1 must equal 1")
+            # kappa_1 is signed only in E^2, where kt_1 = -1 is a clockwise curve
+            kt1 = abs(ktj[0]) if n == 2 else ktj[0]
+            if abs(kt1 - 1.0) > CONSTRAINT_TOL:
+                raise BadParameters("for index 1, kt_1 must equal 1 (or -1 in E^2)")
         elif i == n:
             if abs(abs(ktj[n - 2]) - 1.0) > CONSTRAINT_TOL:
                 raise BadParameters("for index n, |kt_{n-1}| must equal 1")

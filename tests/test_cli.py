@@ -136,6 +136,14 @@ def test_synthesize_and_oracle_match(data_dir, tmp_path, capsys):
     assert json.loads(out)["distance"] < 1e-3
 
 
+def test_synthesize_clockwise_spiral(tmp_path, capsys):
+    spec = tmp_path / "cw.json"
+    spec.write_text('{"dimension": 2, "index": 1, "kt": 0.1, "ktj": [-1.0]}\n')
+    rc, out = run(capsys, "synthesize", "--input", str(spec),
+                  "--output", str(tmp_path / "cw.csv"))
+    assert rc == 0 and json.loads(out)["ktj"] == [-1.0]
+
+
 def test_synthesize_rejects_bad_spec(data_dir, capsys):
     rc, _ = run(capsys, "synthesize", "--input", str(data_dir / "bad_spec.json"))
     assert rc == 2
@@ -269,3 +277,14 @@ def test_clockwise_circle(tmp_path, capsys):
     rc, out = run(capsys, "match", "--input", str(cw), "--input-b", str(ccw),
                   "--samples", "800")
     assert rc == 1 and json.loads(out)["is_similar"] is False
+
+
+def test_repeated_points_exit_degenerate(tmp_path, capsys):
+    t = np.linspace(0.0, 5.0, 400)
+    pts = fs.builtin_evaluate(fs.helix(3.0, 4.0, t_span=(0.0, 5.0)), t).points.copy()
+    pts[100:110] = pts[100]
+    path = tmp_path / "stall.csv"
+    fs.curve_to_csv(fs.SampledCurve(3, t, pts), path)
+    rc = main(["analyze", "--input", str(path), "--output", str(tmp_path / "out")])
+    assert rc == 3
+    assert "samples 100 and 101 repeat one point" in capsys.readouterr().err

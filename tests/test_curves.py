@@ -5,6 +5,7 @@ import pytest
 
 import frenetsim as fs
 from frenetsim import errors as E
+from frenetsim import cli, curves
 from frenetsim.curves import _engine, arclength_jet, min_samples
 from frenetsim.series import (
     jet_to_derivatives,
@@ -96,6 +97,47 @@ def test_reparam_jet_is_arclength_jet(helix_curve):
     assert np.abs(speed[1:]).max() < 1e-12
 
 
+@pytest.mark.parametrize("curve, amp, mu", [
+    (fs.circle(2.0), 2.0, 1j),
+    (fs.helix(3.0, 4.0), 3.0, 1j),
+    (fs.log_spiral(-0.1), 1.0, -0.1 + 1j),
+])
+def test_exponential_jets(curve, amp, mu):
+    tq = np.linspace(0.0, 5.0, 7)
+    jet = curve.jet(tq, 6)
+    for k in range(7):
+        want = amp * mu**k * np.exp(mu * tq) / math.factorial(k)
+        assert np.abs(jet[k, :, 0] + 1j * jet[k, :, 1] - want).max() < 1e-12
+    if curve.kind == "helix":
+        assert np.array_equal(jet[:2, :, 2], [4.0 * tq, np.full(7, 4.0)])
+        assert not jet[2:, :, 2].any()
+
+
+def test_affine_image_jet(helix_curve):
+    T = fs.random_similarity(4, (0.5, 2.0), 3)
+    img = fs.AffineImage(helix_curve.source, T.lam, T.A, T.b)
+    tq = helix_curve.t[10:20]
+    want = T.lam * np.einsum("ij,kqj->kqi", T.A, helix_curve.source.jet(tq, 4))
+    want[0] += T.b
+    assert np.abs(img.jet(tq, 4) - want).max() < 1e-12
+
+
+def test_raw_curve_fits_one_position_spline(monkeypatch):
+    t = np.linspace(0.0, 5.0, 2000)
+    raw = fs.builtin_evaluate(fs.helix(3.0, 4.0, t_span=(0.0, 5.0)), t)
+    fits = []
+    fit = curves.make_interp_spline
+
+    def counting_fit(x, y, k):
+        fits.append(len(x))
+        return fit(x, y, k=k)
+
+    monkeypatch.setattr(curves, "make_interp_spline", counting_fit)
+    fs.frenet_apparatus(fs.SampledCurve(3, t, raw.points))
+    # the position spline, then the speed antiderivative on 8001 points
+    assert len(fits) == 2 and fits[1] == 8001
+
+
 def _gram_schmidt_frenet(D):
     """Classical Gram-Schmidt frames and curvatures from derivatives D[j-1].
 
@@ -178,12 +220,19 @@ def test_csv_rejects_malformed(tmp_path):
         fs.curve_from_csv(p2)
 
 
-def test_too_few_samples():
+def test_too_few_samples(tmp_path):
     t = np.linspace(0.0, 1.0, min_samples(3) - 1)
     pts = np.column_stack([np.cos(t), np.sin(t), t])
     cur = fs.SampledCurve(3, t, pts, "generic", None)
     with pytest.raises(E.TooFewSamples):
         fs.frenet_apparatus(cur)
+    # raw samples are refused before a spline is fitted through them
+    with pytest.raises(E.TooFewSamples, match="got 9"):
+        fs.arclength_reparam(cur, 2000)
+    path = tmp_path / "short.csv"
+    fs.curve_to_csv(fs.SampledCurve(3, t[:4], pts[:4]), path)
+    assert cli.main(["analyze", "--input", str(path),
+                        "--output", str(tmp_path / "out")]) == 2
 
 
 def test_zero_speed_cusp():

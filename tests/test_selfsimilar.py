@@ -155,6 +155,9 @@ def test_spec_validation():
         fs.SelfSimilarSpec(dimension=3, index=2, kt=0.1, ktj=(0.0, 1.0))
     with pytest.raises(E.BadParameters):
         fs.SelfSimilarSpec(dimension=2, index=1, kt=0.1, ktj=(0.5,))
+    # kappa_1 > 0 in E^3, so no curve there has kt_1 = -1 at index 1
+    with pytest.raises(E.BadParameters):
+        fs.SelfSimilarSpec(dimension=3, index=1, kt=0.1, ktj=(-1.0, 0.5))
     with pytest.raises(E.BadParameters):
         fs.SelfSimilarSpec(dimension=4, index=2, kt=0.1, ktj=(0.5, 0.5, 1.0))
     with pytest.raises(E.BadParameters):
@@ -169,3 +172,12 @@ def test_spec_validation():
                            ktj=(3 / RT13, 2 / RT13), n_samples=4)
     with pytest.raises(E.BadParameters):
         fs.SelfSimilarSpec(dimension=1, index=1, kt=0.1, ktj=())
+
+
+def test_clockwise_spiral_round_trip():
+    # a clockwise plane curve has kt_1 = kappa_1/|kappa_1| = -1
+    spec = fs.SelfSimilarSpec(dimension=2, index=1, kt=0.1, ktj=(-1.0,))
+    cur = fs.arclength_reparam(fs.synthesize_self_similar(spec), 2000)
+    sig = fs.shape_curvatures(fs.frenet_apparatus(cur), 1)
+    assert np.abs(sig.ktj[0] + 1.0).max() < 1e-12
+    assert np.abs(sig.kt - 0.1).max() < 1e-7
