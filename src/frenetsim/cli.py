@@ -22,6 +22,7 @@ import numpy as np
 
 from .curves import (
     TRIM,
+    _read_text,
     _write_table,
     arclength_reparam,
     curve_from_csv,
@@ -128,7 +129,7 @@ def cmd_transform(args) -> int:
     if args.seed is not None:
         T = random_similarity(args.seed, LAMBDA_RANGE, raw.dimension)
     else:
-        T = transform_from_json(Path(args.input_b).read_text())
+        T = transform_from_json(_read_text(args.input_b))
     image = apply_similarity(T, raw)
     base = _base_path(args)
     out_csv = Path(f"{base}.transformed.csv") if args.output is None \
@@ -166,7 +167,7 @@ def cmd_match(args) -> int:
 
 
 def _spec_from_json(path: str) -> SelfSimilarSpec:
-    obj = json.loads(Path(path).read_text())
+    obj = json.loads(_read_text(path))
     try:
         return SelfSimilarSpec(
             dimension=int(obj["dimension"]),

@@ -10,20 +10,20 @@ query parameter, entry [k] being the k-th derivative over k!.
   are subsampled to keep high-order derivatives away from the roundoff
   amplification floor;
 * _ReparamSource: the arclength reparameterization of another source,
-  whose jets are arc-length jets already.
+  whose jets have unit speed at each query point.
 
 A SampledCurve carries its source, or gets a spline fitted to its
-samples. Jets in the curve parameter are converted to jets in arc length
-through truncated-series composition (see series.py), so no finite
-differencing of positions ever happens. Frames come from one batched
-Householder QR of the arclength derivatives; curvatures from ratios of
-the pivots |R_jj|, the last one signed by the projection of the n-th
-derivative on V_n.
+samples, so no finite differencing of positions ever happens. Frame and
+curvatures do not depend on the parameter: one batched Householder QR
+of the parameter derivatives [d^j a/dt^j] gives the Frenet frame in any
+regular parameter, and the pivots give kappa_j = R_{j+1,j+1}/(R_jj R_11),
+the last one signed by the projection of the n-th derivative on V_n.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -38,15 +38,7 @@ from .errors import (
     TooFewSamples,
     ZeroSpeed,
 )
-from .series import (
-    flow_series,
-    jet_to_derivatives,
-    series_compose,
-    series_derivative,
-    series_mul,
-    series_reciprocal,
-    series_sqrt,
-)
+from .series import jet_to_derivatives
 
 log = logging.getLogger("frenetsim.curves")
 
@@ -342,23 +334,6 @@ def _engine(curve: SampledCurve) -> object:
 # jets
 
 
-def arclength_jet(source, tq: np.ndarray, order: int) -> np.ndarray:
-    """Jet of the curve with respect to its own arc length, at parameters tq.
-
-    Entry [j] times j! is d^j alpha / ds^j. Uses the chain rule in
-    truncated-series form: invert the local speed series into t(s) by a
-    flow recurrence, then compose. A reparameterized source's jets are
-    arc-length jets already and come back as they are.
-    """
-    P = source.jet(tq, order)
-    if order == 0 or isinstance(source, _ReparamSource):
-        return P
-    v = series_derivative(P)
-    speed = series_sqrt(series_mul(v, v).sum(axis=-1))
-    tau = flow_series(series_reciprocal(speed), order)
-    return series_compose(P, tau[..., None])
-
-
 def parameter_speeds(source, tq: np.ndarray) -> np.ndarray:
     """||dalpha/dt|| at the query parameters."""
     return np.linalg.norm(source.jet(tq, 1)[1], axis=1)
@@ -397,11 +372,13 @@ class _ReparamSource:
     """Arclength reparameterization of another jet source.
 
     Query parameters are arc lengths; each jet call inverts s -> t by
-    Newton on the speed antiderivative, then chains the inner jet
-    through arclength_jet, so this source's jets are already arc-length
-    jets. The t grid inverted for the sample grid s_grid is kept and
-    reused. Keeping the inner source alive avoids refitting splines to
-    resampled data, which would destroy the high-order derivatives.
+    Newton on the speed antiderivative and returns the inner jet there
+    with coefficient k divided by v^k, v = |inner'|: the exact jet in
+    the parameter that is linear in t with unit speed at the query
+    point, so entry [0] is the position and entry [1] the unit tangent.
+    The t grid inverted for the sample grid s_grid is kept and reused.
+    Keeping the inner source alive avoids refitting splines to resampled
+    data, which would destroy the high-order derivatives.
     """
 
     inner: object
@@ -426,7 +403,11 @@ class _ReparamSource:
         return t
 
     def jet(self, sq: np.ndarray, order: int) -> np.ndarray:
-        return arclength_jet(self.inner, self.t_of_s(sq), order)
+        P = self.inner.jet(self.t_of_s(sq), order)
+        if order:
+            v = np.linalg.norm(P[1], axis=-1, keepdims=True)
+            P /= v ** np.arange(order + 1).reshape(-1, 1, 1)
+        return P
 
 
 def arclength_reparam(curve, n_samples: int) -> SampledCurve:
@@ -500,12 +481,14 @@ class FrenetData:
 def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     """Compute frames and curvatures at every sample of the curve.
 
-    The curve may carry any parameterization; derivatives are taken
-    with respect to arc length internally. The frame is one batched
-    Householder QR of [D_1 ... D_n], signed so that R_jj > 0 for the
-    first n-1 columns and det = +1. Raises FrameDegenerate when a pivot
-    |R_jj| collapses (some kappa_i is effectively zero) and ZeroSpeed
-    for stationary samples.
+    The curve may carry any regular parameterization t. The frame is one
+    batched Householder QR of the parameter derivatives [D_1 ... D_n],
+    signed so that R_jj > 0 for the first n-1 columns and det = +1. By
+    Faa di Bruno D_t = D_s U with U upper triangular and U_jj = |a'|^j,
+    so Q is the arc-length frame and R_jj = |a'|^j times its arc-length
+    pivot, whence kappa_j = R_{j+1,j+1} / (R_jj R_11). Raises
+    FrameDegenerate when a pivot |R_jj| collapses (some kappa_i is
+    effectively zero) and ZeroSpeed for stationary samples.
     """
     n = curve.dimension
     _require_samples(curve.n_samples, n)
@@ -520,9 +503,8 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
             raise ZeroSpeed(
                 f"curve speed collapses at sample {int(np.argmin(speeds))}"
             )
-    jets = arclength_jet(src, curve.t, n)
-    # columns of D[q] are d^j alpha/ds^j at sample q, j = 1..n
-    D = np.moveaxis(jet_to_derivatives(jets)[1:], 0, -1)
+    # columns of D[q] are d^j alpha/dt^j at sample q, j = 1..n
+    D = np.moveaxis(jet_to_derivatives(src.jet(curve.t, n))[1:], 0, -1)
 
     Q, R = np.linalg.qr(D)
     r = np.diagonal(R, axis1=1, axis2=2).copy()
@@ -533,17 +515,17 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
         q = int(np.argmax(bad[:, j]))
         raise FrameDegenerate(
             f"QR pivot {j + 1} collapsed at sample {q} (|R_jj|={abs(r[q, j]):.3g}"
-            f" vs |d^{j + 1}a/ds^{j + 1}|={dmag[q, j]:.3g})"
+            f" vs |d^{j + 1}a/dt^{j + 1}|={dmag[q, j]:.3g})"
         )
     # flip columns so that R_jj > 0 for j < n; V_n's sign makes det = +1
     sign = np.sign(r)
     sign[:, n - 1] = np.sign(np.linalg.det(Q)) * np.prod(sign[:, : n - 1], axis=1)
     frames = np.swapaxes(Q * sign[:, None, :], 1, 2)
     # a flipped R_jj (j < n) is the norm of D_j's part orthogonal to the
-    # lower derivatives, R_nn the signed V_n-component of D_n;
-    # kappa_j = R_{j+1,j+1} / R_jj
+    # lower derivatives, R_nn the signed V_n-component of D_n, R_11 the
+    # speed; kappa_j = R_{j+1,j+1} / (R_jj R_11)
     r *= sign
-    kappas = r[:, 1:] / r[:, :-1]
+    kappas = r[:, 1:] / r[:, :-1] / r[:, :1]
 
     s = curve.t - curve.t[0] if unit_speed else _arclength(src, curve.t)
     return FrenetData(np.asarray(s, dtype=float), curve.points, frames, kappas)
@@ -607,10 +589,20 @@ def curve_to_csv(curve: SampledCurve, path) -> None:
                  [curve.t, curve.points])
 
 
+def _read_text(path) -> str:
+    """Text of a UTF-8 input file; BadParameters names a file that is not."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadParameters(f"{path}: not UTF-8 text ({exc.reason} "
+                            f"at byte {exc.start})") from None
+
+
 def curve_from_csv(path) -> SampledCurve:
     """Read a `t,x1,...,xn` CSV; dimension inferred from the header."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
     if not rows:
         raise BadParameters(f"{path}: empty curve file")
     header = [c.strip() for c in rows[0]]

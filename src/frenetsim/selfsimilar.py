@@ -80,6 +80,9 @@ class SelfSimilarSpec:
                 raise BadParameters(
                     f"kt_{i - 1}^2 + kt_{i}^2 = {circ:.12g}, must equal 1"
                 )
+        if len(self.sigma_range) != 2:
+            raise BadParameters(
+                f"sigma_range must be a pair, got {self.sigma_range}")
         lo, hi = float(self.sigma_range[0]), float(self.sigma_range[1])
         if not hi > lo:
             raise BadParameters("sigma_range must be increasing")

@@ -33,6 +33,7 @@ from .indicatrix import (
     sabban_geodesic_curvature,
 )
 from .jsonio import render
+from .selfsimilar import structure_skew
 from .transforms import apply_similarity
 
 log = logging.getLogger("frenetsim.signatures")
@@ -140,12 +141,7 @@ def structure_matrix(fr: FrenetData, i: int, sample_index: int) -> np.ndarray:
             f"sample_index {sample_index} outside the retained range "
             f"[{TRIM}, {fr.n_samples - TRIM})"
         )
-    n = fr.dimension
-    K = np.eye(n) * sig.kt[j]
-    for r in range(n - 1):
-        K[r, r + 1] += sig.ktj[r, j]
-        K[r + 1, r] -= sig.ktj[r, j]
-    return K
+    return sig.kt[j] * np.eye(fr.dimension) + structure_skew(sig.ktj[:, j])
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,15 @@ def test_analyze_malformed_csv(data_dir, capsys):
     assert rc == 2
 
 
+def test_analyze_non_utf8_csv(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"t,x1,x2\n0.0,1.0,\xff\n")
+    rc = main(["analyze", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "latin1.csv: not UTF-8" in err
+
+
 def test_transform_deterministic_and_reappliable(data_dir, tmp_path, capsys):
     helix = str(data_dir / "helix.csv")
     out_a = tmp_path / "a.csv"
@@ -147,6 +156,16 @@ def test_synthesize_clockwise_spiral(tmp_path, capsys):
 def test_synthesize_rejects_bad_spec(data_dir, capsys):
     rc, _ = run(capsys, "synthesize", "--input", str(data_dir / "bad_spec.json"))
     assert rc == 2
+
+
+def test_synthesize_rejects_unpaired_sigma_range(tmp_path, capsys):
+    path = tmp_path / "one_end.json"
+    path.write_text('{"dimension": 2, "index": 1, "kt": 0.1, "ktj": [1.0], '
+                    '"sigma_range": [0]}')
+    rc = main(["synthesize", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "sigma_range must be a pair" in err
 
 
 def test_synthesize_rejects_garbage_json(data_dir, capsys):

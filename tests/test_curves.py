@@ -6,13 +6,8 @@ import pytest
 import frenetsim as fs
 from frenetsim import errors as E
 from frenetsim import cli, curves
-from frenetsim.curves import _engine, arclength_jet, min_samples
-from frenetsim.series import (
-    jet_to_derivatives,
-    series_derivative,
-    series_mul,
-    series_sqrt,
-)
+from frenetsim.curves import _engine, min_samples
+from frenetsim.series import jet_to_derivatives
 
 TAU = 2 * math.pi
 
@@ -87,14 +82,28 @@ def test_line_is_degenerate():
         fs.frenet_apparatus(cur)
 
 
-def test_reparam_jet_is_arclength_jet(helix_curve):
-    src = _engine(helix_curve)
-    jet = arclength_jet(src, helix_curve.t, 6)
-    assert np.array_equal(jet, src.jet(helix_curve.t, 6))
-    v = series_derivative(jet)
-    speed = series_sqrt(series_mul(v, v).sum(axis=-1))
-    assert np.abs(speed[0] - 1.0).max() < 1e-12
-    assert np.abs(speed[1:]).max() < 1e-12
+def test_reparam_jet_has_unit_speed(helix_curve):
+    rep = _engine(helix_curve)
+    tangent = rep.jet(helix_curve.t, 1)[1]
+    assert np.abs(np.linalg.norm(tangent, axis=1) - 1.0).max() < 1e-12
+    T = fs.random_similarity(4, (0.5, 2.0), 3)
+    img = fs.AffineImage(rep, T.lam, T.A, T.b)
+    assert np.abs(fs.parameter_speeds(img, helix_curve.t) - T.lam).max() < 1e-12
+
+
+def test_twisted_cubic_curvatures_in_its_own_parameter():
+    # (t, t^2, t^3) has speed sqrt(1 + 4t^2 + 9t^4), so R_11 != 1
+    cubic = fs.custom_poly([[0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]],
+                           t_span=(-1.0, 1.0))
+    t = np.linspace(-1.0, 1.0, 401)
+    cur = fs.builtin_evaluate(cubic, t)
+    w = 9 * t**4 + 9 * t**2 + 1
+    want = np.column_stack([2 * np.sqrt(w) / (1 + 4 * t**2 + 9 * t**4) ** 1.5,
+                            3 / w])
+    assert np.abs(fs.frenet_apparatus(cur).kappas - want).max() < 1e-12
+    T = fs.random_similarity(9, (0.5, 2.0), 3)
+    img = fs.frenet_apparatus(fs.apply_similarity(T, cur))
+    assert np.abs(T.lam * img.kappas - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("curve, amp, mu", [
@@ -142,7 +151,9 @@ def _gram_schmidt_frenet(D):
     """Classical Gram-Schmidt frames and curvatures from derivatives D[j-1].
 
     Each projection is applied twice: one pass loses orthogonality in
-    the last E^9 vectors by about 1e-12.
+    the last E^9 vectors by about 1e-12. D holds derivatives in any
+    regular parameter; the first pivot is the speed, which turns the
+    pivot ratios into curvatures per unit arc length.
     """
     n = len(D)
     F = np.zeros((D.shape[1], n, n))
@@ -157,7 +168,7 @@ def _gram_schmidt_frenet(D):
     F[:, -1] *= np.sign(np.linalg.det(F))[:, None]
     kap = [pivots[j + 1] / pivots[j] for j in range(n - 2)]
     kap.append(np.einsum("qd,qd->q", D[-1], F[:, -1]) / pivots[n - 2])
-    return F, np.stack(kap, axis=1)
+    return F, np.stack(kap, axis=1) / pivots[0][:, None]
 
 
 @pytest.mark.parametrize("ktj", [
@@ -169,7 +180,7 @@ def test_qr_frames_match_gram_schmidt(ktj):
     spec = fs.SelfSimilarSpec(n, 2, 0.05, ktj)
     cur = fs.arclength_reparam(fs.synthesize_self_similar(spec), 600)
     fr = fs.frenet_apparatus(cur)
-    D = jet_to_derivatives(arclength_jet(_engine(cur), cur.t, n))[1:]
+    D = jet_to_derivatives(_engine(cur).jet(cur.t, n))[1:]
     F, kap = _gram_schmidt_frenet(D)
     assert np.abs(fr.frames - F).max() < 1e-12
     assert np.abs(fr.kappas - kap).max() < 1e-12

@@ -6,14 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import frenetsim as fs
-from frenetsim.series import (
-    flow_series,
-    series_compose,
-    series_derivative,
-    series_mul,
-    series_reciprocal,
-    series_sqrt,
-)
+from frenetsim.series import series_compose, series_mul
 
 _t = np.linspace(0.0, 2 * math.pi, 400, endpoint=False)
 BASE_CIRCLE = fs.builtin_evaluate(fs.circle(1.5, t_span=(0.0, 2 * math.pi)), _t)
@@ -30,22 +23,6 @@ def series(order):
     return st.tuples(lead, st.lists(coeff, min_size=order - 1,
                                     max_size=order - 1)).map(
         lambda t: np.array([t[0]] + t[1]))
-
-
-@settings(deadline=None, max_examples=25)
-@given(series(6))
-def test_reciprocal_inverts(a):
-    out = series_mul(a, series_reciprocal(a))
-    want = np.zeros(6)
-    want[0] = 1.0
-    assert np.abs(out - want).max() < 1e-9
-
-
-@settings(deadline=None, max_examples=25)
-@given(series(6))
-def test_sqrt_squares_back(a):
-    r = series_sqrt(a)
-    assert np.abs(series_mul(r, r) - a).max() < 1e-9
 
 
 @settings(deadline=None, max_examples=25)
@@ -93,18 +70,6 @@ def test_compose_is_truncated_polynomial(M, shape, seed):
         # roundoff scales with the composition of the absolute values
         scale = max(1.0, truncated(np.abs(outer[c]), np.abs(inner[c])).max())
         assert np.abs(out[c] - want).max() < 1e-12 * scale
-
-
-@settings(deadline=None, max_examples=20)
-@given(series(5))
-def test_flow_solves_its_equation(g):
-    # tau' = g(tau) order by order, with tau(0) = 0
-    tau = flow_series(g, 7)
-    lhs = series_derivative(tau)
-    gg = np.zeros(tau.shape[0])
-    gg[: g.shape[0]] = g
-    rhs = series_compose(gg, tau)[: lhs.shape[0]]
-    assert np.abs(lhs - rhs).max() < 1e-8
 
 
 @settings(deadline=None, max_examples=15)

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from frenetsim.series import (
-    derivatives_to_jet,
-    flow_series,
-    jet_to_derivatives,
-    series_compose,
-    series_derivative,
-    series_mul,
-    series_reciprocal,
-    series_sqrt,
-)
+from frenetsim.series import jet_to_derivatives, series_compose, series_mul
 
 
 def coeffs(*vals):
@@ -28,34 +19,6 @@ def test_mul_truncates():
     assert np.allclose(series_mul(a, a), coeffs(0, 0, 0))  # h^4 truncated
 
 
-def test_reciprocal_geometric():
-    a = coeffs(1, -1, 0, 0, 0)
-    assert np.allclose(series_reciprocal(a), coeffs(1, 1, 1, 1, 1))
-
-
-def test_reciprocal_inverts():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=6)
-    a[0] = 2.0
-    prod = series_mul(a, series_reciprocal(a))
-    want = np.zeros(6)
-    want[0] = 1.0
-    assert np.allclose(prod, want, atol=1e-12)
-
-
-def test_sqrt_square():
-    a = coeffs(1, 2, 1, 0, 0)  # (1+h)^2
-    assert np.allclose(series_sqrt(a), coeffs(1, 1, 0, 0, 0))
-
-
-def test_sqrt_random_roundtrip():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=7)
-    a[0] = 3.0
-    r = series_sqrt(a)
-    assert np.allclose(series_mul(r, r), a, atol=1e-12)
-
-
 def test_compose_polynomial():
     outer = coeffs(1, 2, 1, 0, 0)      # (1+u)^2
     inner = coeffs(0, 1, 1, 0, 0)      # u = h + h^2
@@ -63,50 +26,12 @@ def test_compose_polynomial():
     assert np.allclose(series_compose(outer, inner), coeffs(1, 2, 3, 2, 1))
 
 
-def test_derivative_shifts():
-    a = coeffs(5, 1, 2, 3)
-    assert np.allclose(series_derivative(a), coeffs(1, 4, 9))
-
-
-def test_flow_constant_rhs():
-    # dtau/dh = 1 -> tau = h
-    g = coeffs(1, 0, 0, 0, 0)
-    assert np.allclose(flow_series(g, 4), coeffs(0, 1, 0, 0, 0))
-
-
-def test_flow_exponential():
-    # dtau/dh = 1 + tau -> tau = e^h - 1, coefficients 1/k!
-    g = coeffs(1, 1, 0, 0, 0, 0)
-    tau = flow_series(g, 5)
-    want = np.array([0, 1, 1 / 2, 1 / 6, 1 / 24, 1 / 120])
-    assert np.allclose(tau, want, atol=1e-14)
-
-
-def test_flow_rational():
-    # dtau/dh = (1 + tau)^2 -> tau = h / (1 - h), coefficients all 1
-    g = coeffs(1, 2, 1, 0, 0, 0, 0)
-    tau = flow_series(g, 6)
-    want = np.array([0, 1, 1, 1, 1, 1, 1], dtype=float)
-    assert np.allclose(tau, want, atol=1e-13)
-
-
-def test_flow_satisfies_its_ode():
-    rng = np.random.default_rng(7)
-    g = rng.normal(size=6)
-    g[0] = 1.5
-    order = 5
-    tau = flow_series(g, order)
-    lhs = series_derivative(tau)
-    rhs = series_compose(g, tau)[: order]
-    assert np.allclose(lhs, rhs, atol=1e-11)
-
-
 def test_jet_derivative_conversion_roundtrip():
     rng = np.random.default_rng(5)
     jet = rng.normal(size=(6, 3))
-    back = derivatives_to_jet(jet_to_derivatives(jet))
-    assert np.allclose(back, jet, atol=1e-15)
     d = jet_to_derivatives(jet)
+    factorials = np.array([1.0, 1.0, 2.0, 6.0, 24.0, 120.0])[:, None]
+    assert np.allclose(d / factorials, jet, atol=1e-15)
     assert np.allclose(d[3], 6.0 * jet[3])
 
 
