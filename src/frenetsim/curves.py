@@ -2,15 +2,18 @@
 
 The pipeline reads every curve through a jet source: an object whose
 jet(tq, order) returns the Taylor coefficients of the curve around each
-query parameter, entry [k] being the k-th derivative over k!.
+query parameter, entry [k] being the k-th derivative over k!, and whose
+arclength(tq) returns the arc length from tq[0] to each query parameter.
 
 * BuiltinCurve: an analytic fixture curve with exact jets;
-* AffineImage: a direct-similarity image of another source;
+* AffineImage: a direct-similarity image of another source, whose arc
+  length is the source's times the scale;
 * _SplineSource: raw samples interpolated once by a B-spline whose knots
   are subsampled to keep high-order derivatives away from the roundoff
   amplification floor;
 * _ReparamSource: the arclength reparameterization of another source,
-  whose jets have unit speed at each query point.
+  whose jets have unit speed at each query point and whose parameter is
+  its own arc length.
 
 A SampledCurve carries its source, or gets a spline fitted to its
 samples, so no finite differencing of positions ever happens. Frame and
@@ -51,8 +54,6 @@ POSITION_NOISE = 1e-16
 FIELD_NOISE = 1e-9
 # knot spacing constant (calibrated on self-similar round trips)
 STRIDE_C = 1.5
-# chord-speed tolerance for the unit_speed parameterization claim
-UNIT_SPEED_TOL = 0.05
 
 TAU = 2.0 * math.pi
 
@@ -133,6 +134,9 @@ class BuiltinCurve:
             raise BadParameters(f"unknown builtin curve kind {self.kind!r}")
         return out
 
+    def arclength(self, tq: np.ndarray) -> np.ndarray:
+        return _arclength(self, tq)
+
 
 def circle(r: float, t_span=(0.0, TAU)) -> BuiltinCurve:
     """Circle of radius r in E^2: (r cos t, r sin t)."""
@@ -184,22 +188,21 @@ class AffineImage:
         out[0] += self.offset
         return out
 
+    def arclength(self, tq: np.ndarray) -> np.ndarray:
+        return self.scale * self.source.arclength(tq)
+
 
 @dataclass(frozen=True)
 class SampledCurve:
     """Ordered (t, point) samples of a curve in E^n.
 
-    param_kind is "generic", "unit_speed" or "sigma_i"; for "sigma_i"
-    param_index records which indicatrix arclength parameterizes the
-    curve. source, when present, is an analytic jet source that the
-    numerical pipeline uses instead of refitting a spline.
+    source, when present, is a jet source that the numerical pipeline
+    uses instead of refitting a spline.
     """
 
     dimension: int
     t: np.ndarray
     points: np.ndarray
-    param_kind: str = "generic"
-    param_index: int | None = None
     source: object | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -221,20 +224,6 @@ class SampledCurve:
                                     f"{bad[0, 0]} holds NaN or Inf")
         if not np.all(np.diff(t) > 0):
             raise BadParameters("parameter values must be strictly increasing")
-        if self.param_kind not in ("generic", "unit_speed", "sigma_i"):
-            raise BadParameters(f"unknown param_kind {self.param_kind!r}")
-        if self.param_kind == "sigma_i":
-            if self.param_index is None or not 1 <= self.param_index <= self.dimension:
-                raise BadParameters("sigma_i parameterization needs a valid index")
-        if self.param_kind == "unit_speed":
-            chord = np.linalg.norm(np.diff(pts, axis=0), axis=1) / np.diff(t)
-            if len(chord) > 2:
-                inner = chord[1:-1]
-                if np.any(np.abs(inner - 1.0) > UNIT_SPEED_TOL):
-                    raise BadParameters(
-                        "unit_speed curve has interior chord speeds off 1 by "
-                        f"{np.abs(inner - 1.0).max():.3g}"
-                    )
         t.setflags(write=False)
         pts.setflags(write=False)
         object.__setattr__(self, "t", t)
@@ -251,7 +240,7 @@ def builtin_evaluate(curve: BuiltinCurve, t_values) -> SampledCurve:
     if t.ndim != 1 or len(t) < 2 or not np.all(np.diff(t) > 0):
         raise BadParameters("t_values must be strictly increasing, length >= 2")
     pts = curve.jet(t, 0)[0]
-    return SampledCurve(curve.dimension, t, pts, "generic", source=curve)
+    return SampledCurve(curve.dimension, t, pts, source=curve)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +299,9 @@ class _SplineSource:
             out[j] = self.spline(tq, j) / math.factorial(j)
         return out
 
+    def arclength(self, tq: np.ndarray) -> np.ndarray:
+        return _arclength(self, tq)
+
 
 def _fit_spline_source(curve: SampledCurve) -> _SplineSource:
     n = curve.dimension
@@ -353,6 +345,12 @@ def _speed_antiderivative(source, t_lo: float, t_hi: float, n_hint: int):
         raise ZeroSpeed("curve speed vanishes inside the parameter window")
     S = make_interp_spline(tt, sp, k=5).antiderivative()
     svals = S(tt) - S(tt[0])
+    # the quintic speed fit can dip below zero between grid points when
+    # the speed itself oscillates, as it does on noisy samples
+    stall = np.flatnonzero(np.diff(svals) <= 0)
+    if len(stall):
+        raise ZeroSpeed(f"arc length stops increasing at t = {tt[stall[0]]:.6g}; "
+                        "the fitted speed oscillates through zero there")
     guess = PchipInterpolator(svals, tt)
     return S, guess
 
@@ -364,7 +362,7 @@ def _arclength(source, t: np.ndarray) -> np.ndarray:
 
 def arclength_values(curve: SampledCurve) -> np.ndarray:
     """Arc length at each sample, measured from the first sample."""
-    return _arclength(_engine(curve), curve.t)
+    return _engine(curve).arclength(curve.t)
 
 
 @dataclass(frozen=True)
@@ -409,13 +407,16 @@ class _ReparamSource:
             P /= v ** np.arange(order + 1).reshape(-1, 1, 1)
         return P
 
+    def arclength(self, sq: np.ndarray) -> np.ndarray:
+        return sq - sq[0]
+
 
 def arclength_reparam(curve, n_samples: int) -> SampledCurve:
     """Resample a curve uniformly in arc length.
 
     Accepts a SampledCurve or a BuiltinCurve (sampled over its t_span).
-    The result is unit_speed-parameterized and carries a jet source so
-    downstream analysis keeps full accuracy.
+    The result is parameterized by arc length and carries a jet source
+    so downstream analysis keeps full accuracy.
     """
     if isinstance(curve, BuiltinCurve):
         t_lo, t_hi = curve.t_span
@@ -437,7 +438,7 @@ def arclength_reparam(curve, n_samples: int) -> SampledCurve:
     tk.setflags(write=False)
     rep = replace(rep, s_grid=s_targets, t_grid=tk)
     pts = src.jet(tk, 0)[0]
-    return SampledCurve(dim, s_targets, pts, "unit_speed", source=rep)
+    return SampledCurve(dim, s_targets, pts, source=rep)
 
 
 # ---------------------------------------------------------------------------
@@ -486,29 +487,23 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     signed so that R_jj > 0 for the first n-1 columns and det = +1. By
     Faa di Bruno D_t = D_s U with U upper triangular and U_jj = |a'|^j,
     so Q is the arc-length frame and R_jj = |a'|^j times its arc-length
-    pivot, whence kappa_j = R_{j+1,j+1} / (R_jj R_11). Raises
-    FrameDegenerate when a pivot |R_jj| collapses (some kappa_i is
-    effectively zero) and ZeroSpeed for stationary samples.
+    pivot, whence kappa_j = R_{j+1,j+1} / (R_jj R_11). The arc length
+    is the source's own. Raises ZeroSpeed for stationary samples (|D_1|
+    collapses) and FrameDegenerate when a pivot |R_jj| collapses (some
+    kappa_i is effectively zero).
     """
     n = curve.dimension
     _require_samples(curve.n_samples, n)
     src = _engine(curve)
-    # a reparameterized source has unit speed; arclength_reparam already
-    # raised ZeroSpeed on its inner source
-    unit_speed = isinstance(src, _ReparamSource)
-    if not unit_speed:
-        speeds = parameter_speeds(src, curve.t)
-        mx = speeds.max()
-        if mx <= 0 or speeds.min() <= 1e-9 * mx:
-            raise ZeroSpeed(
-                f"curve speed collapses at sample {int(np.argmin(speeds))}"
-            )
     # columns of D[q] are d^j alpha/dt^j at sample q, j = 1..n
     D = np.moveaxis(jet_to_derivatives(src.jet(curve.t, n))[1:], 0, -1)
+    dmag = np.linalg.norm(D[:, :, : n - 1], axis=1)
+    speeds = dmag[:, 0]
+    if not speeds.min() > 1e-9 * speeds.max():
+        raise ZeroSpeed(f"curve speed collapses at sample {int(np.argmin(speeds))}")
 
     Q, R = np.linalg.qr(D)
     r = np.diagonal(R, axis1=1, axis2=2).copy()
-    dmag = np.linalg.norm(D[:, :, : n - 1], axis=1)
     bad = np.abs(r[:, : n - 1]) <= PIVOT_REL * dmag
     if np.any(bad):
         j = int(np.argmax(bad.any(axis=0)))
@@ -527,8 +522,7 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     r *= sign
     kappas = r[:, 1:] / r[:, :-1] / r[:, :1]
 
-    s = curve.t - curve.t[0] if unit_speed else _arclength(src, curve.t)
-    return FrenetData(np.asarray(s, dtype=float), curve.points, frames, kappas)
+    return FrenetData(src.arclength(curve.t), curve.points, frames, kappas)
 
 
 def frenet_residual_supnorm(fr: FrenetData) -> float:
@@ -620,4 +614,4 @@ def curve_from_csv(path) -> SampledCurve:
         raise BadParameters(f"{path}: non-numeric cell ({exc})") from None
     if data.ndim != 2 or data.shape[1] != dim + 1:
         raise BadParameters(f"{path}: ragged rows")
-    return SampledCurve(dim, data[:, 0], data[:, 1:], "generic")
+    return SampledCurve(dim, data[:, 0], data[:, 1:])

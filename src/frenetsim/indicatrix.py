@@ -49,6 +49,8 @@ def _sigma_grid(ladder: np.ndarray, s: np.ndarray, i: int):
     ladder holds kappa_0..kappa_n over the arc-length grid s. Two
     samples per end are dropped as boundary noise; sigma_i is the
     cumulative Simpson integral of the remaining speed, anchored at 0.
+    Raises IndicatrixDegenerate when the speed collapses or sigma_i,
+    integrated from a wildly varying speed, stops increasing.
     """
     sl = slice(TRIM, len(s) - TRIM)
     qs = _ladder_speed(ladder, i)[sl]
@@ -58,7 +60,13 @@ def _sigma_grid(ladder: np.ndarray, s: np.ndarray, i: int):
             f"V_{i}-indicatrix speed collapses "
             f"(min {qs.min():.3g} against scale {scale:.3g})"
         )
-    return sl, qs, cumulative_simpson(qs, x=s[sl], initial=0.0)
+    sigma = cumulative_simpson(qs, x=s[sl], initial=0.0)
+    stall = np.flatnonzero(np.diff(sigma) <= 0)
+    if len(stall):
+        raise IndicatrixDegenerate(
+            f"sigma_{i} stops increasing at sample {TRIM + stall[0] + 1} "
+            f"(speed spans {qs.min():.3g} to {qs.max():.3g})")
+    return sl, qs, sigma
 
 
 @dataclass(frozen=True)

@@ -65,11 +65,12 @@ class SelfSimilarSpec:
                 "all kt_j must be nonzero; synthesize in a lower dimension "
                 "instead of passing a zero invariant"
             )
+        # kappa_1 is signed only in E^2, where kt_1 < 0 is a clockwise curve
+        if n >= 3 and ktj[0] < 0:
+            raise BadParameters(f"kt_1 must be positive in E^{n}, where kappa_1 > 0")
         i = self.index
         if i == 1:
-            # kappa_1 is signed only in E^2, where kt_1 = -1 is a clockwise curve
-            kt1 = abs(ktj[0]) if n == 2 else ktj[0]
-            if abs(kt1 - 1.0) > CONSTRAINT_TOL:
+            if abs(abs(ktj[0]) - 1.0) > CONSTRAINT_TOL:
                 raise BadParameters("for index 1, kt_1 must equal 1 (or -1 in E^2)")
         elif i == n:
             if abs(abs(ktj[n - 2]) - 1.0) > CONSTRAINT_TOL:
@@ -269,7 +270,7 @@ def synthesize_self_similar(spec: SelfSimilarSpec) -> SampledCurve:
             pts[:, n - 1] = (sol.axial / kt) * np.exp(kt * sigma)
         else:
             pts[:, n - 1] = sol.axial * sigma
-    return SampledCurve(n, sigma, pts, "sigma_i", spec.index)
+    return SampledCurve(n, sigma, pts)
 
 
 def frame_ode_oracle(spec: SelfSimilarSpec) -> SampledCurve:
@@ -310,4 +311,4 @@ def frame_ode_oracle(spec: SelfSimilarSpec) -> SampledCurve:
         qm, rm = np.linalg.qr(om.T)
         om = (qm * np.sign(np.diag(rm))).T
         y[: n * n] = om.ravel()
-    return SampledCurve(n, sigma, pts, "sigma_i", spec.index)
+    return SampledCurve(n, sigma, pts)

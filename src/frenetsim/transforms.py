@@ -87,23 +87,16 @@ def compose(t2: SimilarityTransform, t1: SimilarityTransform) -> SimilarityTrans
 def apply_similarity(T: SimilarityTransform, curve: SampledCurve) -> SampledCurve:
     """Pointwise image of the curve; parameter values are unchanged.
 
-    A unit_speed parameterization survives only when lam == 1; anything
-    else downgrades to generic.
+    A jet source, when the curve carries one, is wrapped in an
+    AffineImage, so the image's arc length is lam times the curve's.
     """
     if T.dimension != curve.dimension:
         raise DimensionMismatch(
             f"transform in E^{T.dimension}, curve in E^{curve.dimension}"
         )
-    kind = curve.param_kind
-    if kind == "unit_speed" and T.lam != 1.0:
-        kind = "generic"
-    src = None
-    if curve.source is not None:
-        src = AffineImage(curve.source, T.lam, T.A, T.b)
-    return SampledCurve(
-        curve.dimension, curve.t, T(curve.points), kind,
-        curve.param_index if kind == "sigma_i" else None, src,
-    )
+    src = (None if curve.source is None
+           else AffineImage(curve.source, T.lam, T.A, T.b))
+    return SampledCurve(curve.dimension, curve.t, T(curve.points), source=src)
 
 
 @dataclass(frozen=True)

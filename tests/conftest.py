@@ -77,7 +77,7 @@ def planar_circle_frenet():
     # radius-2 circle embedded in the z = 0 plane of E^3
     th = np.linspace(0.0, 1.5 * math.pi, 1500)
     pts = np.column_stack([2 * np.cos(th), 2 * np.sin(th), np.zeros_like(th)])
-    cur = fs.SampledCurve(3, th, pts, "generic", None)
+    cur = fs.SampledCurve(3, th, pts)
     return fs.frenet_apparatus(fs.arclength_reparam(cur, 1500))
 
 

@@ -65,6 +65,22 @@ def test_analyze_malformed_csv(data_dir, capsys):
     assert rc == 2
 
 
+def test_analyze_noisy_csv_refused(tmp_path, capsys):
+    # noise of 1e-5 of the diameter leaves no trustworthy invariant: the
+    # indicatrix arc length stops increasing, a clean exit 3
+    t = np.linspace(0.0, 4 * np.pi, 2000)
+    pts = np.column_stack([3 * np.cos(t), 3 * np.sin(t), 4 * t / (2 * np.pi)])
+    diam = np.linalg.norm(np.ptp(pts, axis=0))
+    pts += np.random.default_rng(0).normal(0.0, 1e-5 * diam, pts.shape)
+    path = tmp_path / "noisy.csv"
+    fs.curve_to_csv(fs.SampledCurve(3, t, pts), path)
+    rc = main(["analyze", "--input", str(path), "--index", "2",
+               "--output", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_analyze_non_utf8_csv(tmp_path, capsys):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"t,x1,x2\n0.0,1.0,\xff\n")

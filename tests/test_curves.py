@@ -33,7 +33,6 @@ def test_arclength_line():
 
 
 def test_reparam_is_unit_speed(helix_curve):
-    assert helix_curve.param_kind == "unit_speed"
     ds = np.diff(helix_curve.t)
     assert np.allclose(ds, ds[0], atol=1e-12)
     chords = np.linalg.norm(np.diff(helix_curve.points, axis=0), axis=1)
@@ -89,6 +88,8 @@ def test_reparam_jet_has_unit_speed(helix_curve):
     T = fs.random_similarity(4, (0.5, 2.0), 3)
     img = fs.AffineImage(rep, T.lam, T.A, T.b)
     assert np.abs(fs.parameter_speeds(img, helix_curve.t) - T.lam).max() < 1e-12
+    s = T.lam * (helix_curve.t - helix_curve.t[0])
+    assert np.abs(img.arclength(helix_curve.t) - s).max() < 1e-12
 
 
 def test_twisted_cubic_curvatures_in_its_own_parameter():
@@ -189,7 +190,7 @@ def test_qr_frames_match_gram_schmidt(ktj):
 
 def test_reversal_keeps_curvatures(helix_curve):
     rev = fs.SampledCurve(3, -helix_curve.t[::-1],
-                          helix_curve.points[::-1].copy(), "generic", None)
+                          helix_curve.points[::-1].copy())
     fr = fs.frenet_apparatus(fs.arclength_reparam(rev, 1000))
     assert np.abs(fr.kappas[:, 0] - 0.12).max() < 1e-6
     assert np.abs(fr.kappas[:, 1] - 0.16).max() < 1e-6
@@ -197,8 +198,7 @@ def test_reversal_keeps_curvatures(helix_curve):
 
 def test_mirror_flips_last_curvature(helix_curve):
     mir = fs.SampledCurve(3, helix_curve.t,
-                          helix_curve.points * np.array([1.0, 1.0, -1.0]),
-                          "generic", None)
+                          helix_curve.points * np.array([1.0, 1.0, -1.0]))
     fr = fs.frenet_apparatus(fs.arclength_reparam(mir, 1000))
     assert np.abs(fr.kappas[:, 0] - 0.12).max() < 1e-6
     assert np.abs(fr.kappas[:, 1] + 0.16).max() < 1e-6
@@ -234,7 +234,7 @@ def test_csv_rejects_malformed(tmp_path):
 def test_too_few_samples(tmp_path):
     t = np.linspace(0.0, 1.0, min_samples(3) - 1)
     pts = np.column_stack([np.cos(t), np.sin(t), t])
-    cur = fs.SampledCurve(3, t, pts, "generic", None)
+    cur = fs.SampledCurve(3, t, pts)
     with pytest.raises(E.TooFewSamples):
         fs.frenet_apparatus(cur)
     # raw samples are refused before a spline is fitted through them
@@ -246,29 +246,37 @@ def test_too_few_samples(tmp_path):
                         "--output", str(tmp_path / "out")]) == 2
 
 
+def test_noisy_spiral_arclength_stalls():
+    # the quintic speed fit of heavily noisy samples dips through zero,
+    # so the arc length stops increasing
+    t = np.linspace(0.0, 2 * TAU, 2000)
+    pts = np.column_stack([np.exp(0.1 * t) * np.cos(t), np.exp(0.1 * t) * np.sin(t)])
+    diam = np.linalg.norm(np.ptp(pts, axis=0))
+    pts = pts + np.random.default_rng(0).normal(0.0, 1e-3 * diam, pts.shape)
+    with pytest.raises(E.ZeroSpeed, match="stops increasing"):
+        fs.arclength_reparam(fs.SampledCurve(2, t, pts), 2000)
+
+
 def test_zero_speed_cusp():
     t = np.linspace(0.0, 1.0, 51)
     pts = np.column_stack([(t - 0.5) ** 3, (t - 0.5) ** 4])
-    cur = fs.SampledCurve(2, t, pts, "generic", None)
+    cur = fs.SampledCurve(2, t, pts)
     with pytest.raises(E.ZeroSpeed):
         fs.arclength_reparam(cur, 200)
+    # (t^2, t^3) stops at t = 0, sample 100 of the grid, before any pivot
+    cusp = fs.custom_poly([[0, 0, 1], [0, 0, 0, 1]])
+    cur = fs.builtin_evaluate(cusp, np.linspace(-1, 1, 201))
+    with pytest.raises(E.ZeroSpeed, match="sample 100"):
+        fs.frenet_apparatus(cur)
 
 
 def test_sampled_curve_validation():
     t = np.array([0.0, 1.0, 1.0, 2.0])
     pts = np.zeros((4, 2))
     with pytest.raises(E.BadParameters):
-        fs.SampledCurve(2, t, pts, "generic", None)
+        fs.SampledCurve(2, t, pts)
     with pytest.raises(E.DimensionMismatch):
-        fs.SampledCurve(3, np.array([0.0, 1.0]), np.zeros((2, 2)),
-                        "generic", None)
-
-
-def test_unit_speed_kind_checked():
-    t = np.linspace(0.0, 1.0, 30)
-    pts = np.column_stack([3 * t, np.zeros_like(t)])  # speed 3, not 1
-    with pytest.raises(E.BadParameters):
-        fs.SampledCurve(2, t, pts, "unit_speed", None)
+        fs.SampledCurve(3, np.array([0.0, 1.0]), np.zeros((2, 2)))
 
 
 def test_builtin_validation():
@@ -301,7 +309,6 @@ def test_coarse_circle_still_accurate():
     cur = fs.SampledCurve(
         2, np.linspace(0, TAU, 40),
         np.column_stack([np.cos(np.linspace(0, TAU, 40)),
-                         np.sin(np.linspace(0, TAU, 40))]),
-        "generic", None)
+                         np.sin(np.linspace(0, TAU, 40))]))
     fr = fs.frenet_apparatus(fs.arclength_reparam(cur, 400))
     assert np.abs(fr.kappas[:, 0] - 1.0).max() < 1e-5

@@ -158,6 +158,9 @@ def test_spec_validation():
     # kappa_1 > 0 in E^3, so no curve there has kt_1 = -1 at index 1
     with pytest.raises(E.BadParameters):
         fs.SelfSimilarSpec(dimension=3, index=1, kt=0.1, ktj=(-1.0, 0.5))
+    # nor kt_1 < 0 at an interior index
+    with pytest.raises(E.BadParameters, match="positive"):
+        fs.SelfSimilarSpec(3, 2, 0.1, (-0.6, 0.8))
     with pytest.raises(E.BadParameters):
         fs.SelfSimilarSpec(dimension=4, index=2, kt=0.1, ktj=(0.5, 0.5, 1.0))
     with pytest.raises(E.BadParameters):

@@ -63,13 +63,6 @@ def test_apply_requires_matching_dimension(helix_curve):
         fs.apply_similarity(T, helix_curve)
 
 
-def test_apply_unit_speed_survives_only_isometries(helix_curve):
-    iso = fs.SimilarityTransform(1.0, np.eye(3), np.array([1.0, 2.0, 3.0]))
-    assert fs.apply_similarity(iso, helix_curve).param_kind == "unit_speed"
-    T = fs.random_similarity(4, (1.5, 1.9), 3)
-    assert fs.apply_similarity(T, helix_curve).param_kind == "generic"
-
-
 def test_arc_ratio_equals_lambda(helix_curve, helix_frenet):
     T = fs.random_similarity(12, (0.5, 2.0), 3)
     rep = fs.similarity_report(helix_curve, T, fr=helix_frenet)
