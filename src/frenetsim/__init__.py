@@ -7,6 +7,7 @@ focal curvatures, and evolutes in E^3.
 """
 
 from . import errors
+from . import series  # unused by the library; loaded so perfbench's tracer wraps it
 from .curves import (
     AffineImage,
     BuiltinCurve,
@@ -26,6 +27,7 @@ from .curves import (
     line,
     log_spiral,
     parameter_speeds,
+    structure_skew,
 )
 from .evolute import EvoluteData, EvoluteReport, evolute_e3, evolute_invariant_report
 from .focal import FocalData, focal_curvatures, shape_from_focal
@@ -34,7 +36,6 @@ from .indicatrix import (
     SphericalCurve,
     geodesic_closed_form,
     indicatrix_curve,
-    indicatrix_speed,
     indicatrix_to_csv,
     sabban_geodesic_curvature,
 )
@@ -43,7 +44,6 @@ from .selfsimilar import (
     SelfSimilarSpec,
     frame_ode_oracle,
     solve_self_similar,
-    structure_skew,
     synthesize_self_similar,
 )
 from .signatures import (
@@ -107,7 +107,6 @@ __all__ = [
     "geodesic_closed_form",
     "helix",
     "indicatrix_curve",
-    "indicatrix_speed",
     "indicatrix_to_csv",
     "invariance_sweep",
     "line",

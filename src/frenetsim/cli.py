@@ -367,13 +367,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return 2
-    except GeometryError as exc:
-        print(f"degenerate geometry ({type(exc).__name__}): {exc}",
-              file=sys.stderr)
-        return 3
+    except (UsageError, GeometryError) as exc:
+        kind = "error" if isinstance(exc, UsageError) else "degenerate geometry"
+        print(f"{kind} ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return exc.exit_code
     except json.JSONDecodeError as exc:
         print(f"error: cannot parse JSON input: {exc}", file=sys.stderr)
         return 2

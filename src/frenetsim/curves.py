@@ -1,19 +1,19 @@
 """Curve models and the numerical Frenet apparatus in E^n.
 
 The pipeline reads every curve through a jet source: an object whose
-jet(tq, order) returns the Taylor coefficients of the curve around each
-query parameter, entry [k] being the k-th derivative over k!, and whose
-arclength(tq) returns the arc length from tq[0] to each query parameter.
+jet(tq, order) returns the derivatives of the curve at each query
+parameter, entry [k] being d^k alpha/dt^k, and whose arclength(tq)
+returns the arc length from tq[0] to each query parameter.
 
-* BuiltinCurve: an analytic fixture curve with exact jets;
+* BuiltinCurve: an analytic fixture curve with exact derivatives;
 * AffineImage: a direct-similarity image of another source, whose arc
   length is the source's times the scale;
 * _SplineSource: raw samples interpolated once by a B-spline whose knots
   are subsampled to keep high-order derivatives away from the roundoff
   amplification floor;
 * _ReparamSource: the arclength reparameterization of another source,
-  whose jets have unit speed at each query point and whose parameter is
-  its own arc length.
+  whose first derivative has unit length at each query point and whose
+  parameter is its own arc length.
 
 A SampledCurve carries its source, or gets a spline fitted to its
 samples, so no finite differencing of positions ever happens. Frame and
@@ -41,7 +41,6 @@ from .errors import (
     TooFewSamples,
     ZeroSpeed,
 )
-from .series import jet_to_derivatives
 
 log = logging.getLogger("frenetsim.curves")
 
@@ -74,17 +73,13 @@ def _require_samples(count: int, dimension: int) -> None:
 
 
 def _fill_exp_jet(out: np.ndarray, amp: float, mu: complex, tq: np.ndarray) -> None:
-    """Write the jet of amp e^(mu t), read as x1 + i x2, into out[:, :, :2].
+    """Write the derivatives of amp e^(mu t), read as x1 + i x2, into out[:, :, :2].
 
-    Entry [k] is amp mu^k e^(mu t) / k!.
+    Entry [k] is amp mu^k e^(mu t).
     """
-    z = amp * np.exp(mu * tq)
-    f = 1.0
-    for k in range(len(out)):
-        w = z * mu**k / f
-        out[k, :, 0] = w.real
-        out[k, :, 1] = w.imag
-        f *= k + 1
+    w = amp * mu ** np.arange(len(out))[:, None] * np.exp(mu * tq)
+    out[:, :, 0] = w.real
+    out[:, :, 1] = w.imag
 
 
 @dataclass(frozen=True)
@@ -124,12 +119,8 @@ class BuiltinCurve:
             from numpy.polynomial import polynomial as P
 
             for d, row in enumerate(self.params):
-                c = np.asarray(row, dtype=float)
-                f = 1.0
                 for k in range(order + 1):
-                    out[k, :, d] = P.polyval(tq, c) / f
-                    c = P.polyder(c) if len(c) > 1 else np.zeros(1)
-                    f *= k + 1
+                    out[k, :, d] = P.polyval(tq, P.polyder(row, k))
         else:
             raise BadParameters(f"unknown builtin curve kind {self.kind!r}")
         return out
@@ -176,7 +167,10 @@ def custom_poly(coeffs, t_span=(0.0, 1.0)) -> BuiltinCurve:
 
 @dataclass(frozen=True)
 class AffineImage:
-    """A direct-similarity image lam * A x + b of another analytic source."""
+    """A direct-similarity image lam * A x + b of another analytic source.
+
+    Derivative k is lam * A D_k, plus b at k = 0.
+    """
 
     source: object
     scale: float
@@ -289,14 +283,14 @@ def _strided_spline(x: np.ndarray, y: np.ndarray, graph: np.ndarray, k: int,
 
 @dataclass(frozen=True)
 class _SplineSource:
-    """Strided B-spline interpolant of raw samples, exposing jets."""
+    """Strided B-spline interpolant of raw samples, exposing its derivatives."""
 
     spline: object
 
     def jet(self, tq: np.ndarray, order: int) -> np.ndarray:
         out = np.zeros((order + 1, len(tq), self.spline.c.shape[-1]))
         for j in range(min(order, self.spline.k) + 1):
-            out[j] = self.spline(tq, j) / math.factorial(j)
+            out[j] = self.spline(tq, j)
         return out
 
     def arclength(self, tq: np.ndarray) -> np.ndarray:
@@ -370,10 +364,10 @@ class _ReparamSource:
     """Arclength reparameterization of another jet source.
 
     Query parameters are arc lengths; each jet call inverts s -> t by
-    Newton on the speed antiderivative and returns the inner jet there
-    with coefficient k divided by v^k, v = |inner'|: the exact jet in
-    the parameter that is linear in t with unit speed at the query
-    point, so entry [0] is the position and entry [1] the unit tangent.
+    Newton on the speed antiderivative and returns the inner derivatives
+    D_k there divided by v^k, v = |D_1|: the exact derivatives in the
+    parameter that is linear in t with unit speed at the query point,
+    so entry [0] is the position and entry [1] the unit tangent.
     The t grid inverted for the sample grid s_grid is kept and reused.
     Keeping the inner source alive avoids refitting splines to resampled
     data, which would destroy the high-order derivatives.
@@ -496,7 +490,7 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     _require_samples(curve.n_samples, n)
     src = _engine(curve)
     # columns of D[q] are d^j alpha/dt^j at sample q, j = 1..n
-    D = np.moveaxis(jet_to_derivatives(src.jet(curve.t, n))[1:], 0, -1)
+    D = np.moveaxis(src.jet(curve.t, n)[1:], 0, -1)
     dmag = np.linalg.norm(D[:, :, : n - 1], axis=1)
     speeds = dmag[:, 0]
     if not speeds.min() > 1e-9 * speeds.max():
@@ -525,6 +519,21 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     return FrenetData(src.arclength(curve.t), curve.points, frames, kappas)
 
 
+def structure_skew(ktj) -> np.ndarray:
+    """Skew tridiagonal acting on frame rows: +kt_j above, -kt_j below.
+
+    ktj has shape (..., n-1) and the result (..., n, n), so a batch of
+    curvature vectors gives one matrix per vector.
+    """
+    ktj = np.asarray(ktj, dtype=float)
+    n = ktj.shape[-1] + 1
+    K = np.zeros(ktj.shape[:-1] + (n, n))
+    j = np.arange(n - 1)
+    K[..., j, j + 1] = ktj
+    K[..., j + 1, j] = -ktj
+    return K
+
+
 def frenet_residual_supnorm(fr: FrenetData) -> float:
     """Sup-norm residual of the frame structure equations.
 
@@ -532,17 +541,10 @@ def frenet_residual_supnorm(fr: FrenetData) -> float:
     skew-tridiagonal reconstruction -kappa_{i-1} V_{i-1} + kappa_i V_{i+1}.
     Converges to 0 at second order on smooth curves.
     """
-    n = fr.dimension
     V = fr.frames
     ds = (fr.s[2:] - fr.s[:-2])[:, None, None]
     dV = (V[2:] - V[:-2]) / ds
-    kap = fr.kappas[1:-1]
-    recon = np.zeros_like(dV)
-    for i in range(n):
-        if i > 0:
-            recon[:, i, :] -= kap[:, i - 1, None] * V[1:-1, i - 1, :]
-        if i < n - 1:
-            recon[:, i, :] += kap[:, i, None] * V[1:-1, i + 1, :]
+    recon = structure_skew(fr.kappas[1:-1]) @ V[1:-1]
     return float(np.linalg.norm(dV - recon, axis=2).max())
 
 
@@ -550,20 +552,19 @@ def frenet_residual_supnorm(fr: FrenetData) -> float:
 # derived-field differentiation
 
 
-def field_derivative(x: np.ndarray, y: np.ndarray, order: int = 1,
-                     k: int = 5, noise: float = FIELD_NOISE) -> np.ndarray:
+def field_derivative(x: np.ndarray, y: np.ndarray, order: int = 1) -> np.ndarray:
     """Derivative of a sampled smooth field y(x) at the sample points.
 
-    Same strided-knot strategy as the position spline, with a noise
-    floor matched to fields we computed ourselves (~1e-9 relative).
-    y may be 1-d or (N, m).
+    Same strided-knot strategy as the position spline, with a quintic
+    and a noise floor matched to fields we computed ourselves (~1e-9
+    relative). y may be 1-d or (N, m).
     """
     y = np.asarray(y, dtype=float)
     flat = y.reshape(len(x), -1)
     xr = x[-1] - x[0]
     scale = max(np.abs(flat).max(), 1e-300)
     graph = np.column_stack([np.asarray(x) / max(xr, 1e-300), flat / scale])
-    return np.asarray(_strided_spline(x, y, graph, k, noise)(x, order))
+    return np.asarray(_strided_spline(x, y, graph, 5, FIELD_NOISE)(x, order))
 
 
 # ---------------------------------------------------------------------------

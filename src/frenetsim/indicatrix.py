@@ -38,11 +38,6 @@ def _ladder_speed(ladder: np.ndarray, i: int) -> np.ndarray:
     return np.hypot(ladder[i - 1], ladder[i])
 
 
-def indicatrix_speed(fr: FrenetData, i: int) -> np.ndarray:
-    """sqrt(kappa_{i-1}^2 + kappa_i^2) at every (untrimmed) sample."""
-    return _ladder_speed(_curvature_ladder(fr), i)
-
-
 def _sigma_grid(ladder: np.ndarray, s: np.ndarray, i: int):
     """Retained slice, trimmed speed and sigma_i of a V_i-indicatrix.
 

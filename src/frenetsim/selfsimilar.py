@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .curves import SampledCurve, min_samples
+from .curves import SampledCurve, min_samples, structure_skew
 from .errors import (
     BadIndex,
     BadParameters,
@@ -121,16 +121,6 @@ class SelfSimilarSolution:
     plane_spin: tuple
     frame0: np.ndarray
     axial: float | None
-
-
-def structure_skew(ktj) -> np.ndarray:
-    """The constant skew tridiagonal acting on frame rows."""
-    n = len(ktj) + 1
-    K = np.zeros((n, n))
-    for j, v in enumerate(ktj):
-        K[j, j + 1] = v
-        K[j + 1, j] = -v
-    return K
 
 
 def solve_self_similar(spec: SelfSimilarSpec) -> SelfSimilarSolution:

@@ -1,29 +1,22 @@
-"""Truncated Taylor (jet) arithmetic.
+"""Truncated Taylor (jet) arithmetic, kept only as benchmark fixtures.
 
 A series is an ndarray of shape (M+1, ...) holding Taylor coefficients
 c_0..c_M of a function of one scalar variable; trailing axes are payload
-(sample batches, coordinates) and broadcast elementwise. The Frenet
-apparatus needs only jet_to_derivatives: it takes the QR of the
-parameter derivatives of a jet directly, with no change of parameter.
-
-series_mul and series_compose are kept because the benchmark's span
-tests (perfbench/tests) trace them as nested-call fixtures. Products are
-vectorized (Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13):
-order k of a Cauchy product is one whole-array product-and-sum over j,
-and a composition scales every payload column by each power of inner at
-once, so Python loops run over orders only.
+and broadcast elementwise. No library code uses this module: the
+benchmark's span tests (perfbench/tests) trace series_mul and
+series_compose as nested-call fixtures, and the package __init__ imports
+it because the tracer wraps only the frenetsim.* modules loaded when it
+is built. Order k of a Cauchy product is one whole-array product-and-sum
+over j (Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 __all__ = [
     "series_mul",
     "series_compose",
-    "jet_to_derivatives",
 ]
 
 # product-and-sum over the leading (order) axis, payload broadcast
@@ -56,10 +49,3 @@ def series_compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
         power = series_mul(power, inner)
         out[k:] += outer[k] * power[k:]
     return out
-
-
-def jet_to_derivatives(jet: np.ndarray) -> np.ndarray:
-    """Convert Taylor coefficients c_k to derivative values k! c_k."""
-    M = jet.shape[0]
-    f = np.array([math.factorial(k) for k in range(M)], dtype=float)
-    return jet * f.reshape((M,) + (1,) * (jet.ndim - 1))

@@ -18,8 +18,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
-from .curves import TRIM, FrenetData, SampledCurve, field_derivative, frenet_apparatus
+from .curves import (
+    TRIM,
+    FrenetData,
+    SampledCurve,
+    field_derivative,
+    frenet_apparatus,
+    structure_skew,
+)
 from .errors import (
     BadIndex,
     BadParameters,
@@ -33,7 +41,6 @@ from .indicatrix import (
     sabban_geodesic_curvature,
 )
 from .jsonio import render
-from .selfsimilar import structure_skew
 from .transforms import apply_similarity
 
 log = logging.getLogger("frenetsim.signatures")
@@ -205,29 +212,13 @@ def signature_supnorm_deviation(a: ShapeSignature, b: ShapeSignature,
     return math.inf if diff is None else float(np.abs(diff).max())
 
 
-def _golden_minimize(f, lo: float, hi: float, iterations: int = 60):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - phi * (hi - lo)
-    x2 = lo + phi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iterations):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
 def similarity_test(curve_a: SampledCurve, curve_b: SampledCurve, i: int,
                     tol: float = DEFAULT_MATCH_TOL) -> MatchResult:
     """Decide direct-similarity equivalence through shape signatures.
 
-    Minimizes signature_distance over the sigma shift (coarse grid then
-    golden-section refinement); similar iff the minimum is <= tol.
+    Minimizes signature_distance over the sigma shift (coarse grid, then
+    bounded Brent refinement between the best point's neighbours);
+    similar iff the minimum is <= tol.
     lambda_est is the ratio of arc lengths swept over the matched sigma
     window, which equals the similarity scale for genuinely similar
     curves.
@@ -254,8 +245,10 @@ def similarity_test(curve_a: SampledCurve, curve_b: SampledCurve, i: int,
     best = int(np.argmin(dists))
     blo = shifts[max(0, best - 1)]
     bhi = shifts[min(len(shifts) - 1, best + 1)]
-    shift, dist = _golden_minimize(lambda sh: signature_distance(sa, sb, sh),
-                                   float(blo), float(bhi))
+    res = minimize_scalar(lambda sh: signature_distance(sa, sb, sh),
+                          bounds=(blo, bhi), method="bounded",
+                          options={"xatol": 1e-12 * max(abs(blo), abs(bhi))})
+    shift, dist = float(res.x), float(res.fun)
     if dists[best] < dist:
         shift, dist = float(shifts[best]), float(dists[best])
 

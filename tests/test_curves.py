@@ -7,7 +7,6 @@ import frenetsim as fs
 from frenetsim import errors as E
 from frenetsim import cli, curves
 from frenetsim.curves import _engine, min_samples
-from frenetsim.series import jet_to_derivatives
 
 TAU = 2 * math.pi
 
@@ -107,20 +106,52 @@ def test_twisted_cubic_curvatures_in_its_own_parameter():
     assert np.abs(T.lam * img.kappas - want).max() < 1e-12
 
 
-@pytest.mark.parametrize("curve, amp, mu", [
-    (fs.circle(2.0), 2.0, 1j),
-    (fs.helix(3.0, 4.0), 3.0, 1j),
-    (fs.log_spiral(-0.1), 1.0, -0.1 + 1j),
-])
-def test_exponential_jets(curve, amp, mu):
-    tq = np.linspace(0.0, 5.0, 7)
-    jet = curve.jet(tq, 6)
-    for k in range(7):
-        want = amp * mu**k * np.exp(mu * tq) / math.factorial(k)
-        assert np.abs(jet[k, :, 0] + 1j * jet[k, :, 1] - want).max() < 1e-12
-    if curve.kind == "helix":
-        assert np.array_equal(jet[:2, :, 2], [4.0 * tq, np.full(7, 4.0)])
-        assert not jet[2:, :, 2].any()
+_TQ = np.linspace(0.5, 4.5, 7)
+
+
+def _exp_derivatives(amp, mu, order):
+    w = amp * mu ** np.arange(order + 1)[:, None] * np.exp(mu * _TQ)
+    return np.stack([w.real, w.imag], axis=-1)
+
+
+def _helix_derivatives(order):
+    # (3 cos t, 3 sin t, 4 t)
+    z = np.zeros((order + 1, len(_TQ), 1))
+    z[0, :, 0] = 4.0 * _TQ
+    z[1] = 4.0
+    return np.concatenate([_exp_derivatives(3.0, 1j, order), z], axis=-1)
+
+
+def _cubic_derivatives(order):
+    # (t, t^2, t^3)
+    t, one, zero = _TQ, np.ones_like(_TQ), np.zeros_like(_TQ)
+    rows = [[t, t**2, t**3], [one, 2 * t, 3 * t**2], [zero, 2 * one, 6 * t],
+            [zero, zero, 6 * one]] + [[zero] * 3] * (order - 3)
+    return np.array(rows).transpose(0, 2, 1)
+
+
+def _raw_helix_spline():
+    t = np.linspace(0.0, 5.0, 400)
+    raw = fs.builtin_evaluate(fs.helix(3.0, 4.0, t_span=(0.0, 5.0)), t)
+    return _engine(fs.SampledCurve(3, t, raw.points))
+
+
+_RAW_HELIX = _raw_helix_spline()
+
+
+@pytest.mark.parametrize("source, want, tol", [
+    (fs.circle(2.0), _exp_derivatives(2.0, 1j, 4), 1e-12),
+    (fs.helix(3.0, 4.0), _helix_derivatives(4), 1e-12),
+    (fs.log_spiral(-0.1), _exp_derivatives(1.0, -0.1 + 1j, 4), 1e-12),
+    (fs.custom_poly([[0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]]),
+     _cubic_derivatives(4), 1e-12),
+    # scipy's derivative spline and de Boor evaluation differ by ~1e-8
+    # at order 4, still far below a stray factor k! or 1/k!
+    (_RAW_HELIX, [_RAW_HELIX.spline.derivative(k)(_TQ) for k in range(5)], 1e-7),
+], ids=["circle", "helix", "log_spiral", "custom_poly", "raw_spline"])
+def test_jets_are_derivatives(source, want, tol):
+    # entry [k] of every jet source is d^k alpha/dt^k
+    assert np.abs(source.jet(_TQ, 4) - np.asarray(want)).max() < tol
 
 
 def test_affine_image_jet(helix_curve):
@@ -181,7 +212,7 @@ def test_qr_frames_match_gram_schmidt(ktj):
     spec = fs.SelfSimilarSpec(n, 2, 0.05, ktj)
     cur = fs.arclength_reparam(fs.synthesize_self_similar(spec), 600)
     fr = fs.frenet_apparatus(cur)
-    D = jet_to_derivatives(_engine(cur).jet(cur.t, n))[1:]
+    D = _engine(cur).jet(cur.t, n)[1:]
     F, kap = _gram_schmidt_frenet(D)
     assert np.abs(fr.frames - F).max() < 1e-12
     assert np.abs(fr.kappas - kap).max() < 1e-12

@@ -150,6 +150,12 @@ def test_structure_skew_layout():
     assert np.array_equal(K, want)
 
 
+def test_structure_skew_batched():
+    ktj = np.random.default_rng(7).normal(size=(4, 3))
+    want = np.stack([fs.structure_skew(row) for row in ktj])
+    assert np.array_equal(fs.structure_skew(ktj), want)
+
+
 def test_spec_validation():
     with pytest.raises(E.BadParameters):
         fs.SelfSimilarSpec(dimension=3, index=2, kt=0.1, ktj=(0.0, 1.0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frenetsim.series import jet_to_derivatives, series_compose, series_mul
+from frenetsim.series import series_compose, series_mul
 
 
 def coeffs(*vals):
@@ -24,15 +24,6 @@ def test_compose_polynomial():
     inner = coeffs(0, 1, 1, 0, 0)      # u = h + h^2
     # (1 + h + h^2)^2 = 1 + 2h + 3h^2 + 2h^3 + h^4
     assert np.allclose(series_compose(outer, inner), coeffs(1, 2, 3, 2, 1))
-
-
-def test_jet_derivative_conversion_roundtrip():
-    rng = np.random.default_rng(5)
-    jet = rng.normal(size=(6, 3))
-    d = jet_to_derivatives(jet)
-    factorials = np.array([1.0, 1.0, 2.0, 6.0, 24.0, 120.0])[:, None]
-    assert np.allclose(d / factorials, jet, atol=1e-15)
-    assert np.allclose(d[3], 6.0 * jet[3])
 
 
 def test_mul_order_mismatch():

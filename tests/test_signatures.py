@@ -75,6 +75,22 @@ def test_scaled_helix_pair():
     assert abs(back.lambda_est - 0.5) < 0.005
 
 
+def test_subarc_match_recovers_scale():
+    # a similarity image of a sub-arc matches at a non-trivial sigma shift
+    cubic = fs.custom_poly([[0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.9]],
+                           t_span=(-1.0, 1.0))
+    T = fs.SimilarityTransform(1.0198, fs.random_similarity(3, (1.0, 2.0), 3).A,
+                               np.array([0.3, -1.2, 2.0]))
+    ta, tb = np.linspace(-1.0, 1.0, 2000), np.linspace(-0.8, 0.9, 1700)
+    a = fs.SampledCurve(3, ta, fs.builtin_evaluate(cubic, ta).points)
+    b = fs.SampledCurve(3, tb, T(fs.builtin_evaluate(cubic, tb).points))
+    for i in (1, 2, 3):
+        res = fs.similarity_test(a, b, i)
+        assert res.is_similar
+        assert res.sigma_shift > 0.1
+        assert abs(res.lambda_est - 1.0198) < 1e-6
+
+
 def test_different_helices_do_not_match(helix_curve):
     d = fs.arclength_reparam(fs.helix(4.0, 3.0, t_span=(0.0, 5.0)), 2000)
     res = fs.similarity_test(helix_curve, d, 1, tol=1e-2)
