@@ -29,6 +29,7 @@ import csv
 import io
 import logging
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -569,13 +570,26 @@ def field_derivative(x: np.ndarray, y: np.ndarray, order: int = 1) -> np.ndarray
 
 # ---------------------------------------------------------------------------
 # CSV input and output
+#
+# A table is written by one %-format over all of its cells and read back by
+# np.loadtxt. The csv module reads only the bodies loadtxt refuses (quoted
+# cells, digit separators, digits outside ASCII, malformed rows), cell by cell
+# with float(), so it alone words the BadParameters messages.
+
+_NON_BLANK = re.compile(r"\S")
 
 
 def _write_table(path, header_cols, columns) -> None:
-    """Write a headed CSV table of column arrays, 17 significant digits per cell."""
+    """Write a headed CSV table of column arrays, 17 significant digits per cell.
+
+    The bytes are those of np.savetxt(fmt="%.17g"): the same format applied
+    to every cell, in one pass instead of a Python loop over rows.
+    """
     data = np.column_stack(columns)
-    np.savetxt(path, data, delimiter=",", comments="",
-               header=",".join(header_cols), fmt="%.17g")
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header_cols) + "\n")
+        fh.write((row * len(data)) % tuple(data.ravel().tolist()))
 
 
 def curve_to_csv(curve: SampledCurve, path) -> None:
@@ -585,22 +599,34 @@ def curve_to_csv(curve: SampledCurve, path) -> None:
 
 
 def _read_text(path) -> str:
-    """Text of a UTF-8 input file; BadParameters names a file that is not."""
+    """Text of a UTF-8 input file, without a leading byte-order mark.
+
+    BadParameters names a file that is not UTF-8, with the byte offset of
+    the first invalid byte counted from the start of the file.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise BadParameters(f"{path}: not UTF-8 text ({exc.reason} "
                             f"at byte {exc.start})") from None
 
 
 def curve_from_csv(path) -> SampledCurve:
-    """Read a `t,x1,...,xn` CSV; dimension inferred from the header."""
-    rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
-    if not rows:
+    """Read a `t,x1,...,xn` CSV; dimension inferred from the header.
+
+    The body goes to np.loadtxt first and is kept when every row holds
+    n + 1 numbers. Otherwise the csv module re-reads it, and each cell is
+    float() of its csv field; blank lines are skipped either way.
+    """
+    text = _read_text(path)
+    stream = io.StringIO(text, newline="")
+    rows = csv.reader(stream)
+    header = next(rows, None)
+    if header is None:
         raise BadParameters(f"{path}: empty curve file")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in header]
     if len(header) < 3 or header[0] != "t" or header[1:] != [
         f"x{d + 1}" for d in range(len(header) - 1)
     ]:
@@ -608,11 +634,23 @@ def curve_from_csv(path) -> SampledCurve:
             f"{path}: header must be t,x1,...,xn with n >= 2, got {header!r}"
         )
     dim = len(header) - 1
-    try:
-        data = np.array([[float(c) for c in row] for row in rows[1:] if row],
-                        dtype=float)
-    except ValueError as exc:
-        raise BadParameters(f"{path}: non-numeric cell ({exc})") from None
-    if data.ndim != 2 or data.shape[1] != dim + 1:
-        raise BadParameters(f"{path}: ragged rows")
+    body = stream.tell()
+    data = None
+    # loadtxt warns on a body without a row and reads nothing from it
+    if _NON_BLANK.search(text, body):
+        try:
+            data = np.loadtxt(stream, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if data is None or data.shape[1] != dim + 1:
+        stream.seek(body)
+        try:
+            data = np.array([[float(c) for c in row] for row in rows if row],
+                            dtype=float)
+        except ValueError as exc:
+            raise BadParameters(f"{path}: non-numeric cell ({exc})") from None
+        if not len(data):
+            raise BadParameters(f"{path}: no data rows")
+        if data.ndim != 2 or data.shape[1] != dim + 1:
+            raise BadParameters(f"{path}: ragged rows")
     return SampledCurve(dim, data[:, 0], data[:, 1:])

@@ -3,7 +3,9 @@
 Every float is rendered as %.17g so that files are reproducible
 byte-for-byte and round-trip through float() without loss. Non-finite
 values follow the json module's own spelling (Infinity, NaN), which
-json.loads accepts back.
+json.loads accepts back. A float array is rendered a row at a time: one
+join over the formatted values of each 1-d row, with no call of render
+per element.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ def render(obj) -> str:
         return _float_text(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim:
+        if obj.ndim == 1:
+            return "[" + ", ".join(map(_float_text, obj.tolist())) + "]"
+        return "[" + ", ".join(render(row) for row in obj) + "]"
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):

@@ -88,6 +88,34 @@ def test_analyze_non_utf8_csv(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and "latin1.csv: not UTF-8" in err
+    assert "invalid start byte at byte 16)" in err
+    # the offset counts from the start of the file, byte-order mark included
+    path.write_bytes(b"\xef\xbb\xbft,x1,x2\n0.0,1.0,\xff\n")
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert "invalid start byte at byte 19)" in capsys.readouterr().err
+
+
+def test_utf8_bom_accepted(data_dir, tmp_path, capsys):
+    # spreadsheet programs export text with a UTF-8 byte-order mark
+    bom = b"\xef\xbb\xbf"
+    bom_csv = tmp_path / "bom.csv"
+    bom_csv.write_bytes(bom + (data_dir / "helix.csv").read_bytes())
+    for name, path in (("plain", data_dir / "helix.csv"), ("bom", bom_csv)):
+        rc, _ = run(capsys, "analyze", "--input", str(path), "--index", "2",
+                    "--samples", "800", "--output", str(tmp_path / name))
+        assert rc == 0
+    for suffix in ("signature.json", "samples.csv", "indicatrix.csv"):
+        assert (tmp_path / f"bom.{suffix}").read_bytes() \
+            == (tmp_path / f"plain.{suffix}").read_bytes()
+    bom_spec = tmp_path / "spec3.json"
+    bom_spec.write_bytes(bom + (data_dir / "spec3.json").read_bytes())
+    outs = []
+    for spec in (data_dir / "spec3.json", bom_spec):
+        rc, out = run(capsys, "synthesize", "--input", str(spec),
+                      "--output", str(tmp_path / "sim3.csv"))
+        assert rc == 0
+        outs.append((out, (tmp_path / "sim3.csv").read_bytes()))
+    assert outs[0] == outs[1]
 
 
 def test_transform_deterministic_and_reappliable(data_dir, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -251,15 +253,73 @@ def test_csv_round_trip(tmp_path, helix_curve):
     assert np.array_equal(back.points, helix_curve.points)
 
 
+# (file body, the BadParameters message after "{path}: ")
+MALFORMED_CSV = [
+    ("", "empty curve file"),
+    ("a,b,c\n0.0,1.0,2.0\n1.0,2.0,3.0\n",
+     "header must be t,x1,...,xn with n >= 2, got ['a', 'b', 'c']"),
+    ("t,x1\n0.0,1.0\n1.0,2.0\n",
+     "header must be t,x1,...,xn with n >= 2, got ['t', 'x1']"),
+    ("t,x1,x2\n0,1,2\n1,abc,3\n",
+     "non-numeric cell (could not convert string to float: 'abc')"),
+    ("t,x1,x2\n0,1,2\n   \n1,2,3\n",
+     "non-numeric cell (could not convert string to float: '   ')"),
+    ("t,x1,x2\n0,1,2,\n1,2,3,\n",
+     "non-numeric cell (could not convert string to float: '')"),
+    ("t,x1,x2\n0,0x1p3,2\n1,2,3\n",
+     "non-numeric cell (could not convert string to float: '0x1p3')"),
+    ("t,x1,x2\n0.0,1.0\n1.0,2.0\n", "ragged rows"),
+    ("t,x1,x2\n", "no data rows"),
+    ("t,x1,x2\r\n\r\n\n", "no data rows"),
+]
+
+
+# a warning would reach the CLI's stderr as a second line
+@pytest.mark.filterwarnings("error")
 def test_csv_rejects_malformed(tmp_path):
     p = tmp_path / "bad.csv"
-    p.write_text("t,x1,x2\n0.0,1.0\n")
-    with pytest.raises(E.BadParameters):
+    for body, message in MALFORMED_CSV:
+        p.write_bytes(body.encode())
+        with pytest.raises(E.BadParameters) as info:
+            fs.curve_from_csv(p)
+        assert str(info.value) == f"{p}: {message}"
+    # rows of two lengths: the message is numpy's, which varies by version
+    p.write_text("t,x1,x2\n0,1,2\n1,2\n")
+    with pytest.raises(E.BadParameters, match="non-numeric cell"):
         fs.curve_from_csv(p)
-    p2 = tmp_path / "bad_header.csv"
-    p2.write_text("a,b,c\n0.0,1.0,2.0\n1.0,2.0,3.0\n")
-    with pytest.raises(E.BadParameters):
-        fs.curve_from_csv(p2)
+
+
+def _csv_module_rows(text):
+    """The reference parse: csv rows of float() cells, blank rows skipped."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
+    return np.array([[float(c) for c in row] for row in rows if row])
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param("t,x1,x2\n0,1,2\n\n1,2,3\n\n", id="blank-lines"),
+    pytest.param("t,x1,x2\r\n0,1,2\r\n\r\n1,2,3\r\n", id="crlf"),
+    pytest.param("t,x1,x2\r0,1,2\r1,2,3\r", id="lone-cr"),
+    pytest.param("t,x1,x2\n0,1,2\n1,2,3", id="no-final-newline"),
+    pytest.param(" t , x1 ,x2\n 0 , 1 ,\t2\t\n+1,-2.5e-3,.5\n", id="padded"),
+    pytest.param('t,x1,x2\n"0",1,"2"\n1,"2.5",3\n', id="quoted"),
+    pytest.param("t,x1,x2\n0,1_0,2\n1,2,3\n", id="underscore"),
+    pytest.param("t,x1,x2\n\xa00,\uff11,2\n1,2,3\n", id="non-ascii"),
+    pytest.param("t,x1,x2\n0,5e-324,-0.0\n1,1e308,-1e308\n", id="extremes"),
+    pytest.param("t,x1,x2,x3\n0,1,2,3\n", id="one-row"),
+])
+def test_csv_parses_like_csv_module(tmp_path, body):
+    # cells are whatever float() makes of each csv field
+    p = tmp_path / "c.csv"
+    p.write_bytes(body.encode())
+    data = _csv_module_rows(body)
+    if len(data) < 2:
+        with pytest.raises(E.BadParameters, match=">= 2 samples"):
+            fs.curve_from_csv(p)
+        return
+    cur = fs.curve_from_csv(p)
+    assert cur.dimension == data.shape[1] - 1
+    assert cur.t.tobytes() == data[:, 0].tobytes()
+    assert cur.points.tobytes() == np.ascontiguousarray(data[:, 1:]).tobytes()
 
 
 def test_too_few_samples(tmp_path):
