@@ -13,7 +13,8 @@ returns the arc length from tq[0] to each query parameter.
   amplification floor;
 * _ReparamSource: the arclength reparameterization of another source,
   whose first derivative has unit length at each query point and whose
-  parameter is its own arc length.
+  parameter is its own arc length, read back to t through the inner
+  source's arc-length table (_arclength_table).
 
 A SampledCurve carries its source, or gets a spline fitted to its
 samples, so no finite differencing of positions ever happens. Frame and
@@ -30,10 +31,11 @@ import io
 import logging
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, make_interp_spline
+from scipy.integrate import cumulative_simpson
+from scipy.interpolate import make_interp_spline
 
 from .errors import (
     BadParameters,
@@ -47,7 +49,7 @@ log = logging.getLogger("frenetsim.curves")
 
 # boundary samples trimmed from all downstream signatures
 TRIM = 2
-# QR pivot threshold on |R_jj|, relative to the raw derivative magnitude
+# QR pivot threshold on |R_jj| / |D_j| and on kappa_{j-1} times arc length
 PIVOT_REL = 1e-8
 # relative data noise assumed by the knot-stride rule
 POSITION_NOISE = 1e-16
@@ -330,28 +332,30 @@ def parameter_speeds(source, tq: np.ndarray) -> np.ndarray:
 # arc length
 
 
-def _speed_antiderivative(source, t_lo: float, t_hi: float, n_hint: int):
-    """Smooth spline S(t) with S' = speed, plus a pchip inverse for guesses."""
+def _arclength_table(source, t_lo: float, t_hi: float, n_hint: int):
+    """Arc length s(t) from t_lo at max(4N, 4096) + 1 uniform parameters.
+
+    Cumulative Simpson of the speed; returns the grid and s there, which
+    is strictly increasing, so the table can be read either way.
+    """
     m = max(4 * n_hint, 4096) + 1
     tt = np.linspace(t_lo, t_hi, m)
     sp = parameter_speeds(source, tt)
     mx = sp.max()
     if mx <= 0 or sp.min() <= 1e-9 * mx:
         raise ZeroSpeed("curve speed vanishes inside the parameter window")
-    S = make_interp_spline(tt, sp, k=5).antiderivative()
-    svals = S(tt) - S(tt[0])
-    # the quintic speed fit can dip below zero between grid points when
-    # the speed itself oscillates, as it does on noisy samples
+    svals = cumulative_simpson(sp, x=tt, initial=0.0)
+    # Simpson's panel weights are not all positive, so a speed that
+    # oscillates between grid points, as on noisy samples, can step s back
     stall = np.flatnonzero(np.diff(svals) <= 0)
     if len(stall):
         raise ZeroSpeed(f"arc length stops increasing at t = {tt[stall[0]]:.6g}; "
-                        "the fitted speed oscillates through zero there")
-    guess = PchipInterpolator(svals, tt)
-    return S, guess
+                        "the speed oscillates faster than the quadrature grid there")
+    return tt, svals
 
 
 def _arclength(source, t: np.ndarray) -> np.ndarray:
-    S, _ = _speed_antiderivative(source, t[0], t[-1], len(t))
+    S = make_interp_spline(*_arclength_table(source, t[0], t[-1], len(t)), k=5)
     return np.asarray(S(t) - S(t[0]))
 
 
@@ -364,36 +368,18 @@ def arclength_values(curve: SampledCurve) -> np.ndarray:
 class _ReparamSource:
     """Arclength reparameterization of another jet source.
 
-    Query parameters are arc lengths; each jet call inverts s -> t by
-    Newton on the speed antiderivative and returns the inner derivatives
-    D_k there divided by v^k, v = |D_1|: the exact derivatives in the
-    parameter that is linear in t with unit speed at the query point,
-    so entry [0] is the position and entry [1] the unit tangent.
-    The t grid inverted for the sample grid s_grid is kept and reused.
-    Keeping the inner source alive avoids refitting splines to resampled
-    data, which would destroy the high-order derivatives.
+    Query parameters are arc lengths; t_of_s is the quintic interpolant
+    of the inner source's arc-length table read backward, s -> t. Each
+    jet call returns the inner derivatives D_k at t_of_s(s) divided by
+    v^k, v = |D_1|: the exact derivatives in the parameter that is linear
+    in t with unit speed at the query point, so entry [0] is the position
+    and entry [1] the unit tangent. Keeping the inner source alive avoids
+    refitting splines to resampled data, which would destroy the
+    high-order derivatives.
     """
 
     inner: object
-    s_spline: object
-    s0: float
-    t_lo: float
-    t_hi: float
-    guess: object
-    s_grid: np.ndarray = field(default=None, compare=False)
-    t_grid: np.ndarray = field(default=None, compare=False)
-
-    def t_of_s(self, sq: np.ndarray) -> np.ndarray:
-        if self.s_grid is not None and np.array_equal(sq, self.s_grid):
-            return self.t_grid
-        total = float(self.s_spline(self.t_hi)) - self.s0
-        t = np.clip(self.guess(np.clip(sq, 0.0, total)), self.t_lo, self.t_hi)
-        target = np.asarray(sq, dtype=float) + self.s0
-        for _ in range(4):
-            f = self.s_spline(t) - target
-            t = np.clip(t - f / np.maximum(self.s_spline(t, 1), 1e-300),
-                        self.t_lo, self.t_hi)
-        return t
+    t_of_s: object
 
     def jet(self, sq: np.ndarray, order: int) -> np.ndarray:
         P = self.inner.jet(self.t_of_s(sq), order)
@@ -424,16 +410,10 @@ def arclength_reparam(curve, n_samples: int) -> SampledCurve:
     dim = curve.dimension
     n_samples = int(n_samples)
     _require_samples(n_samples, dim)
-    S, guess = _speed_antiderivative(src, t_lo, t_hi, n_samples)
-    s0 = float(S(t_lo))
-    total = float(S(t_hi)) - s0
-    rep = _ReparamSource(src, S, s0, t_lo, t_hi, guess)
-    s_targets = np.linspace(0.0, total, n_samples)
-    tk = rep.t_of_s(s_targets)
-    tk.setflags(write=False)
-    rep = replace(rep, s_grid=s_targets, t_grid=tk)
-    pts = src.jet(tk, 0)[0]
-    return SampledCurve(dim, s_targets, pts, source=rep)
+    tt, svals = _arclength_table(src, t_lo, t_hi, n_samples)
+    rep = _ReparamSource(src, make_interp_spline(svals, tt, k=5))
+    s_targets = np.linspace(0.0, svals[-1], n_samples)
+    return SampledCurve(dim, s_targets, rep.jet(s_targets, 0)[0], source=rep)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +464,9 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     so Q is the arc-length frame and R_jj = |a'|^j times its arc-length
     pivot, whence kappa_j = R_{j+1,j+1} / (R_jj R_11). The arc length
     is the source's own. Raises ZeroSpeed for stationary samples (|D_1|
-    collapses) and FrameDegenerate when a pivot |R_jj| collapses (some
-    kappa_i is effectively zero).
+    collapses) and FrameDegenerate when a pivot collapses, so that some
+    kappa_i is effectively zero: |R_jj| <= PIVOT_REL |D_j|, or, for
+    2 <= j < n, kappa_{j-1} L <= PIVOT_REL with L the total arc length.
     """
     n = curve.dimension
     _require_samples(curve.n_samples, n)
@@ -499,14 +480,24 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
 
     Q, R = np.linalg.qr(D)
     r = np.diagonal(R, axis1=1, axis2=2).copy()
+    s = src.arclength(curve.t)
+    length = s[-1] - s[0]
     bad = np.abs(r[:, : n - 1]) <= PIVOT_REL * dmag
-    if np.any(bad):
-        j = int(np.argmax(bad.any(axis=0)))
-        q = int(np.argmax(bad[:, j]))
-        raise FrameDegenerate(
-            f"QR pivot {j + 1} collapsed at sample {q} (|R_jj|={abs(r[q, j]):.3g}"
-            f" vs |d^{j + 1}a/dt^{j + 1}|={dmag[q, j]:.3g})"
-        )
+    # a pivot that is spline roundoff of a straight part passes the rule
+    # above; it fails this one, kappa_{j-1} L <= PIVOT_REL for 2 <= j < n
+    flat = np.zeros_like(bad)
+    flat[:, 1:] = (np.abs(r[:, 1 : n - 1]) * length
+                   <= PIVOT_REL * np.abs(r[:, : n - 2] * r[:, :1]))
+    if np.any(bad | flat):
+        j = int(np.argmax((bad | flat).any(axis=0)))
+        q = int(np.argmax(bad[:, j] | flat[:, j]))
+        if bad[q, j]:
+            detail = (f"|R_jj|={abs(r[q, j]):.3g} vs "
+                      f"|d^{j + 1}a/dt^{j + 1}|={dmag[q, j]:.3g}")
+        else:
+            kappa = abs(r[q, j] / (r[q, j - 1] * r[q, 0]))
+            detail = f"kappa_{j} L={kappa * length:.3g} vs {PIVOT_REL:g}"
+        raise FrameDegenerate(f"QR pivot {j + 1} collapsed at sample {q} ({detail})")
     # flip columns so that R_jj > 0 for j < n; V_n's sign makes det = +1
     sign = np.sign(r)
     sign[:, n - 1] = np.sign(np.linalg.det(Q)) * np.prod(sign[:, : n - 1], axis=1)
@@ -517,7 +508,7 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     r *= sign
     kappas = r[:, 1:] / r[:, :-1] / r[:, :1]
 
-    return FrenetData(src.arclength(curve.t), curve.points, frames, kappas)
+    return FrenetData(s, curve.points, frames, kappas)
 
 
 def structure_skew(ktj) -> np.ndarray:
@@ -618,12 +609,16 @@ def curve_from_csv(path) -> SampledCurve:
 
     The body goes to np.loadtxt first and is kept when every row holds
     n + 1 numbers. Otherwise the csv module re-reads it, and each cell is
-    float() of its csv field; blank lines are skipped either way.
+    float() of its csv field; blank lines are skipped either way. Text the
+    csv module cannot split, a non-number and a ragged row: BadParameters.
     """
     text = _read_text(path)
     stream = io.StringIO(text, newline="")
     rows = csv.reader(stream)
-    header = next(rows, None)
+    try:
+        header = next(rows, None)
+    except csv.Error as exc:
+        raise BadParameters(f"{path}: malformed CSV ({exc})") from None
     if header is None:
         raise BadParameters(f"{path}: empty curve file")
     header = [c.strip() for c in header]
@@ -645,12 +640,14 @@ def curve_from_csv(path) -> SampledCurve:
     if data is None or data.shape[1] != dim + 1:
         stream.seek(body)
         try:
-            data = np.array([[float(c) for c in row] for row in rows if row],
-                            dtype=float)
+            cells = [[float(c) for c in row] for row in rows if row]
         except ValueError as exc:
             raise BadParameters(f"{path}: non-numeric cell ({exc})") from None
-        if not len(data):
+        except csv.Error as exc:
+            raise BadParameters(f"{path}: malformed CSV ({exc})") from None
+        if not cells:
             raise BadParameters(f"{path}: no data rows")
-        if data.ndim != 2 or data.shape[1] != dim + 1:
+        if any(len(row) != dim + 1 for row in cells):
             raise BadParameters(f"{path}: ragged rows")
+        data = np.array(cells)
     return SampledCurve(dim, data[:, 0], data[:, 1:])

@@ -1,7 +1,8 @@
 """JSON text output with a fixed float format.
 
 Every float is rendered as %.17g so that files are reproducible
-byte-for-byte and round-trip through float() without loss. Non-finite
+byte-for-byte and round-trip through float() without loss; negative
+zero is written -0.0, since json.loads reads "-0" as the int 0. Non-finite
 values follow the json module's own spelling (Infinity, NaN), which
 json.loads accepts back. A float array is rendered a row at a time: one
 join over the formatted values of each 1-d row, with no call of render
@@ -21,7 +22,8 @@ def _float_text(v: float) -> str:
         return "NaN"
     if math.isinf(v):
         return "Infinity" if v > 0 else "-Infinity"
-    return f"{v:.17g}"
+    text = f"{v:.17g}"
+    return "-0.0" if text == "-0" else text
 
 
 def render(obj) -> str:

@@ -351,3 +351,65 @@ def test_repeated_points_exit_degenerate(tmp_path, capsys):
     rc = main(["analyze", "--input", str(path), "--output", str(tmp_path / "out")])
     assert rc == 3
     assert "samples 100 and 101 repeat one point" in capsys.readouterr().err
+
+
+def test_fitted_line_exits_degenerate(tmp_path, capsys):
+    # the spline's second derivative along a raw line in a generic
+    # direction is roundoff, so only kappa_1 L against PIVOT_REL catches it
+    t = np.linspace(0.0, 1.0, 200)
+    path = tmp_path / "line.csv"
+    fs.curve_to_csv(fs.SampledCurve(
+        3, t, np.outer(t, [0.48, 0.6, 0.64]) + [1.0, 2.0, 3.0]), path)
+    for command in (["analyze", "--index", "2"], ["verify"], ["focal"]):
+        rc = main(command + ["--input", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "(FrameDegenerate): QR pivot 2 collapsed at sample 0 (kappa_1 L=" in err
+
+
+@pytest.fixture(scope="module")
+def edge_csvs(tmp_path_factory):
+    """Raw CSVs at the edges of what the pipeline accepts."""
+    d = tmp_path_factory.mktemp("edge_data")
+    tl = np.linspace(0.0, 1.0, 200)
+    tc = np.linspace(0.0, 5.0, 400)
+    ti = np.linspace(-1.0, 1.0, 301)
+    th = np.linspace(0.0, 4 * np.pi, 2000)
+    helix = np.column_stack([3 * np.cos(th), 3 * np.sin(th), 0.6 * th])
+    diam = np.linalg.norm(np.ptp(helix, axis=0))
+    curves = {
+        "axis_line": (tl, np.outer(tl, [1.0, 0.0, 0.0])),
+        "clockwise_circle": (tc, np.column_stack([2 * np.cos(tc), -2 * np.sin(tc)])),
+        "planar_circle_e3": (tc, np.column_stack([2 * np.cos(tc), 2 * np.sin(tc),
+                                                  0.0 * tc])),
+        "inflection_e2": (ti, np.column_stack([ti, ti ** 3])),
+        "noisy_helix": (th, helix + np.random.default_rng(1).normal(
+            0.0, 1e-3 * diam, helix.shape)),
+    }
+    for name, (t, pts) in curves.items():
+        fs.curve_to_csv(fs.SampledCurve(pts.shape[1], t, pts), d / f"{name}.csv")
+    return d
+
+
+# exit codes of analyze --index 2, verify and focal on each edge input
+EDGE_EXITS = {
+    "axis_line": (3, 3, 3),
+    "clockwise_circle": (0, 0, 0),
+    # kappa_2 vanishes, so the focal recursion stops at f_2
+    "planar_circle_e3": (0, 0, 3),
+    "inflection_e2": (3, 3, 3),
+    "noisy_helix": (3, 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_EXITS))
+def test_edge_input_exit_codes(edge_csvs, capsys, name):
+    path = str(edge_csvs / f"{name}.csv")
+    commands = (["analyze", "--index", "2"], ["verify", "--trials", "3"],
+                ["focal"])
+    for command, want in zip(commands, EDGE_EXITS[name]):
+        rc = main(command + ["--input", path, "--samples", "800"])
+        err = capsys.readouterr().err
+        assert rc == want, (command, err)
+        assert err.count("\n") == (rc != 0) and "Traceback" not in err

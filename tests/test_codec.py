@@ -51,8 +51,8 @@ def _render_per_element(a):
 def test_render_float_arrays(a):
     text = render(a)
     assert text == _render_per_element(a)
-    # %.17g writes -0.0 as "-0", which json.loads would take for the int 0
-    back = np.array(json.loads(text, parse_int=float)).reshape(a.shape)
+    # json.loads reads an integral float such as "3" as an int
+    back = np.array(json.loads(text), dtype=float).reshape(a.shape)
     nan = np.isnan(a)
     assert np.array_equal(np.isnan(back), nan)
     # bit-exact, signed zeros included, wherever the value is a number
