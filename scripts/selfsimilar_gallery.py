@@ -4,7 +4,8 @@
 Runs a grid of curvature specifications through the closed-form
 synthesizer, re-analyzes each synthetic curve, and reports how well the
 constants come back, plus the signature distance to an independent
-frame-ODE integration. Optionally dumps every curve as CSV.
+realization by one matrix exponential. Optionally dumps every curve as
+CSV.
 
 Usage:
     python3 scripts/selfsimilar_gallery.py
@@ -35,7 +36,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--outdir", help="write each synthesized curve CSV here")
     ap.add_argument("--oracle", action="store_true",
-                    help="also check against the frame ODE integration")
+                    help="also check against the matrix-exponential oracle")
     ap.add_argument("--samples", type=int, default=2000)
     args = ap.parse_args(argv)
 

@@ -325,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--input", required=True, help="self-similar spec JSON")
     q.add_argument("--output", help="path for the synthesized curve CSV")
     q.add_argument("--oracle", action="store_true",
-                   help="also integrate the frame ODE as a cross-check CSV")
+                   help="also write the matrix-exponential oracle as a "
+                   "cross-check CSV")
     q.set_defaults(func=cmd_synthesize)
 
     q = sub.add_parser("focal", help="focal curvatures and focal points")

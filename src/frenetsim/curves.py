@@ -466,7 +466,9 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     is the source's own. Raises ZeroSpeed for stationary samples (|D_1|
     collapses) and FrameDegenerate when a pivot collapses, so that some
     kappa_i is effectively zero: |R_jj| <= PIVOT_REL |D_j|, or, for
-    2 <= j < n, kappa_{j-1} L <= PIVOT_REL with L the total arc length.
+    2 <= j < n, kappa_{j-1} L <= PIVOT_REL with L the total arc length,
+    or when some V_j, 2 <= j < n, reverses between two samples, where
+    kappa_{j-1} passes through zero.
     """
     n = curve.dimension
     _require_samples(curve.n_samples, n)
@@ -502,6 +504,14 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     sign = np.sign(r)
     sign[:, n - 1] = np.sign(np.linalg.det(Q)) * np.prod(sign[:, : n - 1], axis=1)
     frames = np.swapaxes(Q * sign[:, None, :], 1, 2)
+    # kappa_{j-1} > 0 is an unsigned pivot, so where it vanishes between
+    # two samples V_j (2 <= j < n) reverses between them instead
+    turn = np.einsum("qjd,qjd->qj", frames[:-1, 1 : n - 1], frames[1:, 1 : n - 1])
+    if np.any(turn < 0):
+        q, j = np.argwhere(turn < 0)[0]
+        raise FrameDegenerate(
+            f"V_{j + 2} reverses between samples {q} and {q + 1}, so "
+            f"kappa_{j + 1} vanishes between them")
     # a flipped R_jj (j < n) is the norm of D_j's part orthogonal to the
     # lower derivatives, R_nn the signed V_n-component of D_n, R_11 the
     # speed; kappa_j = R_{j+1,j+1} / (R_jj R_11)

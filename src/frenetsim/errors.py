@@ -92,13 +92,9 @@ class CotSingularity(GeometryError):
 
 
 class NoRealSolution(GeometryError):
-    """The self-similar coefficient system has no real solution."""
+    """The self-similar normal form cannot be phased into a real frame."""
 
 
 class RepeatedEigenvalue(GeometryError):
     """Rotation frequencies are not distinct; normal form breaks down."""
-
-
-class IntegrationFailure(GeometryError):
-    """The frame ODE integrator failed to converge."""
 

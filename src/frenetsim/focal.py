@@ -50,7 +50,6 @@ def focal_curvatures(fr: FrenetData) -> FocalData:
     _check_kappa(kap[:, 0], 1)
     f = np.empty((fr.n_samples, n - 1))
     f[:, 0] = 1.0 / kap[:, 0]
-    running = f[:, 0] * field_derivative(fr.s, f[:, 0], order=1)
     fscale = np.abs(f[:, 0]).max()
     for j in range(2, n):
         _check_kappa(kap[:, j - 1], j)
@@ -59,10 +58,11 @@ def focal_curvatures(fr: FrenetData) -> FocalData:
             raise ZeroFocalPivot(
                 f"f_{j - 1} vanishes; cannot continue the recursion to f_{j}"
             )
+        # running = f_1 f_1' + ... + f_{j-1} f_{j-1}'
+        term = pivot * field_derivative(fr.s, pivot, order=1)
+        running = term if j == 2 else running + term
         f[:, j - 1] = running / (kap[:, j - 1] * pivot)
         fscale = max(fscale, np.abs(f[:, j - 1]).max())
-        running = running + f[:, j - 1] * field_derivative(fr.s, f[:, j - 1],
-                                                           order=1)
     centers = fr.points + np.einsum("qj,qjd->qd", f, fr.frames[:, 1:, :])
     return FocalData(fr.s, f, centers)
 

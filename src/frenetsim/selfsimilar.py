@@ -7,11 +7,13 @@ d alpha / d sigma = e^{kt sigma} V_1 (normalization constant fixed to
 1, which just picks one curve in the similarity class).
 
 The closed form diagonalizes K into m rotation planes with frequencies
-lambda_p (plus a fixed axis for odd n). Writing the initial frame in
-that basis reduces the unit-norm conditions |V_r| = 1 to a LINEAR
-system in the squared amplitudes, which is solved exactly; negative
-squares mean no real curve exists. An independent high-order ODE
-integration of the same data is provided as an oracle.
+lambda_p (plus a fixed axis for odd n). The eigenvectors of the
+Hermitian matrix iK, phased so that their first entries are positive,
+give the initial frame in that basis. For nonzero kt_j no first entry
+vanishes and the frequencies are distinct, so every such signature has
+a real self-similar curve. An independent realization of the same data,
+one matrix exponential of a constant block system, is provided as an
+oracle.
 """
 
 from __future__ import annotations
@@ -21,17 +23,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .curves import SampledCurve, min_samples, structure_skew
 from .errors import (
     BadIndex,
     BadParameters,
-    IntegrationFailure,
     NoRealSolution,
     RepeatedEigenvalue,
     TooFewSamples,
 )
+from .signatures import _check_index_circle
 
 log = logging.getLogger("frenetsim.selfsimilar")
 
@@ -68,19 +70,7 @@ class SelfSimilarSpec:
         # kappa_1 is signed only in E^2, where kt_1 < 0 is a clockwise curve
         if n >= 3 and ktj[0] < 0:
             raise BadParameters(f"kt_1 must be positive in E^{n}, where kappa_1 > 0")
-        i = self.index
-        if i == 1:
-            if abs(abs(ktj[0]) - 1.0) > CONSTRAINT_TOL:
-                raise BadParameters("for index 1, kt_1 must equal 1 (or -1 in E^2)")
-        elif i == n:
-            if abs(abs(ktj[n - 2]) - 1.0) > CONSTRAINT_TOL:
-                raise BadParameters("for index n, |kt_{n-1}| must equal 1")
-        else:
-            circ = ktj[i - 2] ** 2 + ktj[i - 1] ** 2
-            if abs(circ - 1.0) > CONSTRAINT_TOL:
-                raise BadParameters(
-                    f"kt_{i - 1}^2 + kt_{i}^2 = {circ:.12g}, must equal 1"
-                )
+        _check_index_circle(ktj, self.index, CONSTRAINT_TOL)
         if len(self.sigma_range) != 2:
             raise BadParameters(
                 f"sigma_range must be a pair, got {self.sigma_range}")
@@ -124,114 +114,69 @@ class SelfSimilarSolution:
 
 
 def solve_self_similar(spec: SelfSimilarSpec) -> SelfSimilarSolution:
-    """Solve for the rotation frequencies and plane amplitudes.
+    """Diagonalize K into its rotation planes and read off the frame.
 
-    Raises NoRealSolution when a squared amplitude comes out negative
-    and RepeatedEigenvalue if two frequencies coincide (cannot happen
-    for nonzero kt_j: the squared skew matrix is similar to a Jacobi
-    matrix with simple spectrum; kept as a guard).
+    The Hermitian matrix iK has eigenvalues -lambda_p, +lambda_p per
+    plane and 0 for odd n. An eigenvector u of -lambda_p solves
+    K u = i lambda_p u; phased so that u[0] > 0, sqrt(2) (Re u, Im u)
+    are the plane's two frame columns, and for odd n the real null
+    vector is the axial column. Raises RepeatedEigenvalue if two
+    frequencies coincide or one vanishes, and NoRealSolution if an
+    eigenvector's first entry is 0. Neither can happen for nonzero kt_j
+    (iK is then an unreduced tridiagonal with simple spectrum); both
+    are kept as guards.
     """
     n = spec.dimension
     m = n // 2
-    odd = n % 2 == 1
-    K = structure_skew(spec.ktj)
-    w = np.linalg.eigvalsh(-K @ K)  # ascending, >= 0
-    scale = max(w.max(), 1.0)
-    if odd:
-        if w[0] > 1e-9 * scale:
-            raise RepeatedEigenvalue("odd dimension lost its zero eigenvalue")
-        w = w[1:]
-    pairs = w.reshape(m, 2)
-    if np.any(np.abs(pairs[:, 1] - pairs[:, 0]) > 1e-7 * scale):
-        raise RepeatedEigenvalue("eigenvalues did not pair up")
-    lam2 = pairs.mean(axis=1)
+    odd = n % 2
+    w, U = np.linalg.eigh(1j * structure_skew(spec.ktj))  # ascending
+    lam = -w[m - 1:: -1]
+    # the null vector for odd n, then the planes by ascending lambda
+    U = U[:, n - m - 1:: -1]
+    lam2 = lam**2
+    scale = max(lam2[-1], 1.0)
     if np.any(np.diff(lam2) <= 1e-9 * scale) or lam2[0] <= 1e-12 * scale:
         raise RepeatedEigenvalue(
             "rotation frequencies are not distinct and nonzero"
         )
-    lam = np.sqrt(lam2)
-
-    # initial frame rows in the rotating basis: row r has plane-p
-    # components a_p (X[r,p], Y[r,p]) and axial component z_1 Z[r].
-    # The Frenet recursion V_{r+1} = (D V_r + kt_{r-1} V_{r-2}) / kt_r
-    # with the per-plane rotation generator D(x, y) = lambda (-y, x)
-    # fills X, Y, Z columns; unit norms give a LINEAR system in the
-    # squared amplitudes q_p = a_p^2 (and q_z = z_1^2 for odd n).
-    X = np.zeros((n, m))
-    Y = np.zeros((n, m))
-    Z = np.zeros(n)
-    X[0] = 1.0
-    Z[0] = 1.0 if odd else 0.0
-    for r in range(1, n):
-        prev = spec.ktj[r - 2] if r >= 2 else 0.0
-        cur = spec.ktj[r - 1]
-        X[r] = (lam * (-Y[r - 1]) + prev * X[r - 2]) / cur
-        Y[r] = (lam * X[r - 1] + prev * Y[r - 2]) / cur
-        Z[r] = (prev * Z[r - 2]) / cur
-
-    neq = m + (1 if odd else 0)
-    C = np.empty((neq, neq))
-    C[:, :m] = (X**2 + Y**2)[:neq]
-    if odd:
-        C[:, m] = (Z**2)[:neq]
-    try:
-        q = np.linalg.solve(C, np.ones(neq))
-    except np.linalg.LinAlgError as exc:
-        raise NoRealSolution(f"amplitude system is singular ({exc})") from None
-    if np.any(q <= 0):
+    if np.any(U[0] == 0):
         raise NoRealSolution(
-            f"squared amplitudes {q} are not all positive; no real "
-            "self-similar curve realizes these invariants"
+            "an eigenvector of K has a zero first entry; the rotation "
+            "planes cannot be phased into a real frame"
         )
-    # remaining unit-norm rows must hold automatically
-    full = (X**2 + Y**2) @ q[:m] + (Z**2) * (q[m] if odd else 0.0)
-    resid = np.abs(full - 1.0).max()
-    if resid > 1e-7:
-        raise NoRealSolution(f"unit-norm residual {resid:.3g} too large")
-
-    amps = np.sqrt(q[:m])
-    z1 = math.sqrt(q[m]) if odd else None
+    U = U * (np.abs(U[0]) / U[0])
+    frame0 = np.empty((n, n))
+    frame0[:, 0: 2 * m: 2] = math.sqrt(2.0) * U[:, odd:].real
+    frame0[:, 1: 2 * m: 2] = math.sqrt(2.0) * U[:, odd:].imag
+    if odd:
+        frame0[:, n - 1] = U[:, 0].real
     spin = np.ones(m)
-    frame0 = _assemble_frame(n, m, odd, amps, z1, X, Y, Z)
     if np.linalg.det(frame0) < 0:
         # reflect the slowest plane; equivalently run it backwards
-        Y[:, 0] = -Y[:, 0]
+        frame0[:, 1] = -frame0[:, 1]
         spin[0] = -1.0
-        frame0 = _assemble_frame(n, m, odd, amps, z1, X, Y, Z)
-    if abs(np.linalg.det(frame0) - 1.0) > 1e-8:
-        raise NoRealSolution("initial frame failed the det = +1 correction")
 
+    amps = frame0[0, 0: 2 * m: 2]
+    z1 = float(frame0[0, n - 1]) if odd else None
     bvals = np.hypot(spec.kt, lam)
-    theta0 = []
-    for p in range(m):
-        w0 = complex(frame0[0, 2 * p], frame0[0, 2 * p + 1])
-        psi = math.atan2(spin[p] * lam[p], spec.kt)
-        theta0.append(float(np.angle(w0)) - psi + math.pi / 2.0)
+    # V_1 starts on the first axis of every plane (u[0] > 0), so plane p
+    # of the position starts at arg(1/mu_p) = theta0_p - pi/2
+    theta0 = math.pi / 2.0 - np.arctan2(spin * lam, spec.kt)
     log.debug("solve: lambdas %s, amps %s, axial %s", lam, amps, z1)
 
-    axial_amp = None
+    axial_amp = ()
     if odd:
-        axial_amp = z1 / spec.kt if spec.kt != 0.0 else z1
+        axial_amp = (z1 / spec.kt if spec.kt != 0.0 else z1,)
     return SelfSimilarSolution(
         spec,
         tuple(float(v) for v in lam),
-        tuple(float(v) for v in amps) + ((float(axial_amp),) if odd else ()),
+        tuple(float(v) for v in amps) + axial_amp,
         tuple(float(v) for v in bvals),
-        tuple(theta0),
+        tuple(float(v) for v in theta0),
         tuple(float(v) for v in spin),
         frame0,
-        float(z1) if odd else None,
+        z1,
     )
-
-
-def _assemble_frame(n, m, odd, amps, z1, X, Y, Z) -> np.ndarray:
-    F = np.zeros((n, n))
-    for p in range(m):
-        F[:, 2 * p] = amps[p] * X[:, p]
-        F[:, 2 * p + 1] = amps[p] * Y[:, p]
-    if odd:
-        F[:, n - 1] = z1 * Z
-    return F
 
 
 def synthesize_self_similar(spec: SelfSimilarSpec) -> SampledCurve:
@@ -264,41 +209,22 @@ def synthesize_self_similar(spec: SelfSimilarSpec) -> SampledCurve:
 
 
 def frame_ode_oracle(spec: SelfSimilarSpec) -> SampledCurve:
-    """Independent realization by integrating the frame ODE.
+    """Independent realization by one matrix exponential.
 
-    Integrates d omega/d sigma = K omega from the identity frame and
-    d alpha/d sigma = e^{kt sigma} V_1 with DOP853 at 1e-12 tolerances,
-    re-orthonormalizing the frame between chunks. The output realizes
-    the same invariants as the closed form, up to a direct similarity.
+    The frame starts at the identity at sigma_0 and solves
+    d omega/d sigma = K omega, and the position d alpha/d sigma =
+    e^{kt sigma} V_1 starts at 0. With W = e^{kt (sigma - sigma_0)} omega
+    both are linear with constant coefficients, so the block matrix
+    B = [[kt I + K, 0], [e_1^T, 0]] gives the position as the last row
+    of expm((sigma - sigma_0) B), times e^{kt sigma_0} (Van Loan, IEEE
+    TAC 23, 1978). The output realizes the same invariants as the
+    closed form, up to a direct similarity.
     """
     n = spec.dimension
-    K = structure_skew(spec.ktj)
-    kt = spec.kt
     sigma = np.linspace(*spec.sigma_range, spec.n_samples)
-
-    def rhs(s, y):
-        om = y[: n * n].reshape(n, n)
-        dom = K @ om
-        dpos = math.exp(kt * s) * om[0]
-        return np.concatenate([dom.ravel(), dpos])
-
-    y = np.concatenate([np.eye(n).ravel(), np.zeros(n)])
-    pts = np.empty((spec.n_samples, n))
-    pts[0] = 0.0
-    n_chunks = 32
-    edges = np.linspace(0, spec.n_samples - 1, n_chunks + 1).astype(int)
-    for c in range(n_chunks):
-        a, b = edges[c], edges[c + 1]
-        if b == a:
-            continue
-        seg = solve_ivp(rhs, (sigma[a], sigma[b]), y, method="DOP853",
-                        t_eval=sigma[a + 1: b + 1], rtol=1e-12, atol=1e-12)
-        if not seg.success:
-            raise IntegrationFailure(f"frame ODE failed: {seg.message}")
-        pts[a + 1: b + 1] = seg.y[n * n:, :].T
-        y = seg.y[:, -1].copy()
-        om = y[: n * n].reshape(n, n)
-        qm, rm = np.linalg.qr(om.T)
-        om = (qm * np.sign(np.diag(rm))).T
-        y[: n * n] = om.ravel()
+    B = np.zeros((n + 1, n + 1))
+    B[:n, :n] = spec.kt * np.eye(n) + structure_skew(spec.ktj)
+    B[n, 0] = 1.0
+    E = expm((sigma - sigma[0])[:, None, None] * B)
+    pts = math.exp(spec.kt * sigma[0]) * E[:, n, :n]
     return SampledCurve(n, sigma, pts)

@@ -50,6 +50,24 @@ MIN_OVERLAP_FRACTION = 0.1
 DEFAULT_MATCH_TOL = 1e-2
 
 
+def _check_index_circle(ktj, i: int, tol: float) -> None:
+    """Require kt_{i-1}^2 + kt_i^2 = 1 within tol, with kt_0 = kt_n = 0.
+
+    ktj holds kt_1..kt_{n-1} along its first axis. Q = sqrt(kappa_{i-1}^2
+    + kappa_i^2) makes the pair a unit vector at every index; at i = 1 it
+    is kt_1 = kappa_1/|kappa_1|, -1 on a clockwise plane curve.
+    """
+    ktj = np.asarray(ktj, dtype=float)
+    zero = np.zeros_like(ktj[:1])
+    padded = np.concatenate([zero, ktj, zero])
+    miss = np.abs(padded[i - 1] ** 2 + padded[i] ** 2 - 1.0)
+    if np.any(miss > tol):
+        raise BadParameters(
+            f"index {i} needs kt_{i - 1}^2 + kt_{i}^2 = 1 (kt_0 = "
+            f"kt_{len(ktj) + 1} = 0); it misses by {np.max(miss):.3g}"
+        )
+
+
 @dataclass(frozen=True)
 class ShapeSignature:
     """Sampled shape-curvature functions over the sigma_i grid.
@@ -83,17 +101,7 @@ class ShapeSignature:
         if not (np.all(np.isfinite(sig)) and np.all(np.isfinite(kt))
                 and np.all(np.isfinite(ktj))):
             raise BadParameters("signature contains non-finite entries")
-        i = self.index
-        if i == 1:
-            # kt_1 = kappa_1/|kappa_1|: -1 on a clockwise plane curve
-            if np.any(np.abs(np.abs(ktj[0]) - 1.0) > UNIT_CIRCLE_TOL):
-                raise BadParameters("for index 1, |kt_1| must be identically 1")
-        elif i < n:
-            circ = ktj[i - 2] ** 2 + ktj[i - 1] ** 2
-            if np.any(np.abs(circ - 1.0) > UNIT_CIRCLE_TOL):
-                raise BadParameters(
-                    "kt_{i-1}^2 + kt_i^2 must equal 1 on the signature grid"
-                )
+        _check_index_circle(ktj, self.index, UNIT_CIRCLE_TOL)
         for name, arr in (("sigma", sig), ("kt", kt), ("ktj", ktj)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -82,6 +82,22 @@ def planar_circle_frenet():
 
 
 @pytest.fixture(scope="session")
+def interior_flat_curves():
+    """Raw curves in E^3 and E^4 whose kappa_{n-2} vanishes at t = 0.
+
+    (t, t^3, 0.1 t), 300 rows, is a plane curve in E^3 with an
+    inflection; (t, t^2, t^4, 0.3 t^5), 2000 rows, has kappa_2(0) = 0.
+    """
+    t3 = np.linspace(-1.0, 1.0, 300)
+    t4 = np.linspace(-1.0, 1.0, 2000)
+    return {
+        3: fs.SampledCurve(3, t3, np.column_stack([t3, t3 ** 3, 0.1 * t3])),
+        4: fs.SampledCurve(4, t4, np.column_stack([t4, t4 ** 2, t4 ** 4,
+                                                   0.3 * t4 ** 5])),
+    }
+
+
+@pytest.fixture(scope="session")
 def data_dir(tmp_path_factory):
     """CSV and JSON inputs shared by the CLI tests."""
     d = tmp_path_factory.mktemp("cli_data")

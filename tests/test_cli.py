@@ -369,7 +369,7 @@ def test_fitted_line_exits_degenerate(tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
-def edge_csvs(tmp_path_factory):
+def edge_csvs(tmp_path_factory, interior_flat_curves):
     """Raw CSVs at the edges of what the pipeline accepts."""
     d = tmp_path_factory.mktemp("edge_data")
     tl = np.linspace(0.0, 1.0, 200)
@@ -389,6 +389,8 @@ def edge_csvs(tmp_path_factory):
     }
     for name, (t, pts) in curves.items():
         fs.curve_to_csv(fs.SampledCurve(pts.shape[1], t, pts), d / f"{name}.csv")
+    for n, cur in interior_flat_curves.items():
+        fs.curve_to_csv(cur, d / f"interior_flat_e{n}.csv")
     return d
 
 
@@ -399,6 +401,9 @@ EDGE_EXITS = {
     # kappa_2 vanishes, so the focal recursion stops at f_2
     "planar_circle_e3": (0, 0, 3),
     "inflection_e2": (3, 3, 3),
+    # kappa_{n-2} passes through zero, so V_{n-1} reverses
+    "interior_flat_e3": (3, 3, 3),
+    "interior_flat_e4": (3, 3, 3),
     "noisy_helix": (3, 3, 3),
 }
 

@@ -258,6 +258,17 @@ def test_planar_curve_in_e3_analyzable(planar_circle_frenet):
     assert np.abs(planar_circle_frenet.kappas[:, 1]).max() < 1e-8
 
 
+@pytest.mark.parametrize("n", (3, 4))
+def test_vanishing_interior_curvature_is_degenerate(interior_flat_curves, n):
+    # kappa_{n-2} is an unsigned QR pivot, so its zero between two samples
+    # shows only as V_{n-1} reversing there
+    cur = interior_flat_curves[n]
+    for sampled in (cur, fs.arclength_reparam(cur, 2000)):
+        with pytest.raises(E.FrameDegenerate,
+                           match=f"V_{n - 1} reverses between samples"):
+            fs.frenet_apparatus(sampled)
+
+
 def test_csv_round_trip(tmp_path, helix_curve):
     p = tmp_path / "c.csv"
     fs.curve_to_csv(helix_curve, p)

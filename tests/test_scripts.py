@@ -44,3 +44,11 @@ def test_selfsimilar_gallery_script(tmp_path, capsys):
     written = sorted(tmp_path.glob("selfsim_*.csv"))
     assert len(written) == 12
     assert written[0].read_text().startswith("t,x1,x2\n")
+
+
+def test_selfsimilar_gallery_oracle(capsys):
+    # --oracle asserts that every closed-form curve matches its oracle
+    rc = load("selfsimilar_gallery").main(["--samples", "300", "--oracle"])
+    assert rc == 0
+    devs = deviations(capsys.readouterr().out)
+    assert len(devs) == 3 * 12 + 1 and max(devs) < 1e-3

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import frenetsim as fs
 from frenetsim import errors as E
@@ -190,3 +191,64 @@ def test_clockwise_spiral_round_trip():
     sig = fs.shape_curvatures(fs.frenet_apparatus(cur), 1)
     assert np.abs(sig.ktj[0] + 1.0).max() < 1e-12
     assert np.abs(sig.kt - 0.1).max() < 1e-7
+
+
+def _drawn_specs():
+    """Specs for n = 2..9: fixed ones, and E^5..E^9 ones drawn as the
+    benchmark draws them (index 2, kt_1 = cos theta, kt_2 = sin theta,
+    the rest of either sign in [0.5, 1.2], 0.02 <= |kt| <= 0.1)."""
+    specs = [fs.SelfSimilarSpec(2, 1, -0.1, (1.0,)),
+             fs.SelfSimilarSpec(2, 2, 0.0, (-1.0,)),
+             fs.SelfSimilarSpec(3, 2, -0.05, (3 / RT13, 2 / RT13)),
+             fs.SelfSimilarSpec(3, 3, 0.2, (0.5, -1.0)),
+             fs.SelfSimilarSpec(4, 2, 0.1, (0.7, math.sqrt(0.51), 0.5)),
+             fs.SelfSimilarSpec(5, 3, 0.0, (0.9, 0.6, 0.8, 0.7))]
+    rng = np.random.default_rng(2024)
+    for n in (4, 5, 6, 7, 8, 9, 9, 9):
+        th = rng.uniform(0.35, 1.22)
+        rest = rng.uniform(0.5, 1.2, n - 3) * rng.choice((-1.0, 1.0), n - 3)
+        kt = rng.uniform(0.02, 0.1) * rng.choice((-1.0, 1.0))
+        specs.append(fs.SelfSimilarSpec(
+            n, 2, kt, (math.cos(th), math.sin(th)) + tuple(rest),
+            n_samples=400))
+    return specs
+
+
+DRAWN_SPECS = _drawn_specs()
+
+
+@pytest.mark.parametrize("spec", DRAWN_SPECS,
+                         ids=lambda s: f"E{s.dimension}i{s.index}")
+def test_normal_form(spec):
+    # frame0 is the eigenbasis of K: orthonormal, det +1, and each plane's
+    # column pair spans an invariant plane on which K rotates at spin lambda
+    n = spec.dimension
+    m = n // 2
+    sol = fs.solve_self_similar(spec)
+    F = sol.frame0
+    assert np.abs(F @ F.T - np.eye(n)).max() < 1e-13
+    assert abs(np.linalg.det(F) - 1.0) < 1e-13
+    J = np.zeros((n, n))
+    for p in range(m):
+        w = sol.plane_spin[p] * sol.lambdas[p]
+        J[2 * p, 2 * p + 1], J[2 * p + 1, 2 * p] = w, -w
+    assert np.abs(fs.structure_skew(spec.ktj) @ F - F @ J).max() < 1e-13
+    for p in range(m):
+        assert abs(F[0, 2 * p + 1]) < 1e-13
+        assert sol.amps[p] > 0 and abs(F[0, 2 * p] - sol.amps[p]) < 1e-13
+
+
+@pytest.mark.parametrize("sigma0", (0.0, 1.0))
+@pytest.mark.parametrize("spec", DRAWN_SPECS,
+                         ids=lambda s: f"E{s.dimension}i{s.index}")
+def test_oracle_matches_closed_form_pointwise(spec, sigma0):
+    # the oracle's frame is the identity at sigma_0, where the closed
+    # form's frame is expm(K sigma_0) frame0, and its position starts at 0
+    spec = fs.SelfSimilarSpec(spec.dimension, spec.index, spec.kt, spec.ktj,
+                              (sigma0, sigma0 + 4.0), 400)
+    sol = fs.solve_self_similar(spec)
+    synth = fs.synthesize_self_similar(spec).points
+    orc = fs.frame_ode_oracle(spec).points
+    rot = expm(fs.structure_skew(spec.ktj) * sigma0) @ sol.frame0
+    want = synth - synth[0]
+    assert np.abs(orc @ rot - want).max() < 1e-12 * np.abs(want).max()

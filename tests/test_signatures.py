@@ -52,6 +52,9 @@ def test_signature_validation_rejects_bad_rows():
     with pytest.raises(E.BadParameters):
         fs.ShapeSignature(3, 2, sigma, kt,
                           np.vstack([np.full(50, 0.5), np.full(50, 0.5)]))
+    # at index n the padded kt_n = 0 leaves |kt_{n-1}| = 1
+    with pytest.raises(E.BadParameters, match="index 3 needs"):
+        fs.ShapeSignature(3, 3, sigma, kt, good)
     with pytest.raises(E.BadIndex):
         fs.ShapeSignature(3, 5, sigma, kt, good)
 
