@@ -416,6 +416,17 @@ def arclength_reparam(curve, n_samples: int) -> SampledCurve:
     return SampledCurve(dim, s_targets, rep.jet(s_targets, 0)[0], source=rep)
 
 
+def _input_parameter(src, tq: float) -> float:
+    """The parameter of the input curve at the query parameter tq.
+
+    Through an arclength reparameterization, possibly under similarity
+    images, that is the input t read back through t_of_s; elsewhere tq.
+    """
+    while isinstance(src, AffineImage):
+        src = src.source
+    return float(src.t_of_s(tq) if isinstance(src, _ReparamSource) else tq)
+
+
 # ---------------------------------------------------------------------------
 # Frenet apparatus
 
@@ -468,7 +479,8 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     kappa_i is effectively zero: |R_jj| <= PIVOT_REL |D_j|, or, for
     2 <= j < n, kappa_{j-1} L <= PIVOT_REL with L the total arc length,
     or when some V_j, 2 <= j < n, reverses between two samples, where
-    kappa_{j-1} passes through zero.
+    kappa_{j-1} passes through zero. Each message names the sample and
+    the input curve's parameter t there (_input_parameter).
     """
     n = curve.dimension
     _require_samples(curve.n_samples, n)
@@ -477,8 +489,13 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     D = np.moveaxis(src.jet(curve.t, n)[1:], 0, -1)
     dmag = np.linalg.norm(D[:, :, : n - 1], axis=1)
     speeds = dmag[:, 0]
+
+    def t_in(q):
+        return _input_parameter(src, curve.t[q])
+
     if not speeds.min() > 1e-9 * speeds.max():
-        raise ZeroSpeed(f"curve speed collapses at sample {int(np.argmin(speeds))}")
+        q = int(np.argmin(speeds))
+        raise ZeroSpeed(f"curve speed collapses at sample {q} (t = {t_in(q):.6g})")
 
     Q, R = np.linalg.qr(D)
     r = np.diagonal(R, axis1=1, axis2=2).copy()
@@ -499,7 +516,8 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
         else:
             kappa = abs(r[q, j] / (r[q, j - 1] * r[q, 0]))
             detail = f"kappa_{j} L={kappa * length:.3g} vs {PIVOT_REL:g}"
-        raise FrameDegenerate(f"QR pivot {j + 1} collapsed at sample {q} ({detail})")
+        raise FrameDegenerate(f"QR pivot {j + 1} collapsed at sample {q} ({detail}), "
+                              f"t = {t_in(q):.6g}")
     # flip columns so that R_jj > 0 for j < n; V_n's sign makes det = +1
     sign = np.sign(r)
     sign[:, n - 1] = np.sign(np.linalg.det(Q)) * np.prod(sign[:, : n - 1], axis=1)
@@ -510,8 +528,9 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     if np.any(turn < 0):
         q, j = np.argwhere(turn < 0)[0]
         raise FrameDegenerate(
-            f"V_{j + 2} reverses between samples {q} and {q + 1}, so "
-            f"kappa_{j + 1} vanishes between them")
+            f"V_{j + 2} reverses between samples {q} and {q + 1} (t = "
+            f"{t_in(q):.6g} to {t_in(q + 1):.6g}), so kappa_{j + 1} vanishes "
+            "between them")
     # a flipped R_jj (j < n) is the norm of D_j's part orthogonal to the
     # lower derivatives, R_nn the signed V_n-component of D_n, R_11 the
     # speed; kappa_j = R_{j+1,j+1} / (R_jj R_11)

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line, run in process."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -418,3 +419,17 @@ def test_edge_input_exit_codes(edge_csvs, capsys, name):
         err = capsys.readouterr().err
         assert rc == want, (command, err)
         assert err.count("\n") == (rc != 0) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_frame_message_names_input_parameter(edge_csvs, capsys, n):
+    # kappa_{n-2} vanishes at t = 0; the sample numbers are those of the
+    # arc-length grid, the t values are the CSV's own
+    rc = main(["analyze", "--index", "2", "--input",
+               str(edge_csvs / f"interior_flat_e{n}.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1
+    m = re.search(r"V_\d reverses between samples \d+ and \d+ "
+                  r"\(t = (\S+) to (\S+)\)", err)
+    assert m, err
+    assert abs(float(m[1])) < 0.01 and abs(float(m[2])) < 0.01

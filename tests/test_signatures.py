@@ -1,7 +1,10 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 import frenetsim as fs
 from frenetsim import errors as E
@@ -92,6 +95,106 @@ def test_subarc_match_recovers_scale():
         assert res.is_similar
         assert res.sigma_shift > 0.1
         assert abs(res.lambda_est - 1.0198) < 1e-6
+
+
+def _brute_force_match(a, b, i, tol=1e-2):
+    """A 201-shift coarse scan, then similarity_test's Brent refinement.
+
+    Returns the MatchResult the scan finds and its coarse step.
+    """
+    sa = fs.shape_curvatures(fs.frenet_apparatus(a), i)
+    sb = fs.shape_curvatures(fs.frenet_apparatus(b), i)
+    margin = 0.1 * min(sa.span, sb.span)
+    lo = sa.sigma[0] - sb.sigma[-1] + margin
+    hi = sa.sigma[-1] - sb.sigma[0] - margin
+    shifts = np.linspace(lo, hi, 201)
+    dists = np.array([fs.signature_distance(sa, sb, sh) for sh in shifts])
+    best = int(np.argmin(dists))
+    blo, bhi = shifts[max(0, best - 1)], shifts[min(200, best + 1)]
+    res = minimize_scalar(lambda u: fs.signature_distance(sa, sb, shifts[best] + u),
+                          bounds=(blo - shifts[best], bhi - shifts[best]),
+                          method="bounded",
+                          options={"xatol": 1e-12 * max(abs(blo), abs(bhi))})
+    shift, dist = shifts[best] + float(res.x), float(res.fun)
+    if dists[best] < dist:
+        shift, dist = float(shifts[best]), float(dists[best])
+    w_lo = max(sa.sigma[0], sb.sigma[0] + shift)
+    w_hi = min(sa.sigma[-1], sb.sigma[-1] + shift)
+    ds_a = np.interp(w_hi, sa.sigma, sa.s) - np.interp(w_lo, sa.sigma, sa.s)
+    ds_b = (np.interp(w_hi - shift, sb.sigma, sb.s)
+            - np.interp(w_lo - shift, sb.sigma, sb.s))
+    return fs.MatchResult(dist <= tol, dist, ds_b / ds_a, shift), (hi - lo) / 200
+
+
+def _cubic_pairs():
+    """Pairs of (t, t^2, a t^3) cubics, 2000 samples each, half similar.
+
+    b is a random direct-similarity image of a cubic over a random
+    sub-range of [-1, 1], as in the match_pairs benchmark workload; the
+    last pair's b covers t in [0.05, 0.5], about 15% of a's arc length.
+    """
+    def cubic(c, t):
+        return np.column_stack([t, t * t, c * t ** 3])
+
+    def image(rng, c, tb):
+        T = fs.random_similarity(int(rng.integers(1 << 30)), (0.5, 2.0), 3)
+        return fs.arclength_reparam(
+            fs.SampledCurve(3, tb, T(cubic(c, tb))), 2000)
+
+    t = np.linspace(-1.0, 1.0, 2000)
+    pairs = []
+    for k in range(8):
+        rng = np.random.default_rng([7, k])
+        similar = k % 2 == 0
+        c = rng.uniform(0.5, 1.25)
+        c_b = c if similar else c * rng.uniform(1.6, 2.5) ** rng.choice((-1, 1))
+        tb = np.linspace(rng.uniform(-1.0, -0.6), rng.uniform(0.6, 1.0), 2000)
+        a = fs.arclength_reparam(fs.SampledCurve(3, t, cubic(c, t)), 2000)
+        pairs.append((a, image(rng, c_b, tb), similar))
+    rng = np.random.default_rng([7, 8])
+    a = fs.arclength_reparam(fs.SampledCurve(3, t, cubic(0.9, t)), 2000)
+    pairs.append((a, image(rng, 0.9, np.linspace(0.05, 0.5, 2000)), True))
+    return pairs
+
+
+def test_shift_scan_matches_brute_force():
+    # nine pairs in both argument orders: the FFT scan over every lag
+    # must land in the basin the 201-shift scan found, so the refinement
+    # ends at the same shift
+    for a, b, similar in _cubic_pairs():
+        for x, y in ((a, b), (b, a)):
+            got = fs.similarity_test(x, y, 2)
+            ref, step = _brute_force_match(x, y, 2)
+            assert got.is_similar == ref.is_similar == similar
+            assert got.distance <= ref.distance + 1e-9
+            assert abs(got.sigma_shift - ref.sigma_shift) <= 1e-3 * step
+            if similar:
+                assert (abs(got.lambda_est - ref.lambda_est)
+                        <= 1e-9 * ref.lambda_est)
+
+
+def test_match_debug_line_reports_scan(caplog):
+    cubic = fs.custom_poly([[0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.9]],
+                           t_span=(-1.0, 1.0))
+    T = fs.random_similarity(3, (1.0, 2.0), 3)
+    ta, tb = np.linspace(-1.0, 1.0, 2000), np.linspace(-0.8, 0.9, 1700)
+    a = fs.SampledCurve(3, ta, fs.builtin_evaluate(cubic, ta).points)
+    b = fs.SampledCurve(3, tb, T(fs.builtin_evaluate(cubic, tb).points))
+    caplog.set_level(logging.DEBUG, logger="frenetsim.signatures")
+    res = fs.similarity_test(a, b, 2)
+    m = re.search(r"scan step h=(\S+) over (\d+) lags, best scanned shift "
+                  r"(\S+); refinement nfev=(\d+)", caplog.text)
+    assert m, caplog.text
+    h, lags, scanned, nfev = float(m[1]), int(m[2]), float(m[3]), int(m[4])
+    sa = fs.shape_curvatures(fs.frenet_apparatus(a), 2)
+    sb = fs.shape_curvatures(fs.frenet_apparatus(b), 2)
+    spacing = min(sa.span / (len(sa.sigma) - 1), sb.span / (len(sb.sigma) - 1))
+    assert h == pytest.approx(spacing, rel=1e-2)
+    # the admissible shifts keep 10% of the shorter span in the overlap
+    width = sa.span + sb.span - 0.2 * min(sa.span, sb.span)
+    assert abs(lags - width / spacing) <= 2
+    assert abs(scanned - res.sigma_shift) <= spacing
+    assert 1 <= nfev <= 40
 
 
 def test_different_helices_do_not_match(helix_curve):
