@@ -60,11 +60,9 @@ from .signatures import (
 )
 from .transforms import (
     SimilarityTransform,
-    TransformReport,
     apply_similarity,
     compose,
     random_similarity,
-    similarity_report,
     transform_from_json,
     transform_to_json,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "ShapeSignature",
     "SimilarityTransform",
     "SphericalCurve",
-    "TransformReport",
     "apply_similarity",
     "arclength_reparam",
     "arclength_values",
@@ -120,7 +117,6 @@ __all__ = [
     "signature_from_json",
     "signature_supnorm_deviation",
     "signature_to_json",
-    "similarity_report",
     "similarity_test",
     "solve_self_similar",
     "structure_matrix",

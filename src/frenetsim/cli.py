@@ -53,7 +53,6 @@ from .signatures import (
 from .transforms import (
     apply_similarity,
     random_similarity,
-    similarity_report,
     transform_from_json,
     transform_to_json,
 )
@@ -121,11 +120,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_transform(args) -> int:
     raw = curve_from_csv(args.input)
-    if (args.seed is None) == (args.input_b is None):
-        raise BadParameters(
-            "transform needs exactly one of --seed (random similarity) "
-            "or --input-b (transform JSON file)"
-        )
     if args.seed is not None:
         T = random_similarity(args.seed, LAMBDA_RANGE, raw.dimension)
     else:
@@ -137,14 +131,10 @@ def cmd_transform(args) -> int:
     curve_to_csv(image, out_csv)
     tj_path = Path(f"{base}.transform.json")
     tj_path.write_text(transform_to_json(T) + "\n")
-    rep = similarity_report(arclength_reparam(raw, args.samples), T)
     sys.stdout.write(dump_pretty({
         "lambda": T.lam,
         "A": T.A,
         "b": T.b,
-        "arc_ratio": rep.arc_ratio,
-        "curvature_dev": rep.curvature_dev,
-        "kappa_ds_dev": rep.kappa_ds_dev,
         "output": str(out_csv),
         "transform_json": str(tj_path),
     }))
@@ -167,8 +157,8 @@ def cmd_match(args) -> int:
 
 
 def _spec_from_json(path: str) -> SelfSimilarSpec:
-    obj = json.loads(_read_text(path))
     try:
+        obj = json.loads(_read_text(path))
         return SelfSimilarSpec(
             dimension=int(obj["dimension"]),
             index=int(obj["index"]),
@@ -177,7 +167,7 @@ def _spec_from_json(path: str) -> SelfSimilarSpec:
             sigma_range=tuple(obj.get("sigma_range", (0.0, 4.0))),
             n_samples=int(obj.get("samples", DEFAULT_SAMPLES)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadParameters(f"malformed self-similar spec JSON: {exc}") from None
 
 
@@ -254,6 +244,8 @@ def cmd_evolute(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials <= 0:
         raise BadRange("trials must be a positive integer")
+    if not 0 < args.tol < math.inf:
+        raise BadParameters("tol must be positive and finite")
     cur = _load_curve(args.input, args.samples)
     n = cur.dimension
     transforms = []
@@ -306,9 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("transform", help="apply a direct similarity")
     q.add_argument("--input", required=True, help="input curve CSV")
-    q.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    q.add_argument("--seed", type=int, help="generate a random similarity")
-    q.add_argument("--input-b", help="transform JSON to apply instead")
+    source = q.add_mutually_exclusive_group(required=True)
+    source.add_argument("--seed", type=int, help="generate a random similarity")
+    source.add_argument("--input-b", help="transform JSON to apply instead")
     q.add_argument("--output", help="path for the transformed curve CSV")
     q.set_defaults(func=cmd_transform)
 
@@ -372,9 +364,6 @@ def main(argv=None) -> int:
         kind = "error" if isinstance(exc, UsageError) else "degenerate geometry"
         print(f"{kind} ({type(exc).__name__}): {exc}", file=sys.stderr)
         return exc.exit_code
-    except json.JSONDecodeError as exc:
-        print(f"error: cannot parse JSON input: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .curves import TRIM, FrenetData, field_derivative
-from .errors import CotSingularity, NotThreeDimensional, PlanarCurve
+from .errors import BadRange, CotSingularity, NotThreeDimensional, PlanarCurve
 from .signatures import shape_curvatures
 
 SIN_FLOOR = 1e-6
@@ -54,6 +54,8 @@ def evolute_e3(fr: FrenetData, phi0: float = math.pi / 2) -> EvoluteData:
         raise NotThreeDimensional(
             f"evolute construction needs dimension 3, got {fr.dimension}"
         )
+    if not math.isfinite(phi0):
+        raise BadRange(f"phi0 must be finite, got {phi0}")
     kap1 = fr.kappas[:, 0]
     kap2 = fr.kappas[:, 1]
     span = fr.s[-1] - fr.s[0]

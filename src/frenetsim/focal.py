@@ -3,9 +3,10 @@
 The focal curve is C = alpha + f_1 V_2 + ... + f_{n-1} V_n. Its
 coefficients, the focal curvatures, satisfy f_1 = 1/kappa_1 and the
 recursion f_i = (f_1 f_1' + ... + f_{i-1} f_{i-1}') / (kappa_i f_{i-1})
-with derivatives in arc length. The running sums also express the
-shape invariants directly (shape_from_focal), giving an independent
-cross-path to the same signature.
+with derivatives in arc length. Inverting the recursion gives the
+curvatures, and so the shape invariants, from the focal curvatures
+alone (shape_from_focal): an independent cross-path to the same
+signature.
 """
 
 from __future__ import annotations
@@ -70,11 +71,10 @@ def focal_curvatures(fr: FrenetData) -> FocalData:
 def shape_from_focal(fd: FocalData, i: int) -> ShapeSignature:
     """Shape curvatures expressed through focal curvatures alone.
 
-    Boundary conventions extend the printed recursion downwards:
-    f_{-1} = f_0 = 1, S_{-1} = 0, S_0 = 1, where S_j is the running
-    sum of f_e f_e'. These reproduce kappa_1 = 1/f_1 and kappa_0 = 0,
-    so every index 1 <= i <= n is covered; i <= 2 relies on the
-    extrapolated terms and is flagged in the signature notes.
+    Inverts the focal recursion: kappa_1 = 1/f_1 and
+    kappa_j = S_{j-1} / (f_{j-1} f_j) for 2 <= j < n, where
+    S_j = f_1 f_1' + ... + f_j f_j'. With kappa_0 = kappa_n = 0 the
+    ladder is complete, so every index 1 <= i <= n is covered.
     """
     npts, ncols = fd.f.shape
     n = ncols + 1
@@ -85,22 +85,12 @@ def shape_from_focal(fd: FocalData, i: int) -> ShapeSignature:
             f"f_{col + 1} vanishes somewhere; the focal expressions for the "
             "shape curvatures are inapplicable on this curve"
         )
-    ones = np.ones(npts)
-    f_ext = np.column_stack([ones, ones, fd.f])  # f_{-1}, f_0, f_1..
-    S = np.empty((n, npts))  # S[j] = S_{j-1}: S_{-1}, S_0, S_1, ..
-    S[0] = 0.0  # S_{-1}: makes kappa_0 = 0
-    S[1] = 1.0  # S_0: makes kappa_1 = 1/f_1; conventions, not sums
-    acc = np.zeros(npts)
-    for j in range(1, n - 1):
-        fpj = field_derivative(fd.s, fd.f[:, j - 1], order=1)
-        acc = acc + fd.f[:, j - 1] * fpj
-        S[j + 1] = acc
-    # kappa_j = S_{j-1} / (f_{j-1} f_j), with kappa_0 = kappa_n = 0
     kap = np.zeros((n + 1, npts))
-    for j in range(1, n):
-        kap[j] = S[j] / (f_ext[:, j] * f_ext[:, j + 1])
-    notes = ()
-    if i <= 2:
-        notes = ("boundary conventions f_{-1}=f_0=1, S_{-1}=0, S_0=1 "
-                 "extrapolate the focal expressions below j=3",)
-    return _ladder_signature(kap, fd.s, i, notes)
+    kap[1] = 1.0 / fd.f[:, 0]
+    for j in range(2, n):
+        # running = S_{j-1}
+        pivot = fd.f[:, j - 2]
+        term = pivot * field_derivative(fd.s, pivot, order=1)
+        running = term if j == 2 else running + term
+        kap[j] = running / (pivot * fd.f[:, j - 1])
+    return _ladder_signature(kap, fd.s, i)

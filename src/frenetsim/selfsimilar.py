@@ -60,6 +60,10 @@ class SelfSimilarSpec:
         ktj = tuple(float(v) for v in self.ktj)
         if len(ktj) != n - 1:
             raise BadParameters(f"need {n - 1} shape curvatures, got {len(ktj)}")
+        for j, v in enumerate((float(self.kt), *ktj)):
+            if not math.isfinite(v):
+                raise BadParameters(
+                    f"{'kt' if j == 0 else f'kt_{j}'} must be finite, got {v}")
         # the synthesis normal form needs every kt_j nonzero, including the
         # last one: a vanishing kt_{n-1} means the curve lives in E^{n-1}
         if any(v == 0.0 for v in ktj):
@@ -75,8 +79,8 @@ class SelfSimilarSpec:
             raise BadParameters(
                 f"sigma_range must be a pair, got {self.sigma_range}")
         lo, hi = float(self.sigma_range[0]), float(self.sigma_range[1])
-        if not hi > lo:
-            raise BadParameters("sigma_range must be increasing")
+        if not -math.inf < lo < hi < math.inf:
+            raise BadParameters("sigma_range must be finite and increasing")
         if self.n_samples < min_samples(n):
             raise TooFewSamples(
                 f"need at least {min_samples(n)} samples in E^{n}"

@@ -80,8 +80,7 @@ class ShapeSignature:
     ktj has shape (n-1, N): row j-1 is kt_j over the grid. The s field
     carries the underlying arc lengths when the signature was computed
     from a curve (None after JSON round trips); it feeds lambda
-    estimation but is not part of the serialized format. notes records
-    non-fatal caveats (e.g. extrapolated boundary conventions).
+    estimation but is not part of the serialized format.
     """
 
     dimension: int
@@ -90,7 +89,6 @@ class ShapeSignature:
     kt: np.ndarray
     ktj: np.ndarray
     s: np.ndarray | None = field(default=None, compare=False)
-    notes: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         n = self.dimension
@@ -116,8 +114,8 @@ class ShapeSignature:
         return float(self.sigma[-1] - self.sigma[0])
 
 
-def _ladder_signature(ladder: np.ndarray, s: np.ndarray, i: int,
-                      notes: tuple = ()) -> ShapeSignature:
+def _ladder_signature(ladder: np.ndarray, s: np.ndarray,
+                      i: int) -> ShapeSignature:
     """Shape signature of index i from a curvature ladder over arc length s.
 
     ladder holds kappa_0..kappa_n as rows (kappa_0 = kappa_n = 0); the
@@ -139,7 +137,7 @@ def _ladder_signature(ladder: np.ndarray, s: np.ndarray, i: int,
     # the flatter samples when Q decays exponentially
     kt = q * field_derivative(sigma, 1.0 / q, order=1)
     ktj = ladder[1:n, sl] / q
-    return ShapeSignature(n, i, sigma, kt, ktj, s=s[sl], notes=notes)
+    return ShapeSignature(n, i, sigma, kt, ktj, s=s[sl])
 
 
 def shape_curvatures(fr: FrenetData, i: int) -> ShapeSignature:
@@ -272,8 +270,8 @@ def similarity_test(curve_a: SampledCurve, curve_b: SampledCurve, i: int,
     """
     if curve_a.dimension != curve_b.dimension:
         raise IncompatibleSignatures("curves live in different dimensions")
-    if not tol > 0:
-        raise BadParameters("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise BadParameters("tol must be positive and finite")
     fa = frenet_apparatus(curve_a)
     fb = frenet_apparatus(curve_b)
     sa = shape_curvatures(fa, i)

@@ -1,8 +1,10 @@
-"""Direct similarities F(x) = lam A x + b and their transformation laws.
+"""Direct similarities F(x) = lam A x + b and their JSON round trip.
 
 Only orientation-preserving similarities are modeled: lam > 0 and A a
 rotation. Applying a transform to a curve that carries an analytic jet
-source wraps the source, so exactness survives the mapping.
+source wraps the source in an AffineImage, so the image is exact: its
+arc length is lam times the curve's and its curvatures are the curve's
+divided by lam, by construction.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import AffineImage, FrenetData, SampledCurve, frenet_apparatus
+from .curves import AffineImage, SampledCurve
 from .errors import BadParameters, BadRange, DimensionMismatch
 from .jsonio import render
 
@@ -59,7 +61,10 @@ def random_similarity(seed: int, lambda_range, dimension: int) -> SimilarityTran
 
     Rotation from QR of a Gaussian matrix with the usual sign fix, then
     determinant corrected to +1; translation componentwise in [-10, 10].
+    The seed must be a non-negative integer.
     """
+    if seed < 0:
+        raise BadRange(f"seed must be non-negative, got {seed}")
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if not (0 < lo <= hi):
         raise BadRange(f"need 0 < lo <= hi, got ({lo}, {hi})")
@@ -97,41 +102,6 @@ def apply_similarity(T: SimilarityTransform, curve: SampledCurve) -> SampledCurv
     src = (None if curve.source is None
            else AffineImage(curve.source, T.lam, T.A, T.b))
     return SampledCurve(curve.dimension, curve.t, T(curve.points), source=src)
-
-
-@dataclass(frozen=True)
-class TransformReport:
-    """Measured transformation laws for one (curve, transform) pair.
-
-    arc_ratio should equal lam; curvature_dev[i] is the max relative
-    deviation of lam * kappabar_{i+1} from kappa_{i+1} at matched
-    samples; kappa_ds_dev is the max deviation of the invariant
-    kappa_i ds from its image, normalized by its own scale.
-    """
-
-    lam: float
-    arc_ratio: float
-    curvature_dev: np.ndarray
-    kappa_ds_dev: float
-
-
-def similarity_report(curve: SampledCurve, T: SimilarityTransform,
-                      fr: FrenetData | None = None) -> TransformReport:
-    """Verify the arc-length and curvature scaling laws on one curve."""
-    fa = fr if fr is not None else frenet_apparatus(curve)
-    fb = frenet_apparatus(apply_similarity(T, curve))
-    # the image keeps the parameter grid, so samples correspond 1:1
-    arc_ratio = float((fb.s[-1] - fb.s[0]) / (fa.s[-1] - fa.s[0]))
-    dev = np.empty(fa.kappas.shape[1])
-    for i in range(fa.kappas.shape[1]):
-        scale = np.abs(fa.kappas[:, i]).max()
-        dev[i] = np.abs(T.lam * fb.kappas[:, i] - fa.kappas[:, i]).max() / scale
-    dsa = np.diff(fa.s)[:, None]
-    dsb = np.diff(fb.s)[:, None]
-    mid_a = 0.5 * (fa.kappas[1:] + fa.kappas[:-1]) * dsa
-    mid_b = 0.5 * (fb.kappas[1:] + fb.kappas[:-1]) * dsb
-    kds = float(np.abs(mid_a - mid_b).max() / max(np.abs(mid_a).max(), 1e-300))
-    return TransformReport(T.lam, arc_ratio, dev, kds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -267,6 +268,17 @@ def test_vanishing_interior_curvature_is_degenerate(interior_flat_curves, n):
         with pytest.raises(E.FrameDegenerate,
                            match=f"V_{n - 1} reverses between samples"):
             fs.frenet_apparatus(sampled)
+
+
+def test_degeneracy_message_names_input_t_of_image(interior_flat_curves):
+    # the image keeps the arc-length grid of the resampled curve; the
+    # message reads it back, through the image, to the CSV-side t
+    cur = fs.arclength_reparam(interior_flat_curves[3], 2000)
+    image = fs.apply_similarity(fs.random_similarity(2, (0.5, 2.0), 3), cur)
+    with pytest.raises(E.FrameDegenerate, match="V_2 reverses") as info:
+        fs.frenet_apparatus(image)
+    m = re.search(r"\(t = (\S+) to (\S+)\)", str(info.value))
+    assert m and abs(float(m[1])) < 0.01 and abs(float(m[2])) < 0.01
 
 
 def test_csv_round_trip(tmp_path, helix_curve):

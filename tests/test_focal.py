@@ -71,13 +71,6 @@ def test_crosspath_four_dimensional(selfsim4_frenet, index):
         assert np.abs(via_focal.ktj[j] - direct.ktj[j]).max() < 1e-3
 
 
-def test_boundary_convention_notes(selfsim3_frenet):
-    fd = fs.focal_curvatures(selfsim3_frenet)
-    assert fs.shape_from_focal(fd, 1).notes
-    assert fs.shape_from_focal(fd, 2).notes
-    assert fs.shape_from_focal(fd, 3).notes == ()
-
-
 def test_focal_matches_reciprocal_curvature(spiral_frenet, cubic_frenet):
     for fr in (spiral_frenet, cubic_frenet):
         fd = fs.focal_curvatures(fr)

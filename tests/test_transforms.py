@@ -63,19 +63,6 @@ def test_apply_requires_matching_dimension(helix_curve):
         fs.apply_similarity(T, helix_curve)
 
 
-def test_arc_ratio_equals_lambda(helix_curve, helix_frenet):
-    T = fs.random_similarity(12, (0.5, 2.0), 3)
-    rep = fs.similarity_report(helix_curve, T, fr=helix_frenet)
-    assert abs(rep.arc_ratio - T.lam) < 1e-9
-
-
-def test_curvature_scaling_law(helix_curve, helix_frenet):
-    T = fs.random_similarity(13, (0.5, 2.0), 3)
-    rep = fs.similarity_report(helix_curve, T, fr=helix_frenet)
-    assert rep.curvature_dev.max() < 1e-9
-    assert rep.kappa_ds_dev < 1e-9
-
-
 def test_raw_curvature_is_not_invariant(helix_curve, helix_frenet):
     # the scaling law is kappa_bar = kappa / lambda, so kappa itself
     # moves; this is the control that makes the invariance tests mean
