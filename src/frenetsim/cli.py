@@ -33,7 +33,7 @@ from .errors import BadParameters, BadRange, GeometryError, UsageError
 from .evolute import evolute_e3, evolute_invariant_report
 from .focal import focal_curvatures
 from .indicatrix import (
-    SphericalCurve,
+    indicatrix_curve,
     indicatrix_to_csv,
     sabban_geodesic_curvature,
 )
@@ -45,6 +45,7 @@ from .selfsimilar import (
     synthesize_self_similar,
 )
 from .signatures import (
+    DEFAULT_MATCH_TOL,
     invariance_sweep,
     shape_curvatures,
     signature_to_json,
@@ -60,7 +61,6 @@ from .transforms import (
 log = logging.getLogger("frenetsim.cli")
 
 DEFAULT_SAMPLES = 2000
-DEFAULT_TOL = 1e-2
 LAMBDA_RANGE = (0.5, 2.0)
 
 
@@ -91,8 +91,7 @@ def cmd_analyze(args) -> int:
     cols = [sig.s, sig.sigma, fr.kappas[sl], sig.kt, sig.ktj.T]
     names = ["s", "sigma", *[f"kappa_{j}" for j in range(1, n)],
              "kt", *[f"kt_{j}" for j in range(1, n)]]
-    # the indicatrix lives on the sigma grid the signature already holds
-    sc = SphericalCurve(n, args.index, sig.sigma, fr.frames[sl, args.index - 1])
+    sc = indicatrix_curve(fr, args.index)
     kappa_g = None
     if n == 3:
         kappa_g = sabban_geodesic_curvature(sc).kappa_g
@@ -227,7 +226,7 @@ def cmd_evolute(args) -> int:
     cur = _load_curve(args.input, args.samples)
     fr = frenet_apparatus(cur)
     ed = evolute_e3(fr, args.phi0)
-    rep = evolute_invariant_report(fr, args.phi0)
+    rep = evolute_invariant_report(fr, ed)
     base = _base_path(args)
     out_csv = Path(f"{base}.evolute.csv")
     _write_table(out_csv, ["s", "m1", "m2", "b1", "b2", "b3"],
@@ -308,8 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(q)
     q.add_argument("--input-b", required=True, help="second curve CSV")
     q.add_argument("--index", type=int, default=1)
-    q.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="signature distance threshold (default 1e-2)")
+    q.add_argument("--tol", type=float, default=DEFAULT_MATCH_TOL,
+                   help="signature distance threshold (default %(default)g)")
     q.set_defaults(func=cmd_match)
 
     q = sub.add_parser("synthesize",

@@ -4,9 +4,9 @@ An evolute beta = alpha + m1 V_2 + m2 V_3 meets every normal plane of
 alpha; m1 = 1/kappa_1 is forced, and m2 = m1 cot(phi) with
 phi = phi0 + integral of kappa_2 picks one member of the family per
 integration constant phi0. Two identities tie the evolute back to the
-source curve and are checked numerically by evolute_invariant_report:
-the first shape curvature of alpha equals m1', and kappa_2/kappa_1
-equals m1 (m1' m2 - m1 m2') / (m1^2 + m2^2).
+source curve, and evolute_invariant_report checks them on an evolute
+from evolute_e3: the first shape curvature of alpha equals m1', and
+kappa_2/kappa_1 equals m1 (m1' m2 - m1 m2') / (m1^2 + m2^2).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class EvoluteReport:
 
     residual_shape: float
     residual_ratio: float
-    phi0: float
 
     @property
     def max_residual(self) -> float:
@@ -80,15 +79,14 @@ def evolute_e3(fr: FrenetData, phi0: float = math.pi / 2) -> EvoluteData:
     return EvoluteData(fr.s, m1, m2, beta, phi0)
 
 
-def evolute_invariant_report(fr: FrenetData,
-                             phi0: float = math.pi / 2) -> EvoluteReport:
+def evolute_invariant_report(fr: FrenetData, ed: EvoluteData) -> EvoluteReport:
     """Residuals of the two identities linking alpha to its evolute.
 
+    ed is the evolute that evolute_e3(fr, phi0) built, for any phi0.
     Both residuals vanish for exact data; numerically they inherit the
     differentiation noise of m1, m2 and of the shape curvature of the
     source curve.
     """
-    ed = evolute_e3(fr, phi0)
     sig = shape_curvatures(fr, 1)
     sl = slice(TRIM, fr.n_samples - TRIM)
     m1p = field_derivative(ed.s, ed.m1, order=1)[sl]
@@ -103,4 +101,4 @@ def evolute_invariant_report(fr: FrenetData,
     ratio = fr.kappas[sl, 1] / fr.kappas[sl, 0]
     recon = m1 * (m1p * m2 - m1 * m2p) / (m1 ** 2 + m2 ** 2)
     r2 = float(np.abs(ratio - recon).max())
-    return EvoluteReport(r1, r2, phi0)
+    return EvoluteReport(r1, r2)

@@ -4,7 +4,10 @@ The V_i-indicatrix traces the i-th frame vector on the unit sphere;
 its arc element is dsigma_i = sqrt(kappa_{i-1}^2 + kappa_i^2) ds with
 the boundary conventions kappa_0 = kappa_n = 0. sigma_i is anchored at
 0 on the first retained sample (two samples per end are trimmed as
-boundary noise) and is invariant under direct similarities.
+boundary noise) and is invariant under direct similarities. Only
+_sigma_grid decides whether a V_i-indicatrix exists: it refuses an index
+outside 1..n, a collapsing speed, a sigma_i that stops increasing, and a
+sign change of kappa_{n-1} where the speed is |kappa_{n-1}|.
 """
 
 from __future__ import annotations
@@ -31,24 +34,21 @@ def _curvature_ladder(fr: FrenetData) -> np.ndarray:
     return np.pad(fr.kappas.T, ((1, 1), (0, 0)))
 
 
-def _ladder_speed(ladder: np.ndarray, i: int) -> np.ndarray:
-    n = len(ladder) - 1
-    if not 1 <= i <= n:
-        raise BadIndex(f"indicatrix index must be in 1..{n}, got {i}")
-    return np.hypot(ladder[i - 1], ladder[i])
-
-
 def _sigma_grid(ladder: np.ndarray, s: np.ndarray, i: int):
     """Retained slice, trimmed speed and sigma_i of a V_i-indicatrix.
 
     ladder holds kappa_0..kappa_n over the arc-length grid s. Two
     samples per end are dropped as boundary noise; sigma_i is the
     cumulative Simpson integral of the remaining speed, anchored at 0.
-    Raises IndicatrixDegenerate when the speed collapses or sigma_i,
-    integrated from a wildly varying speed, stops increasing.
+    Raises BadIndex unless 1 <= i <= n, and IndicatrixDegenerate when the
+    speed collapses, when sigma_i stops increasing, or when the speed is
+    |kappa_{n-1}| (i = n, or n = 2) and kappa_{n-1} changes sign.
     """
+    n = len(ladder) - 1
+    if not 1 <= i <= n:
+        raise BadIndex(f"indicatrix index must be in 1..{n}, got {i}")
     sl = slice(TRIM, len(s) - TRIM)
-    qs = _ladder_speed(ladder, i)[sl]
+    qs = np.hypot(ladder[i - 1, sl], ladder[i, sl])
     scale = max(qs.max(), 2.0 / (s[-1] - s[0]))
     if qs.min() <= INDICATRIX_REL_TOL * scale:
         raise IndicatrixDegenerate(
@@ -61,6 +61,14 @@ def _sigma_grid(ladder: np.ndarray, s: np.ndarray, i: int):
         raise IndicatrixDegenerate(
             f"sigma_{i} stops increasing at sample {TRIM + stall[0] + 1} "
             f"(speed spans {qs.min():.3g} to {qs.max():.3g})")
+    if i == n or n == 2:
+        last = ladder[n - 1, sl]
+        flips = np.flatnonzero(last[:-1] * last[1:] < 0)
+        if len(flips):
+            raise IndicatrixDegenerate(
+                f"kappa_{n - 1} changes sign at sample {TRIM + flips[0] + 1}, "
+                f"so the V_{i}-indicatrix speed vanishes there"
+            )
     return sl, qs, sigma
 
 
@@ -162,13 +170,10 @@ def geodesic_closed_form(sig, which: str) -> np.ndarray:
             f"{expected[which]}, got {sig.index}"
         )
     kt1, kt2 = sig.ktj[0], sig.ktj[1]
+    # a ShapeSignature holds |kt_1| = 1 at index 1 and |kt_2| = 1 at index 3
     if which == "tangent":
-        if np.any(np.abs(kt1) <= 1e-12):
-            raise DivisionDegenerate("kt_1 vanishes; tangent ratio undefined")
         return kt2 / kt1
     if which == "binormal":
-        if np.any(np.abs(kt2) <= 1e-12):
-            raise DivisionDegenerate("kt_2 vanishes; binormal ratio undefined")
         return kt1 / kt2
     if np.any(np.abs(kt1) <= 1e-12):
         raise DivisionDegenerate("kt_1 vanishes; normal form undefined")

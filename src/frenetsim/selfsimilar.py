@@ -183,6 +183,13 @@ def solve_self_similar(spec: SelfSimilarSpec) -> SelfSimilarSolution:
     )
 
 
+def _finite_curve(spec: SelfSimilarSpec, sigma, pts) -> SampledCurve:
+    if not np.all(np.isfinite(pts)):
+        raise BadParameters(f"kt = {spec.kt:g} over sigma_range "
+                            f"{spec.sigma_range} overflows float64")
+    return SampledCurve(spec.dimension, sigma, pts)
+
+
 def synthesize_self_similar(spec: SelfSimilarSpec) -> SampledCurve:
     """Evaluate the closed form on the spec's sigma grid.
 
@@ -190,7 +197,8 @@ def synthesize_self_similar(spec: SelfSimilarSpec) -> SampledCurve:
     for odd n the last coordinate is (z_1/kt) e^{kt sigma}, degrading
     to the linear z_1 sigma when kt == 0. The returned samples carry
     the sigma_i parameterization and no analytic source: re-analysis
-    exercises the full numeric pipeline.
+    exercises the full numeric pipeline. Raises BadParameters when a
+    point overflows float64.
     """
     sol = solve_self_similar(spec)
     n = spec.dimension
@@ -198,18 +206,19 @@ def synthesize_self_similar(spec: SelfSimilarSpec) -> SampledCurve:
     kt = spec.kt
     sigma = np.linspace(*spec.sigma_range, spec.n_samples)
     pts = np.empty((spec.n_samples, n))
-    for p in range(m):
-        w0 = complex(sol.frame0[0, 2 * p], sol.frame0[0, 2 * p + 1])
-        mu = complex(kt, sol.plane_spin[p] * sol.lambdas[p])
-        z = w0 * np.exp(mu * sigma) / mu
-        pts[:, 2 * p] = z.real
-        pts[:, 2 * p + 1] = z.imag
-    if n % 2 == 1:
-        if kt != 0.0:
-            pts[:, n - 1] = (sol.axial / kt) * np.exp(kt * sigma)
-        else:
-            pts[:, n - 1] = sol.axial * sigma
-    return SampledCurve(n, sigma, pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(m):
+            w0 = complex(sol.frame0[0, 2 * p], sol.frame0[0, 2 * p + 1])
+            mu = complex(kt, sol.plane_spin[p] * sol.lambdas[p])
+            z = w0 * np.exp(mu * sigma) / mu
+            pts[:, 2 * p] = z.real
+            pts[:, 2 * p + 1] = z.imag
+        if n % 2 == 1:
+            if kt != 0.0:
+                pts[:, n - 1] = (sol.axial / kt) * np.exp(kt * sigma)
+            else:
+                pts[:, n - 1] = sol.axial * sigma
+    return _finite_curve(spec, sigma, pts)
 
 
 def frame_ode_oracle(spec: SelfSimilarSpec) -> SampledCurve:
@@ -222,13 +231,18 @@ def frame_ode_oracle(spec: SelfSimilarSpec) -> SampledCurve:
     B = [[kt I + K, 0], [e_1^T, 0]] gives the position as the last row
     of expm((sigma - sigma_0) B), times e^{kt sigma_0} (Van Loan, IEEE
     TAC 23, 1978). The output realizes the same invariants as the
-    closed form, up to a direct similarity.
+    closed form, up to a direct similarity. Raises BadParameters when a
+    point overflows float64.
     """
     n = spec.dimension
     sigma = np.linspace(*spec.sigma_range, spec.n_samples)
     B = np.zeros((n + 1, n + 1))
     B[:n, :n] = spec.kt * np.eye(n) + structure_skew(spec.ktj)
     B[n, 0] = 1.0
-    E = expm((sigma - sigma[0])[:, None, None] * B)
-    pts = math.exp(spec.kt * sigma[0]) * E[:, n, :n]
-    return SampledCurve(n, sigma, pts)
+    try:
+        lead = math.exp(spec.kt * sigma[0])
+    except OverflowError:
+        lead = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = lead * expm((sigma - sigma[0])[:, None, None] * B)[:, n, :n]
+    return _finite_curve(spec, sigma, pts)

@@ -26,7 +26,6 @@ from scipy.fft import next_fast_len
 from scipy.optimize import minimize_scalar
 
 from .curves import (
-    TRIM,
     FrenetData,
     SampledCurve,
     field_derivative,
@@ -119,20 +118,12 @@ def _ladder_signature(ladder: np.ndarray, s: np.ndarray,
     """Shape signature of index i from a curvature ladder over arc length s.
 
     ladder holds kappa_0..kappa_n as rows (kappa_0 = kappa_n = 0); the
-    direct and the focal route both end here. Where Q reduces to
-    |kappa_{n-1}| (i = n, or n = 2), a sign change of the signed
-    kappa_{n-1} is an inflection at which Q vanishes between samples.
+    direct and the focal route both end here. _sigma_grid decides
+    whether the V_i-indicatrix exists and raises when it does not; this
+    only assembles kt and kt_j along its sigma_i grid.
     """
     n = len(ladder) - 1
     sl, q, sigma = _sigma_grid(ladder, s, i)
-    if i == n or n == 2:
-        last = ladder[n - 1, sl]
-        flips = np.flatnonzero(last[:-1] * last[1:] < 0)
-        if len(flips):
-            raise IndicatrixDegenerate(
-                f"kappa_{n - 1} changes sign at sample {TRIM + flips[0] + 1}, "
-                f"so the V_{i}-indicatrix speed vanishes there"
-            )
     # kt = -(dQ/dsigma)/Q == Q * d(1/Q)/dsigma; the latter differentiates
     # the flatter samples when Q decays exponentially
     kt = q * field_derivative(sigma, 1.0 / q, order=1)
@@ -145,21 +136,18 @@ def shape_curvatures(fr: FrenetData, i: int) -> ShapeSignature:
     return _ladder_signature(_curvature_ladder(fr), fr.s, i)
 
 
-def structure_matrix(fr: FrenetData, i: int, sample_index: int) -> np.ndarray:
+def structure_matrix(sig: ShapeSignature, j: int) -> np.ndarray:
     """The n x n coefficient matrix of the scaled-frame structure equations.
 
     d/dsigma_i of the scaled frame (1/Q) V_k equals this matrix acting
-    on the scaled frame: kt on the whole diagonal, +kt_j above it and
-    -kt_j below it in the Frenet tridiagonal pattern.
+    on the scaled frame: kt on the whole diagonal, kt_1..kt_{n-1} on
+    the superdiagonal and their negatives below it, the Frenet pattern.
+    It is read at point j of the signature's sigma grid,
+    0 <= j < len(sig.sigma).
     """
-    sig = shape_curvatures(fr, i)
-    j = sample_index - TRIM
     if not 0 <= j < len(sig.sigma):
-        raise BadIndex(
-            f"sample_index {sample_index} outside the retained range "
-            f"[{TRIM}, {fr.n_samples - TRIM})"
-        )
-    return sig.kt[j] * np.eye(fr.dimension) + structure_skew(sig.ktj[:, j])
+        raise BadIndex(f"j must be in 0..{len(sig.sigma) - 1}, got {j}")
+    return sig.kt[j] * np.eye(sig.dimension) + structure_skew(sig.ktj[:, j])
 
 
 # ---------------------------------------------------------------------------

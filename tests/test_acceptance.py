@@ -179,8 +179,9 @@ def test_criterion_7_evolute_residuals(selfsim3_frenet, capsys):
     t = np.linspace(0.0, 1.8, 400)
     cur = fs.builtin_evaluate(fs.helix(3.0, 4.0, t_span=(0.0, 1.8)), t)
     helix_fr = fs.frenet_apparatus(fs.arclength_reparam(cur, 2000))
-    r_helix = fs.evolute_invariant_report(helix_fr)
-    r_sim = fs.evolute_invariant_report(selfsim3_frenet, phi0=0.6)
+    r_helix = fs.evolute_invariant_report(helix_fr, fs.evolute_e3(helix_fr))
+    r_sim = fs.evolute_invariant_report(
+        selfsim3_frenet, fs.evolute_e3(selfsim3_frenet, phi0=0.6))
     worst = max(r_helix.max_residual, r_sim.max_residual)
     report(capsys, "evolute invariant residuals (helix + nonconstant curve)",
            worst <= TOL,

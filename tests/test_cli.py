@@ -510,6 +510,10 @@ SPEC3 = ('"dimension": 3, "index": 2, '
     pytest.param(["synthesize", "--input", "{tmp}/spec.json"],
                  SPEC3 + ', "kt": 0.1, "sigma_range": [0, Infinity]',
                  id="spec_sigma_range_inf"),
+    # finite numbers whose closed form e^{kt sigma} overflows float64
+    pytest.param(["synthesize", "--input", "{tmp}/spec.json"],
+                 SPEC3 + ', "kt": 0.1, "sigma_range": [0, 10000]',
+                 id="spec_overflows"),
 ])
 def test_out_of_range_value_exits_usage(data_dir, tmp_path, capsys, argv, spec):
     if spec is not None:

@@ -35,22 +35,23 @@ def test_helix_evolute_closed_form(short_helix_frenet):
 
 
 def test_helix_evolute_residuals(short_helix_frenet):
-    rep = fs.evolute_invariant_report(short_helix_frenet)
+    rep = fs.evolute_invariant_report(short_helix_frenet,
+                                      fs.evolute_e3(short_helix_frenet))
     assert rep.residual_shape < 1e-4
     assert rep.residual_ratio < 1e-3
     assert rep.max_residual == max(rep.residual_shape, rep.residual_ratio)
-    assert rep.phi0 == math.pi / 2
 
 
 def test_cubic_evolute_residuals(short_cubic_frenet):
-    rep = fs.evolute_invariant_report(short_cubic_frenet,
-                                      phi0=math.pi / 2 - 0.6)
+    ev = fs.evolute_e3(short_cubic_frenet, phi0=math.pi / 2 - 0.6)
+    rep = fs.evolute_invariant_report(short_cubic_frenet, ev)
     assert rep.residual_shape < 1e-3
     assert rep.residual_ratio < 1e-3
 
 
 def test_self_similar_evolute_residuals(selfsim3_frenet):
-    rep = fs.evolute_invariant_report(selfsim3_frenet, phi0=0.6)
+    rep = fs.evolute_invariant_report(selfsim3_frenet,
+                                      fs.evolute_e3(selfsim3_frenet, phi0=0.6))
     assert rep.residual_shape < 1e-3
     assert rep.residual_ratio < 1e-3
 
@@ -78,8 +79,6 @@ def test_phase_pole_rejected(helix_frenet):
 def test_dimension_guard(circle_frenet):
     with pytest.raises(E.NotThreeDimensional):
         fs.evolute_e3(circle_frenet)
-    with pytest.raises(E.NotThreeDimensional):
-        fs.evolute_invariant_report(circle_frenet)
 
 
 def test_beta_offset_consistency(short_helix_frenet):

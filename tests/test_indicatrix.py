@@ -58,7 +58,8 @@ def test_sigma_invariance_identity_and_pure_scale(helix_curve):
 
 
 def test_structure_matrix_helix(helix_frenet):
-    K = fs.structure_matrix(helix_frenet, 2, 1000)
+    # sample 1000 of the curve is point 1000 - TRIM of the sigma grid
+    K = fs.structure_matrix(fs.shape_curvatures(helix_frenet, 2), 1000 - TRIM)
     want = np.array([
         [0.0, 0.6, 0.0],
         [-0.6, 0.0, 0.8],
@@ -68,10 +69,29 @@ def test_structure_matrix_helix(helix_frenet):
 
 
 def test_structure_matrix_index_bounds(helix_frenet):
+    sig = fs.shape_curvatures(helix_frenet, 2)
     with pytest.raises(E.BadIndex):
-        fs.structure_matrix(helix_frenet, 2, 0)
+        fs.structure_matrix(sig, -1)
     with pytest.raises(E.BadIndex):
-        fs.structure_matrix(helix_frenet, 2, helix_frenet.n_samples - 1)
+        fs.structure_matrix(sig, len(sig.sigma))
+
+
+@pytest.mark.parametrize("coeffs, i", [
+    # kappa_2 of (t, t^2, t^4) changes sign at t = 0: the V_3 speed |kappa_2|
+    ([[0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 1.0]], 3),
+    # kappa_1 of the plane curve (t, t^3) changes sign at t = 0, and in
+    # E^2 both indicatrix speeds are |kappa_1|
+    ([[0.0, 1.0], [0.0, 0.0, 0.0, 1.0]], 1),
+    ([[0.0, 1.0], [0.0, 0.0, 0.0, 1.0]], 2),
+], ids=["t_t2_t4_index3", "t_t3_index1", "t_t3_index2"])
+def test_indicatrix_refuses_cusp(coeffs, i):
+    cur = fs.arclength_reparam(fs.custom_poly(coeffs, t_span=(-1.0, 1.0)), 2000)
+    fr = fs.frenet_apparatus(cur)
+    with pytest.raises(E.IndicatrixDegenerate) as via_signature:
+        fs.shape_curvatures(fr, i)
+    with pytest.raises(E.IndicatrixDegenerate, match="changes sign") as direct:
+        fs.indicatrix_curve(fr, i)
+    assert str(direct.value) == str(via_signature.value)
 
 
 def test_frame_equations_residual(helix_frenet, cubic_frenet):
@@ -118,6 +138,16 @@ def test_closed_form_index_mismatch(helix_frenet):
         fs.geodesic_closed_form(sig1, "normal")
     with pytest.raises(E.BadIndex):
         fs.geodesic_closed_form(sig1, "osculating")
+
+
+def test_normal_form_refuses_vanishing_kt1():
+    # index 2 allows kt_1 = 0 when |kt_2| = 1; d/dsigma (kt_2/kt_1) is
+    # then undefined
+    sigma = np.linspace(0.0, 1.0, 50)
+    sig = fs.ShapeSignature(3, 2, sigma, np.zeros(50),
+                            np.vstack([np.zeros(50), np.ones(50)]))
+    with pytest.raises(E.DivisionDegenerate):
+        fs.geodesic_closed_form(sig, "normal")
 
 
 def test_sabban_needs_three_dimensions(selfsim4_frenet):

@@ -145,6 +145,21 @@ def test_oracle_zero_kt_unit_circle():
     assert np.abs(orc.points[0] - orc.points[-1]).max() < 1e-8
 
 
+@pytest.mark.parametrize("kt, sigma_range", [
+    (0.1, (0.0, 1e4)),
+    # kt sigma = 709 alone fits, but the axial amplitude 1/kt does not
+    (0.01, (0.0, 70900.0)),
+    # e^{kt sigma_0} alone overflows
+    (1.0, (800.0, 801.0)),
+])
+def test_overflowing_spec_refused(kt, sigma_range):
+    spec = fs.SelfSimilarSpec(dimension=3, index=2, kt=kt, ktj=(0.6, 0.8),
+                              sigma_range=sigma_range)
+    for build in (fs.synthesize_self_similar, fs.frame_ode_oracle):
+        with pytest.raises(E.BadParameters, match="kt = .* over sigma_range"):
+            build(spec)
+
+
 def test_structure_skew_layout():
     K = fs.structure_skew((0.6, 0.8))
     want = np.array([[0.0, 0.6, 0.0], [-0.6, 0.0, 0.8], [0.0, -0.8, 0.0]])

@@ -58,6 +58,10 @@ def test_signature_validation_rejects_bad_rows():
     # at index n the padded kt_n = 0 leaves |kt_{n-1}| = 1
     with pytest.raises(E.BadParameters, match="index 3 needs"):
         fs.ShapeSignature(3, 3, sigma, kt, good)
+    # at index 1 the padded kt_0 = 0 leaves |kt_1| = 1, so the tangent
+    # ratio of geodesic_closed_form never divides by zero
+    with pytest.raises(E.BadParameters, match="index 1 needs"):
+        fs.ShapeSignature(3, 1, sigma, kt, good)
     with pytest.raises(E.BadIndex):
         fs.ShapeSignature(3, 5, sigma, kt, good)
 
