@@ -79,8 +79,7 @@ def _base_path(args) -> Path:
 
 
 def cmd_analyze(args) -> int:
-    cur = _load_curve(args.input, args.samples)
-    fr = frenet_apparatus(cur)
+    fr = frenet_apparatus(_load_curve(args.input, args.samples))
     sig = shape_curvatures(fr, args.index)
     n = fr.dimension
     base = _base_path(args)
@@ -200,8 +199,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_focal(args) -> int:
-    cur = _load_curve(args.input, args.samples)
-    fr = frenet_apparatus(cur)
+    fr = frenet_apparatus(_load_curve(args.input, args.samples))
     fd = focal_curvatures(fr)
     n = fr.dimension
     base = _base_path(args)
@@ -223,8 +221,7 @@ def cmd_focal(args) -> int:
 
 
 def cmd_evolute(args) -> int:
-    cur = _load_curve(args.input, args.samples)
-    fr = frenet_apparatus(cur)
+    fr = frenet_apparatus(_load_curve(args.input, args.samples))
     ed = evolute_e3(fr, args.phi0)
     rep = evolute_invariant_report(fr, ed)
     base = _base_path(args)
@@ -365,6 +362,11 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy refuses an allocation such as a --samples of 1e15 at once
+        print(f"error (MemoryError): {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return 2
 
 

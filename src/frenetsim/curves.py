@@ -376,16 +376,28 @@ class _ReparamSource:
     and entry [1] the unit tangent. Keeping the inner source alive avoids
     refitting splines to resampled data, which would destroy the
     high-order derivatives.
+
+    The last jet is kept, read-only, with its query grid: a call on an
+    equal grid and at most that order returns its leading entries, so
+    the similarity images of one curve evaluate its spline once.
     """
 
     inner: object
     t_of_s: object
+    _last: list = field(default_factory=list, init=False, compare=False,
+                        repr=False)
 
     def jet(self, sq: np.ndarray, order: int) -> np.ndarray:
+        if self._last and order < len(self._last[1]) \
+                and np.array_equal(sq, self._last[0]):
+            return self._last[1][: order + 1]
         P = self.inner.jet(self.t_of_s(sq), order)
         if order:
             v = np.linalg.norm(P[1], axis=-1, keepdims=True)
-            P /= v ** np.arange(order + 1).reshape(-1, 1, 1)
+            # not in place: an inner _ReparamSource returns its kept jet
+            P = P / v ** np.arange(order + 1).reshape(-1, 1, 1)
+        P.setflags(write=False)
+        self._last[:] = (np.array(sq), P)
         return P
 
     def arclength(self, sq: np.ndarray) -> np.ndarray:

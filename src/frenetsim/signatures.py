@@ -304,7 +304,12 @@ def invariance_sweep(curve: SampledCurve, transforms) -> dict:
 
     Each image keeps the curve's sample grid, so sample j of the image
     matches sample j of the curve, and one Frenet apparatus per image
-    serves every index. Returns {property: {i: worst deviation}} for
+    serves every index. Each image recomputes its frames, curvatures,
+    sigma_i, kt, kt_j and kappa_g. It shares the curve's jet source, and
+    so its fit, mapped by lam A D + b; on an arclength_reparam curve the
+    images also share the jet itself, evaluated once on that grid. The
+    sweep therefore does not test the fit. Returns
+    {property: {i: worst deviation}} for
     "sigma_invariance" (sigma_i), "shape_invariance" (kt and every
     kt_j) and, in E^3, "geodesic_invariance" (the Sabban kappa_g).
     Indices whose indicatrix is degenerate on the curve itself are left

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import frenetsim as fs
+from frenetsim import curves
 from frenetsim.cli import main
 
 
@@ -296,6 +297,27 @@ def test_verify_properties_match_invariance_sweep(data_dir, capsys):
         name: {str(i): v for i, v in per.items()} for name, per in dev.items()}
 
 
+def test_verify_evaluates_the_spline_jet_once(tmp_path, monkeypatch, capsys):
+    # the similarity images map the base curve's jet, so only the base
+    # curve's frames read the spline's derivatives up to order n
+    spec = fs.SelfSimilarSpec(dimension=5, index=3, kt=0.2,
+                              ktj=(0.9, 0.6, 0.8, 0.7))
+    path = tmp_path / "e5.csv"
+    fs.curve_to_csv(fs.synthesize_self_similar(spec), path)
+    orders = []
+    jet = curves._SplineSource.jet
+
+    def counted(self, tq, order):
+        orders.append(order)
+        return jet(self, tq, order)
+
+    monkeypatch.setattr(curves._SplineSource, "jet", counted)
+    rc, _ = run(capsys, "verify", "--input", str(path), "--trials", "3",
+                "--samples", "600")
+    assert rc == 0
+    assert sum(order >= 5 for order in orders) == 1, orders
+
+
 def test_inflection_exits_degenerate(tmp_path, capsys):
     # kappa_1 of (t, t^3) changes sign at t = 0, where both indicatrix
     # speeds |kappa_1| vanish
@@ -514,6 +536,16 @@ SPEC3 = ('"dimension": 3, "index": 2, '
     pytest.param(["synthesize", "--input", "{tmp}/spec.json"],
                  SPEC3 + ', "kt": 0.1, "sigma_range": [0, 10000]',
                  id="spec_overflows"),
+    # numpy refuses arrays this large at once, so nothing is allocated
+    pytest.param(["analyze", "--input", "{data}/helix.csv",
+                  "--samples", "1000000000000000"], None,
+                 id="analyze_samples_unallocatable"),
+    pytest.param(["match", "--input", "{data}/helix.csv", "--input-b",
+                  "{data}/helix_double.csv", "--samples", "1000000000000000"],
+                 None, id="match_samples_unallocatable"),
+    pytest.param(["verify", "--input", "{data}/helix.csv",
+                  "--samples", "1000000000000000"], None,
+                 id="verify_samples_unallocatable"),
 ])
 def test_out_of_range_value_exits_usage(data_dir, tmp_path, capsys, argv, spec):
     if spec is not None:

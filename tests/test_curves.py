@@ -108,6 +108,37 @@ def test_reparam_jet_has_unit_speed(helix_curve):
     assert np.abs(img.arclength(helix_curve.t) - s).max() < 1e-12
 
 
+def test_reparam_jet_memo(helix_curve):
+    shared = _engine(helix_curve)
+
+    def new_source():
+        return curves._ReparamSource(shared.inner, shared.t_of_s)
+
+    rep = new_source()
+    t = helix_curve.t
+    first = rep.jet(t, 4)
+    again = rep.jet(t.copy(), 4)
+    fresh = new_source().jet(t, 4)
+    # the last jet comes back as it was stored, bit for bit and read-only
+    assert np.shares_memory(again, first)
+    assert np.array_equal(again, fresh) and not again.flags.writeable
+    low = rep.jet(t, 2)
+    assert low.base is first and low.shape[0] == 3
+    higher = rep.jet(t, 5)
+    assert not np.shares_memory(higher, first)
+    assert np.array_equal(higher[:5], fresh)
+    # the stored grid is a copy, so changing the caller's array misses
+    grid = t.copy()
+    before = rep.jet(grid, 4)
+    grid += 0.25 * (t[1] - t[0])
+    moved = rep.jet(grid, 4)
+    assert not np.shares_memory(moved, before)
+    assert np.array_equal(moved, new_source().jet(grid, 4))
+    # resampling a resampled curve reads the inner source's kept jet
+    twice = fs.frenet_apparatus(fs.arclength_reparam(helix_curve, 500))
+    assert np.abs(twice.kappas - [0.12, 0.16]).max() < 1e-8
+
+
 def test_twisted_cubic_curvatures_in_its_own_parameter():
     # (t, t^2, t^3) has speed sqrt(1 + 4t^2 + 9t^4), so R_11 != 1
     cubic = fs.custom_poly([[0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]],
