@@ -8,7 +8,8 @@ worst deviation per property and index is printed as a table; all of
 them should sit many orders of magnitude below 1e-3. The sweep is
 frenetsim.invariance_sweep, the same one `frenetsim verify` runs: each
 image keeps the sample grid of the base curve and recomputes its own
-frames, curvatures, sigma_i, kt, kt_j and kappa_g. The images share the
+frames, curvatures, sigma_i, kt, kt_j and kappa_g, with one derivative
+pass over the radii 1/Q_i of all its indices. The images share the
 base curve's jet source and its derivative jet, evaluated once on that
 grid and mapped by lambda A D + b, so the sweep does not test the fit.
 

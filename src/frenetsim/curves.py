@@ -2,8 +2,9 @@
 
 The pipeline reads every curve through a jet source: an object whose
 jet(tq, order) returns the derivatives of the curve at each query
-parameter, entry [k] being d^k alpha/dt^k, and whose arclength(tq)
-returns the arc length from tq[0] to each query parameter.
+parameter, entry [k] being d^k alpha/dt^k, whose velocity(tq) returns
+entry [1] alone, and whose arclength(tq) returns the arc length from
+tq[0] to each query parameter.
 
 * BuiltinCurve: an analytic fixture curve with exact derivatives;
 * AffineImage: a direct-similarity image of another source, whose arc
@@ -128,6 +129,9 @@ class BuiltinCurve:
             raise BadParameters(f"unknown builtin curve kind {self.kind!r}")
         return out
 
+    def velocity(self, tq: np.ndarray) -> np.ndarray:
+        return self.jet(tq, 1)[1]
+
     def arclength(self, tq: np.ndarray) -> np.ndarray:
         return _arclength(self, tq)
 
@@ -184,6 +188,9 @@ class AffineImage:
         out = self.scale * (self.source.jet(tq, order) @ self.matrix.T)
         out[0] += self.offset
         return out
+
+    def velocity(self, tq: np.ndarray) -> np.ndarray:
+        return self.scale * (self.source.velocity(tq) @ self.matrix.T)
 
     def arclength(self, tq: np.ndarray) -> np.ndarray:
         return self.scale * self.source.arclength(tq)
@@ -264,14 +271,12 @@ def _auto_stride(points: np.ndarray, k: int, noise: float) -> int:
     return min(stride, max_stride)
 
 
-def _strided_spline(x: np.ndarray, y: np.ndarray, graph: np.ndarray, k: int,
-                    noise: float):
+def _strided_spline(x: np.ndarray, y: np.ndarray, stride: int, k: int):
     """Interpolating spline of y(x) through every stride-th sample and the last.
 
-    The stride comes from _auto_stride on the polyline graph; the degree
-    is k, lowered to an odd number below the knot count.
+    The stride comes from _auto_stride; the degree is k, lowered to an
+    odd number below the knot count.
     """
-    stride = _auto_stride(graph, k, noise)
     idx = np.arange(0, len(x), stride)
     if idx[-1] != len(x) - 1:
         idx = np.append(idx, len(x) - 1)
@@ -296,6 +301,9 @@ class _SplineSource:
             out[j] = self.spline(tq, j)
         return out
 
+    def velocity(self, tq: np.ndarray) -> np.ndarray:
+        return self.spline(tq, 1)
+
     def arclength(self, tq: np.ndarray) -> np.ndarray:
         return _arclength(self, tq)
 
@@ -310,8 +318,8 @@ def _fit_spline_source(curve: SampledCurve) -> _SplineSource:
     k = n + 4
     if k % 2 == 0:
         k += 1
-    return _SplineSource(_strided_spline(curve.t, curve.points, curve.points, k,
-                                         POSITION_NOISE))
+    stride = _auto_stride(curve.points, k, POSITION_NOISE)
+    return _SplineSource(_strided_spline(curve.t, curve.points, stride, k))
 
 
 def _engine(curve: SampledCurve) -> object:
@@ -325,7 +333,7 @@ def _engine(curve: SampledCurve) -> object:
 
 def parameter_speeds(source, tq: np.ndarray) -> np.ndarray:
     """||dalpha/dt|| at the query parameters."""
-    return np.linalg.norm(source.jet(tq, 1)[1], axis=1)
+    return np.linalg.norm(source.velocity(tq), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +407,10 @@ class _ReparamSource:
         P.setflags(write=False)
         self._last[:] = (np.array(sq), P)
         return P
+
+    def velocity(self, sq: np.ndarray) -> np.ndarray:
+        D1 = self.inner.velocity(self.t_of_s(sq))
+        return D1 / np.linalg.norm(D1, axis=-1, keepdims=True)
 
     def arclength(self, sq: np.ndarray) -> np.ndarray:
         return sq - sq[0]
@@ -585,19 +597,35 @@ def frenet_residual_supnorm(fr: FrenetData) -> float:
 # derived-field differentiation
 
 
-def field_derivative(x: np.ndarray, y: np.ndarray, order: int = 1) -> np.ndarray:
+def _field_stride(u: np.ndarray, y: np.ndarray) -> int:
+    """Knot stride of field_derivative: _auto_stride on [u, y / max|y|]."""
+    flat = y.reshape(len(u), -1)
+    scale = max(np.abs(flat).max(), 1e-300)
+    return _auto_stride(np.column_stack([u, flat / scale]), 5, FIELD_NOISE)
+
+
+def field_derivative(x: np.ndarray, y: np.ndarray, order: int = 1, *,
+                     each_column: bool = False) -> np.ndarray:
     """Derivative of a sampled smooth field y(x) at the sample points.
 
     Same strided-knot strategy as the position spline, with a quintic
     and a noise floor matched to fields we computed ourselves (~1e-9
-    relative). y may be 1-d or (N, m).
+    relative). y may be 1-d or (N, m). The stride is read from the graph
+    [x / range, y / max|y|] of all columns at once. With each_column, y
+    is (N, m) and every column gets the stride of its own graph, so its
+    derivative is bit-identical to that of a 1-d call; the columns that
+    share a stride share one fit.
     """
     y = np.asarray(y, dtype=float)
-    flat = y.reshape(len(x), -1)
-    xr = x[-1] - x[0]
-    scale = max(np.abs(flat).max(), 1e-300)
-    graph = np.column_stack([np.asarray(x) / max(xr, 1e-300), flat / scale])
-    return np.asarray(_strided_spline(x, y, graph, 5, FIELD_NOISE)(x, order))
+    u = np.asarray(x) / max(x[-1] - x[0], 1e-300)
+    if not each_column:
+        return np.asarray(_strided_spline(x, y, _field_stride(u, y), 5)(x, order))
+    strides = np.array([_field_stride(u, col) for col in y.T])
+    out = np.empty_like(y)
+    for stride in np.unique(strides):
+        group = strides == stride
+        out[:, group] = _strided_spline(x, y[:, group], stride, 5)(x, order)
+    return out
 
 
 # ---------------------------------------------------------------------------

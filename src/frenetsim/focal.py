@@ -17,7 +17,7 @@ import numpy as np
 
 from .curves import PIVOT_REL, FrenetData, field_derivative
 from .errors import ZeroCurvature, ZeroFocalPivot
-from .signatures import ShapeSignature, _ladder_signature
+from .signatures import ShapeSignature, _ladder_signatures
 
 
 @dataclass(frozen=True)
@@ -93,4 +93,4 @@ def shape_from_focal(fd: FocalData, i: int) -> ShapeSignature:
         term = pivot * field_derivative(fd.s, pivot, order=1)
         running = term if j == 2 else running + term
         kap[j] = running / (pivot * fd.f[:, j - 1])
-    return _ladder_signature(kap, fd.s, i)
+    return _ladder_signatures(kap, fd.s, [i])[i]

@@ -2,10 +2,15 @@
 
 For an indicatrix index i, with Q = sqrt(kappa_{i-1}^2 + kappa_i^2):
 
-    kt   = -(dQ/dsigma_i) / Q      (diagonal invariant)
-    kt_j = kappa_j / Q             (j = 1..n-1)
+    kt   = -(dQ/dsigma_i) / Q = d(1/Q)/ds      (diagonal invariant)
+    kt_j = kappa_j / Q                         (j = 1..n-1)
 
-as functions of sigma_i. Together these determine a curve up to direct
+as functions of sigma_i. Since dsigma_i/ds = Q, kt is the arc-length
+derivative of the V_i radius 1/Q; in the plane it is the similarity
+curvature of Encheva and Georgiev (Results Math. 55, 2009). kt is
+computed in that form, on the arc-length samples that every index
+shares, so one field derivative serves all the indices of a Frenet
+apparatus. Together kt and kt_j determine a curve up to direct
 similarity, which is what similarity_test decides by aligning two
 signatures over a sigma shift. The shift search scores every lag of a
 common sigma grid with one FFT correlation (the sliding sum of squares
@@ -113,27 +118,42 @@ class ShapeSignature:
         return float(self.sigma[-1] - self.sigma[0])
 
 
-def _ladder_signature(ladder: np.ndarray, s: np.ndarray,
-                      i: int) -> ShapeSignature:
-    """Shape signature of index i from a curvature ladder over arc length s.
+def _ladder_signatures(ladder: np.ndarray, s: np.ndarray, indices,
+                       partial: bool = False) -> dict:
+    """Shape signatures of the given indices from one curvature ladder.
 
-    ladder holds kappa_0..kappa_n as rows (kappa_0 = kappa_n = 0); the
-    direct and the focal route both end here. _sigma_grid decides
-    whether the V_i-indicatrix exists and raises when it does not; this
-    only assembles kt and kt_j along its sigma_i grid.
+    ladder holds kappa_0..kappa_n as rows (kappa_0 = kappa_n = 0) over
+    the arc-length grid s; the direct and the focal route both end here.
+    _sigma_grid decides, once per index, whether the V_i-indicatrix
+    exists and raises when it does not. With partial, a refused index is
+    left out instead, and the last refusal is raised only when every
+    index is refused. Every index keeps the same samples s[sl], so kt =
+    d(1/Q_i)/ds of all the indices is one field_derivative of the matrix
+    whose columns are 1/Q_i, each column at the stride it would get
+    alone. Returns {i: ShapeSignature}, in the order of indices.
     """
     n = len(ladder) - 1
-    sl, q, sigma = _sigma_grid(ladder, s, i)
-    # kt = -(dQ/dsigma)/Q == Q * d(1/Q)/dsigma; the latter differentiates
-    # the flatter samples when Q decays exponentially
-    kt = q * field_derivative(sigma, 1.0 / q, order=1)
-    ktj = ladder[1:n, sl] / q
-    return ShapeSignature(n, i, sigma, kt, ktj, s=s[sl])
+    grids = {}
+    for i in indices:
+        try:
+            grids[i] = _sigma_grid(ladder, s, i)
+        except IndicatrixDegenerate as exc:
+            if not partial:
+                raise
+            refusal = exc
+    if not grids:
+        raise refusal
+    sl = next(iter(grids.values()))[0]
+    q = np.column_stack([qs for _, qs, _ in grids.values()])
+    kt = field_derivative(s[sl], 1.0 / q, order=1, each_column=True)
+    return {i: ShapeSignature(n, i, sigma, kt[:, c], ladder[1:n, sl] / q[:, c],
+                              s=s[sl])
+            for c, (i, (_, _, sigma)) in enumerate(grids.items())}
 
 
 def shape_curvatures(fr: FrenetData, i: int) -> ShapeSignature:
     """Shape curvatures of the V_i-indicatrix, on its sigma_i grid."""
-    return _ladder_signature(_curvature_ladder(fr), fr.s, i)
+    return _ladder_signatures(_curvature_ladder(fr), fr.s, [i])[i]
 
 
 def structure_matrix(sig: ShapeSignature, j: int) -> np.ndarray:
@@ -305,7 +325,9 @@ def invariance_sweep(curve: SampledCurve, transforms) -> dict:
     Each image keeps the curve's sample grid, so sample j of the image
     matches sample j of the curve, and one Frenet apparatus per image
     serves every index. Each image recomputes its frames, curvatures,
-    sigma_i, kt, kt_j and kappa_g. It shares the curve's jet source, and
+    sigma_i, kt, kt_j and kappa_g, and differentiates the radii 1/Q_i
+    of all its indices in one pass, on its own data, as the curve does.
+    It shares the curve's jet source, and
     so its fit, mapped by lam A D + b; on an arclength_reparam curve the
     images also share the jet itself, evaluated once on that grid. The
     sweep therefore does not test the fit. Returns
@@ -316,14 +338,8 @@ def invariance_sweep(curve: SampledCurve, transforms) -> dict:
     out; when every index is, that IndicatrixDegenerate is raised.
     """
     fr = frenet_apparatus(curve)
-    base = {}
-    for i in range(1, fr.dimension + 1):
-        try:
-            base[i] = shape_curvatures(fr, i)
-        except IndicatrixDegenerate as exc:
-            degenerate = exc
-    if not base:
-        raise degenerate
+    base = _ladder_signatures(_curvature_ladder(fr), fr.s,
+                              range(1, fr.dimension + 1), partial=True)
     dev = {"sigma_invariance": dict.fromkeys(base, 0.0),
            "shape_invariance": dict.fromkeys(base, 0.0)}
     base_kg = {}
@@ -333,8 +349,9 @@ def invariance_sweep(curve: SampledCurve, transforms) -> dict:
                    for i in base}
     for T in transforms:
         fri = frenet_apparatus(apply_similarity(T, curve))
+        imgs = _ladder_signatures(_curvature_ladder(fri), fri.s, base)
         for i, sig in base.items():
-            img = shape_curvatures(fri, i)
+            img = imgs[i]
             now = {"sigma_invariance": np.abs(sig.sigma - img.sigma).max(),
                    "shape_invariance": max(np.abs(sig.kt - img.kt).max(),
                                            np.abs(sig.ktj - img.ktj).max())}

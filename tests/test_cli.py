@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import frenetsim as fs
-from frenetsim import curves
+from frenetsim import curves, signatures
 from frenetsim.cli import main
 
 
@@ -316,6 +316,30 @@ def test_verify_evaluates_the_spline_jet_once(tmp_path, monkeypatch, capsys):
                 "--samples", "600")
     assert rc == 0
     assert sum(order >= 5 for order in orders) == 1, orders
+
+
+def test_verify_differentiates_each_apparatus_once(tmp_path, monkeypatch,
+                                                   capsys):
+    # kt = d(1/Q_i)/ds of every index lives on the one grid s, so the
+    # base curve and each of the 3 images take one field_derivative for
+    # all their indices (20 calls with one per index)
+    spec = fs.SelfSimilarSpec(dimension=5, index=3, kt=0.2,
+                              ktj=(0.9, 0.6, 0.8, 0.7))
+    path = tmp_path / "e5.csv"
+    fs.curve_to_csv(fs.synthesize_self_similar(spec), path)
+    calls = []
+    derivative = signatures.field_derivative
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return derivative(*args, **kwargs)
+
+    monkeypatch.setattr(signatures, "field_derivative", counted)
+    rc, out = run(capsys, "verify", "--input", str(path), "--trials", "3",
+                  "--samples", "600")
+    assert rc == 0
+    assert json.loads(out)["degenerate_indices"] == []
+    assert calls == [(596, 5)] * 4, calls
 
 
 def test_inflection_exits_degenerate(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 import frenetsim as fs
 from frenetsim import errors as E
 from frenetsim import cli, curves
-from frenetsim.curves import _engine, min_samples
+from frenetsim.curves import TRIM, _engine, _field_stride, min_samples
 
 TAU = 2 * math.pi
 
@@ -59,6 +59,23 @@ def test_parameter_speeds_of_builtin():
     h = fs.helix(3.0, 4.0, t_span=(0.0, 5.0))
     sp = fs.parameter_speeds(h, np.linspace(0.5, 4.5, 7))
     assert np.allclose(sp, 5.0, atol=1e-12)
+
+
+def test_velocity_is_the_jets_first_entry(helix_curve):
+    # parameter_speeds reads velocity(tq) alone, which must be entry [1]
+    # of the source's jet, bit for bit, on every kind of jet source
+    raw = fs.SampledCurve(3, helix_curve.t, helix_curve.points)
+    spline = _engine(raw)
+    rep = _engine(fs.arclength_reparam(raw, 500))
+    T = fs.random_similarity(4, (0.5, 2.0), 3)
+    tq = np.linspace(0.1, 24.9, 301)
+    for src in (fs.helix(3.0, 4.0), spline, rep,
+                fs.AffineImage(spline, T.lam, T.A, T.b),
+                fs.AffineImage(rep, T.lam, T.A, T.b)):
+        v = src.velocity(tq)
+        assert np.array_equal(v, src.jet(tq, 4)[1])
+        assert np.array_equal(fs.parameter_speeds(src, tq),
+                              np.linalg.norm(v, axis=1))
 
 
 def test_circle_curvature(circle_frenet):
@@ -465,6 +482,23 @@ def test_field_derivative_polynomial():
     y = x ** 3 - x
     d = fs.field_derivative(x, y, order=1)
     assert np.abs(d - (3 * x ** 2 - 1)).max() < 1e-7
+
+
+def test_field_derivative_each_column_is_its_own_call(selfsim9_frenet):
+    # the radii 1/Q_i of an E^9 ladder choose several strides: each
+    # column must come out as its own 1-d call, which one shared stride
+    # does not give
+    fr = selfsim9_frenet
+    k = np.pad(fr.kappas, ((0, 0), (1, 1)))[TRIM:-TRIM]
+    x = fr.s[TRIM:-TRIM]
+    y = 1.0 / np.hypot(k[:, :-1], k[:, 1:])
+    u = x / (x[-1] - x[0])
+    assert len({_field_stride(u, col) for col in y.T}) >= 3
+    for order in (1, 2):
+        d = fs.field_derivative(x, y, order, each_column=True)
+        for c, col in enumerate(y.T):
+            assert np.array_equal(d[:, c], fs.field_derivative(x, col, order))
+        assert not np.array_equal(d, fs.field_derivative(x, y, order))
 
 
 def test_coarse_circle_still_accurate():

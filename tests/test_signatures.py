@@ -9,6 +9,8 @@ from scipy.optimize import minimize_scalar
 import frenetsim as fs
 from frenetsim import errors as E
 from frenetsim.curves import TRIM
+from frenetsim.indicatrix import _curvature_ladder
+from frenetsim.signatures import _ladder_signatures
 
 
 def test_helix_signature_constants(helix_frenet):
@@ -37,14 +39,41 @@ def test_log_spiral_constant_kt(spiral_frenet):
     assert np.abs(sig.ktj[0] - 1.0).max() < 1e-12
 
 
-def test_first_index_reduction(cubic_frenet):
-    # for the tangent indicatrix, kt is the arc-length derivative of
-    # the curvature radius 1/kappa_1
-    sig = fs.shape_curvatures(cubic_frenet, 1)
-    sl = slice(TRIM, cubic_frenet.n_samples - TRIM)
-    radius = 1.0 / cubic_frenet.kappas[:, 0]
-    want = fs.field_derivative(cubic_frenet.s, radius, order=1)[sl]
-    assert np.abs(sig.kt - want).max() < 1e-3
+def test_kt_is_arclength_derivative_of_radius(helix_frenet, cubic_frenet,
+                                             selfsim4_frenet):
+    # kt = -(dQ/dsigma_i)/Q = d(1/Q_i)/ds since dsigma_i/ds = Q_i: the
+    # derivative of the V_i radius on the trimmed arc-length grid, at
+    # every index (at i = 1 the curvature radius 1/kappa_1)
+    sl = slice(TRIM, -TRIM)
+    for fr in (helix_frenet, cubic_frenet, selfsim4_frenet):
+        k = np.pad(fr.kappas, ((0, 0), (1, 1)))
+        for i in range(1, fr.dimension + 1):
+            q = np.hypot(k[sl, i - 1], k[sl, i])
+            sig = fs.shape_curvatures(fr, i)
+            assert np.array_equal(sig.kt, fs.field_derivative(fr.s[sl], 1.0 / q))
+            # the paper's form, differentiated along sigma_i instead
+            kt_sigma = q * fs.field_derivative(sig.sigma, 1.0 / q)
+            scale = max(1.0, np.abs(sig.kt).max())
+            assert np.abs(sig.kt - kt_sigma).max() < 1e-4 * scale
+
+
+def test_ladder_signatures_match_one_index_at_a_time(selfsim9_frenet):
+    # invariance_sweep asks for every index at once; each signature must
+    # be the one shape_curvatures gives alone, and a refused index is
+    # left out only when asked to
+    fr = selfsim9_frenet
+    ladder = _curvature_ladder(fr)
+    every = range(1, fr.dimension + 1)
+    sigs = _ladder_signatures(ladder, fr.s, every, partial=True)
+    assert list(sigs) == list(range(1, 9))
+    for i, sig in sigs.items():
+        one = fs.shape_curvatures(fr, i)
+        for name in ("sigma", "kt", "ktj", "s"):
+            assert np.array_equal(getattr(sig, name), getattr(one, name))
+    with pytest.raises(E.IndicatrixDegenerate, match="kappa_8 changes sign"):
+        _ladder_signatures(ladder, fr.s, every)
+    with pytest.raises(E.IndicatrixDegenerate, match="kappa_8 changes sign"):
+        _ladder_signatures(ladder, fr.s, [9], partial=True)
 
 
 def test_signature_validation_rejects_bad_rows():
