@@ -19,10 +19,14 @@ tq[0] to each query parameter.
 
 A SampledCurve carries its source, or gets a spline fitted to its
 samples, so no finite differencing of positions ever happens. Frame and
-curvatures do not depend on the parameter: one batched Householder QR
-of the parameter derivatives [d^j a/dt^j] gives the Frenet frame in any
-regular parameter, and the pivots give kappa_j = R_{j+1,j+1}/(R_jj R_11),
-the last one signed by the projection of the n-th derivative on V_n.
+curvatures do not depend on the parameter: the QR of the parameter
+derivatives [d^j a/dt^j] gives the Frenet frame in any regular
+parameter, and the pivots give kappa_j = R_{j+1,j+1}/(R_jj R_11), the
+last one signed by the projection of the n-th derivative on V_n. The QR
+of all samples is one Householder sweep (_householder_qr) that runs
+once per column, vectorized over the sample axis; since every
+reflection has determinant -1, the count of reflections it applies at
+a sample gives the orientation of that sample's Q.
 """
 
 from __future__ import annotations
@@ -260,15 +264,21 @@ def _auto_stride(points: np.ndarray, k: int, noise: float) -> int:
     """
     ch = np.diff(points, axis=0)
     cl = np.linalg.norm(ch, axis=1)
-    total = cl.sum()
     u = ch / np.maximum(cl, 1e-300)[:, None]
-    cosang = np.clip(np.einsum("jd,jd->j", u[:-1], u[1:]), -1.0, 1.0)
-    turning = np.arccos(cosang).sum()
-    rho = total / max(turning, 1e-12)
+    return int(_stride_rule(cl, np.einsum("jd,jd->j", u[:-1], u[1:]), k, noise))
+
+
+def _stride_rule(cl: np.ndarray, cosang: np.ndarray, k: int, noise: float):
+    """The stride rule of _auto_stride, one stride per row of its inputs.
+
+    cl (..., N-1) holds a polyline's chord lengths and cosang (..., N-2)
+    the cosines of its turning angles, both along the last axis.
+    """
+    turning = np.arccos(np.clip(cosang, -1.0, 1.0)).sum(axis=-1)
+    rho = cl.sum(axis=-1) / np.maximum(turning, 1e-12)
     target = STRIDE_C * rho * noise ** (1.0 / (k + 1))
-    stride = max(1, int(round(target / max(np.median(cl), 1e-300))))
-    max_stride = max(1, (len(points) - 1) // (3 * (k + 1)))
-    return min(stride, max_stride)
+    stride = np.rint(target / np.maximum(np.median(cl, axis=-1), 1e-300))
+    return np.clip(stride, 1, max(1, cl.shape[-1] // (3 * (k + 1)))).astype(int)
 
 
 def _strided_spline(x: np.ndarray, y: np.ndarray, stride: int, k: int):
@@ -489,12 +499,52 @@ class FrenetData:
         return len(self.s)
 
 
+def _householder_qr(D: np.ndarray):
+    """QR of every square matrix D[q] by one Householder sweep over q.
+
+    The samples go on the last axis, so each step is a few whole-array
+    operations on contiguous rows. Column k < n - 1 is reflected onto e_k
+    in LAPACK's dlarfg form, beta = -sign(x_0) |x|, tau = (beta - x_0) /
+    beta, v_0 = 1, except where its part below the diagonal is already
+    zero; Q is accumulated backward from the identity. Returns Q (N, n, n),
+    the diagonal of R (N, n) and det Q = (-1)^(reflections applied) (N,).
+    """
+    n, N = D.shape[-1], D.shape[0]
+    A = np.ascontiguousarray(np.moveaxis(D, 0, -1))  # A[i, j, q] = D[q, i, j]
+    r, reflections, det = np.empty((n, N)), [], np.ones(N)
+
+    def reflect(M, v, tau):  # M -= tau u (u^T M) with u = [1, v]
+        w = tau * (M[0] + np.einsum("iq,ijq->jq", v, M[1:]))
+        M[0] -= w
+        M[1:] -= v[:, None] * w
+
+    for k in range(n - 1):
+        x0, tail = A[k, k], A[k + 1:, k]
+        norm = np.sqrt(np.einsum("iq,iq->q", tail, tail))
+        hit = norm > 0
+        beta = np.where(hit, -np.copysign(np.hypot(x0, norm), x0), x0)
+        tau = np.divide(beta - x0, beta, out=np.zeros(N), where=hit)
+        v = np.divide(tail, x0 - beta, out=np.zeros_like(tail), where=hit)
+        det[hit] *= -1.0
+        r[k] = beta
+        reflect(A[k:, k + 1:], v, tau)
+        reflections.append((v, tau))
+    r[n - 1] = A[n - 1, n - 1]
+    Q = np.zeros_like(A)
+    Q[np.arange(n), np.arange(n)] = 1.0
+    for k in range(n - 2, -1, -1):
+        reflect(Q[k:, k:], *reflections[k])
+    return np.moveaxis(Q, -1, 0), r.T, det
+
+
 def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     """Compute frames and curvatures at every sample of the curve.
 
-    The curve may carry any regular parameterization t. The frame is one
-    batched Householder QR of the parameter derivatives [D_1 ... D_n],
-    signed so that R_jj > 0 for the first n-1 columns and det = +1. By
+    The curve may carry any regular parameterization t. The frame is the
+    QR of the parameter derivatives [D_1 ... D_n] by one Householder
+    sweep over all samples (_householder_qr), signed so that R_jj > 0 for
+    the first n-1 columns and det = +1; det Q is (-1)^(reflections the
+    sweep applied at that sample), so no determinant is computed. By
     Faa di Bruno D_t = D_s U with U upper triangular and U_jj = |a'|^j,
     so Q is the arc-length frame and R_jj = |a'|^j times its arc-length
     pivot, whence kappa_j = R_{j+1,j+1} / (R_jj R_11). The arc length
@@ -521,8 +571,7 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
         q = int(np.argmin(speeds))
         raise ZeroSpeed(f"curve speed collapses at sample {q} (t = {t_in(q):.6g})")
 
-    Q, R = np.linalg.qr(D)
-    r = np.diagonal(R, axis1=1, axis2=2).copy()
+    Q, r, det = _householder_qr(D)
     s = src.arclength(curve.t)
     length = s[-1] - s[0]
     bad = np.abs(r[:, : n - 1]) <= PIVOT_REL * dmag
@@ -544,7 +593,7 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
                               f"t = {t_in(q):.6g}")
     # flip columns so that R_jj > 0 for j < n; V_n's sign makes det = +1
     sign = np.sign(r)
-    sign[:, n - 1] = np.sign(np.linalg.det(Q)) * np.prod(sign[:, : n - 1], axis=1)
+    sign[:, n - 1] = det * np.prod(sign[:, : n - 1], axis=1)
     frames = np.swapaxes(Q * sign[:, None, :], 1, 2)
     # kappa_{j-1} > 0 is an unsigned pivot, so where it vanishes between
     # two samples V_j (2 <= j < n) reverses between them instead
@@ -604,6 +653,22 @@ def _field_stride(u: np.ndarray, y: np.ndarray) -> int:
     return _auto_stride(np.column_stack([u, flat / scale]), 5, FIELD_NOISE)
 
 
+def _column_strides(u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """_field_stride(u, y[:, c]) of every column c of y (N, m), in one pass.
+
+    The graphs [u, y_c / max|y_c|] share u and its differences, so the
+    chords and turning cosines of all m graphs are (m, N-1) and (m, N-2)
+    arrays along the sample axis.
+    """
+    scale = np.maximum(np.abs(y).max(axis=0), 1e-300)
+    du = np.diff(u)
+    dy = np.diff(np.ascontiguousarray(y.T) / scale[:, None], axis=1)
+    cl = np.sqrt(du * du + dy * dy)
+    ux, uy = du / np.maximum(cl, 1e-300), dy / np.maximum(cl, 1e-300)
+    cosang = ux[:, :-1] * ux[:, 1:] + uy[:, :-1] * uy[:, 1:]
+    return _stride_rule(cl, cosang, 5, FIELD_NOISE)
+
+
 def field_derivative(x: np.ndarray, y: np.ndarray, order: int = 1, *,
                      each_column: bool = False) -> np.ndarray:
     """Derivative of a sampled smooth field y(x) at the sample points.
@@ -620,7 +685,7 @@ def field_derivative(x: np.ndarray, y: np.ndarray, order: int = 1, *,
     u = np.asarray(x) / max(x[-1] - x[0], 1e-300)
     if not each_column:
         return np.asarray(_strided_spline(x, y, _field_stride(u, y), 5)(x, order))
-    strides = np.array([_field_stride(u, col) for col in y.T])
+    strides = _column_strides(u, y)
     out = np.empty_like(y)
     for stride in np.unique(strides):
         group = strides == stride

@@ -73,15 +73,19 @@ def selfsim4_frenet(selfsim4_spec):
 
 
 @pytest.fixture(scope="session")
-def selfsim9_frenet():
+def selfsim9_curve():
     # kappa_8 sits near zero, so the columns 1/Q_i choose strides from 1
     # to 110 and the V_9-indicatrix is refused (kappa_8 changes sign)
     th = 0.95
     spec = fs.SelfSimilarSpec(dimension=9, index=2, kt=-0.025,
                               ktj=(math.cos(th), math.sin(th), -0.7, -1.1,
                                    -0.6, 0.7, 0.9, -1.1))
-    cur = fs.arclength_reparam(fs.synthesize_self_similar(spec), 2000)
-    return fs.frenet_apparatus(cur)
+    return fs.arclength_reparam(fs.synthesize_self_similar(spec), 2000)
+
+
+@pytest.fixture(scope="session")
+def selfsim9_frenet(selfsim9_curve):
+    return fs.frenet_apparatus(selfsim9_curve)
 
 
 @pytest.fixture(scope="session")

@@ -284,6 +284,86 @@ def test_qr_frames_match_gram_schmidt(ktj):
     assert np.abs(np.linalg.det(fr.frames) - 1.0).max() < 1e-12
 
 
+def _qr_against_lapack(D):
+    """Largest gaps of the sweep's sign-fixed Q and |diag R| from
+    np.linalg.qr, and its departure from orthonormality."""
+    Q, r, det = curves._householder_qr(D)
+    Q0, R0 = np.linalg.qr(D)
+    r0 = np.diagonal(R0, axis1=1, axis2=2)
+    assert np.array_equal(det, np.sign(np.linalg.det(Q)))
+    n = D.shape[-1]
+    return (np.abs(Q * np.sign(r)[:, None] - Q0 * np.sign(r0)[:, None]).max(),
+            np.abs(np.abs(r) - np.abs(r0)).max(),
+            np.abs(np.swapaxes(Q, 1, 2) @ Q - np.eye(n)).max())
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_householder_sweep_matches_lapack_qr(n):
+    D = np.random.default_rng(n).standard_normal((200, n, n))
+    dq, dr, orth = _qr_against_lapack(D)
+    assert dq <= 1e-13 and dr <= 1e-13 and orth <= 1e-14
+
+
+def test_householder_sweep_matches_lapack_qr_on_e9_jet(selfsim9_curve):
+    cur = selfsim9_curve
+    D = np.moveaxis(_engine(cur).jet(cur.t, 9)[1:], 0, -1)
+    dq, dr, orth = _qr_against_lapack(D)
+    assert dq <= 1e-13 and dr <= 1e-13 and orth <= 1e-14
+
+
+def test_householder_sweep_counts_its_reflections():
+    # a column that already lies along e_k is not reflected, so det Q
+    # is (-1)^(reflections applied), not (-1)^(n-1)
+    D = np.stack([np.diag([1.0, 2.0, 6.0, 24.0]), np.triu(np.ones((4, 4))),
+                  np.ones((4, 4)) + np.eye(4)])
+    Q, r, det = curves._householder_qr(D)
+    assert np.array_equal(Q[0], np.eye(4)) and np.array_equal(r[0], [1, 2, 6, 24])
+    assert np.array_equal(det, [1.0, 1.0, -1.0])
+    assert np.abs(np.linalg.det(Q) - det).max() < 1e-14
+
+
+def test_frenet_apparatus_needs_no_lapack_qr_or_det(monkeypatch, selfsim9_curve,
+                                                    helix_curve):
+    def refuse(*args, **kwargs):
+        raise AssertionError("frenet_apparatus called LAPACK")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "qr", refuse)
+        m.setattr(np.linalg, "det", refuse)
+        frs = [fs.frenet_apparatus(c) for c in (helix_curve, selfsim9_curve)]
+    for fr in frs:
+        assert np.abs(np.linalg.det(fr.frames) - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("coeffs", [
+    [[0, 1], [0, 0, 1]],
+    [[0, 1], [0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0, 1]],
+])
+def test_triangular_jet_keeps_orientation(coeffs):
+    # at t = 0 the jet of (t, t^2, ..., t^n) is diagonal, diag(k!), so no
+    # column is reflected there: the frame is the identity, det = +1, and
+    # kappa_j = (j + 1)! / (j! 1!) = j + 1 with kappa_{n-1} positive
+    n = len(coeffs)
+    t = np.linspace(-0.5, 0.5, 201)
+    assert t[100] == 0.0
+    fr = fs.frenet_apparatus(fs.builtin_evaluate(fs.custom_poly(coeffs), t))
+    assert np.abs(np.linalg.det(fr.frames) - 1.0).max() < 1e-12
+    assert np.array_equal(fr.frames[100], np.eye(n))
+    assert np.array_equal(fr.kappas[100], np.arange(2.0, n + 1))
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_left_handed_helix_keeps_negative_torsion(sampled):
+    # (a cos t, a sin t, b t) has kappa_2 = b / (a^2 + b^2) < 0 for b < 0
+    cur = fs.helix(3.0, -4.0)
+    cur = (fs.arclength_reparam(cur, 1000) if sampled
+           else fs.builtin_evaluate(cur, np.linspace(0.0, TAU, 1000)))
+    fr = fs.frenet_apparatus(cur)
+    assert np.abs(fr.kappas[:, 0] - 0.12).max() < 1e-9
+    assert np.abs(fr.kappas[:, 1] + 0.16).max() < 1e-9
+    assert np.abs(np.linalg.det(fr.frames) - 1.0).max() < 1e-12
+
+
 def test_reversal_keeps_curvatures(helix_curve):
     rev = fs.SampledCurve(3, -helix_curve.t[::-1],
                           helix_curve.points[::-1].copy())
@@ -484,14 +564,17 @@ def test_field_derivative_polynomial():
     assert np.abs(d - (3 * x ** 2 - 1)).max() < 1e-7
 
 
+def _radii(fr):
+    """Arc length s and the V_i radii 1/Q_i on the trimmed grid."""
+    k = np.pad(fr.kappas, ((0, 0), (1, 1)))[TRIM:-TRIM]
+    return fr.s[TRIM:-TRIM], 1.0 / np.hypot(k[:, :-1], k[:, 1:])
+
+
 def test_field_derivative_each_column_is_its_own_call(selfsim9_frenet):
     # the radii 1/Q_i of an E^9 ladder choose several strides: each
     # column must come out as its own 1-d call, which one shared stride
     # does not give
-    fr = selfsim9_frenet
-    k = np.pad(fr.kappas, ((0, 0), (1, 1)))[TRIM:-TRIM]
-    x = fr.s[TRIM:-TRIM]
-    y = 1.0 / np.hypot(k[:, :-1], k[:, 1:])
+    x, y = _radii(selfsim9_frenet)
     u = x / (x[-1] - x[0])
     assert len({_field_stride(u, col) for col in y.T}) >= 3
     for order in (1, 2):
@@ -499,6 +582,24 @@ def test_field_derivative_each_column_is_its_own_call(selfsim9_frenet):
         for c, col in enumerate(y.T):
             assert np.array_equal(d[:, c], fs.field_derivative(x, col, order))
         assert not np.array_equal(d, fs.field_derivative(x, y, order))
+
+
+def test_column_strides_are_the_per_column_strides(selfsim9_frenet):
+    # the strides of each_column mode come from one pass over all
+    # columns, and must be those of one _field_stride call per column
+    x, y = _radii(selfsim9_frenet)
+    u = x / (x[-1] - x[0])
+    assert list(curves._column_strides(u, y)) == [_field_stride(u, c) for c in y.T]
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        N, m = int(rng.integers(20, 2500)), int(rng.integers(1, 6))
+        x = np.sort(rng.uniform(0.0, rng.uniform(0.1, 100.0), N))
+        y = (rng.standard_normal((N, m)).cumsum(axis=0) if trial % 2 else
+             np.sin(np.outer(x / x[-1], rng.uniform(0.1, 30.0, m)))
+             * rng.uniform(1e-3, 1e3, m))
+        u = x / (x[-1] - x[0])
+        assert (list(curves._column_strides(u, y))
+                == [_field_stride(u, c) for c in y.T])
 
 
 def test_coarse_circle_still_accurate():
