@@ -14,7 +14,6 @@ from .curves import (
     FrenetData,
     SampledCurve,
     arclength_reparam,
-    arclength_values,
     builtin_evaluate,
     circle,
     curve_from_csv,
@@ -53,15 +52,12 @@ from .signatures import (
     shape_curvatures,
     signature_distance,
     signature_from_json,
-    signature_supnorm_deviation,
     signature_to_json,
     similarity_test,
-    structure_matrix,
 )
 from .transforms import (
     SimilarityTransform,
     apply_similarity,
-    compose,
     random_similarity,
     transform_from_json,
     transform_to_json,
@@ -86,10 +82,8 @@ __all__ = [
     "SphericalCurve",
     "apply_similarity",
     "arclength_reparam",
-    "arclength_values",
     "builtin_evaluate",
     "circle",
-    "compose",
     "curve_from_csv",
     "curve_to_csv",
     "custom_poly",
@@ -115,11 +109,9 @@ __all__ = [
     "shape_from_focal",
     "signature_distance",
     "signature_from_json",
-    "signature_supnorm_deviation",
     "signature_to_json",
     "similarity_test",
     "solve_self_similar",
-    "structure_matrix",
     "structure_skew",
     "synthesize_self_similar",
     "__version__",

@@ -377,11 +377,6 @@ def _arclength(source, t: np.ndarray) -> np.ndarray:
     return np.asarray(S(t) - S(t[0]))
 
 
-def arclength_values(curve: SampledCurve) -> np.ndarray:
-    """Arc length at each sample, measured from the first sample."""
-    return _engine(curve).arclength(curve.t)
-
-
 @dataclass(frozen=True)
 class _ReparamSource:
     """Arclength reparameterization of another jet source.
@@ -647,7 +642,7 @@ def frenet_residual_supnorm(fr: FrenetData) -> float:
 
 
 def _field_stride(u: np.ndarray, y: np.ndarray) -> int:
-    """Knot stride of field_derivative: _auto_stride on [u, y / max|y|]."""
+    """One knot stride for all columns of y: _auto_stride on [u, y / max|y|]."""
     flat = y.reshape(len(u), -1)
     scale = max(np.abs(flat).max(), 1e-300)
     return _auto_stride(np.column_stack([u, flat / scale]), 5, FIELD_NOISE)
@@ -669,28 +664,24 @@ def _column_strides(u: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _stride_rule(cl, cosang, 5, FIELD_NOISE)
 
 
-def field_derivative(x: np.ndarray, y: np.ndarray, order: int = 1, *,
-                     each_column: bool = False) -> np.ndarray:
+def field_derivative(x: np.ndarray, y: np.ndarray, order: int = 1) -> np.ndarray:
     """Derivative of a sampled smooth field y(x) at the sample points.
 
     Same strided-knot strategy as the position spline, with a quintic
     and a noise floor matched to fields we computed ourselves (~1e-9
-    relative). y may be 1-d or (N, m). The stride is read from the graph
-    [x / range, y / max|y|] of all columns at once. With each_column, y
-    is (N, m) and every column gets the stride of its own graph, so its
-    derivative is bit-identical to that of a 1-d call; the columns that
-    share a stride share one fit.
+    relative). y is 1-d, read as one column, or (N, m). Every column
+    gets the stride of its own graph [x / range, y_c / max|y_c|], so its
+    derivative is bit-identical to that of a 1-d call on it; the columns
+    that share a stride share one fit.
     """
     y = np.asarray(y, dtype=float)
-    u = np.asarray(x) / max(x[-1] - x[0], 1e-300)
-    if not each_column:
-        return np.asarray(_strided_spline(x, y, _field_stride(u, y), 5)(x, order))
-    strides = _column_strides(u, y)
-    out = np.empty_like(y)
+    cols = y.reshape(len(x), -1)
+    strides = _column_strides(np.asarray(x) / max(x[-1] - x[0], 1e-300), cols)
+    out = np.empty_like(cols)
     for stride in np.unique(strides):
         group = strides == stride
-        out[:, group] = _strided_spline(x, y[:, group], stride, 5)(x, order)
-    return out
+        out[:, group] = _strided_spline(x, cols[:, group], stride, 5)(x, order)
+    return out.reshape(y.shape)
 
 
 # ---------------------------------------------------------------------------

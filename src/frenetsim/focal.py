@@ -87,10 +87,8 @@ def shape_from_focal(fd: FocalData, i: int) -> ShapeSignature:
         )
     kap = np.zeros((n + 1, npts))
     kap[1] = 1.0 / fd.f[:, 0]
-    for j in range(2, n):
-        # running = S_{j-1}
-        pivot = fd.f[:, j - 2]
-        term = pivot * field_derivative(fd.s, pivot, order=1)
-        running = term if j == 2 else running + term
-        kap[j] = running / (pivot * fd.f[:, j - 1])
+    # column j - 2 of S is S_{j-1}, summed left to right as in the recursion
+    pivots = fd.f[:, : n - 2]
+    S = np.cumsum(pivots * field_derivative(fd.s, pivots, order=1), axis=1)
+    kap[2:n] = (S / (pivots * fd.f[:, 1:])).T
     return _ladder_signatures(kap, fd.s, [i])[i]

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .curves import TRIM, FrenetData, _write_table, field_derivative
+from .curves import (
+    TRIM,
+    FrenetData,
+    _field_stride,
+    _strided_spline,
+    _write_table,
+    field_derivative,
+)
 from .errors import (
     BadIndex,
     DegenerateSpeed,
@@ -125,7 +132,10 @@ class SabbanData:
 def sabban_geodesic_curvature(sc: SphericalCurve) -> SabbanData:
     """Numeric geodesic curvature of a spherical curve in E^3.
 
-    Differentiates gamma(sigma) by the strided spline and evaluates
+    Fits gamma(sigma) once by the quintic strided spline of
+    field_derivative, at one stride for all three coordinates read from
+    the joint graph [sigma / range, gamma / max|gamma|] (_field_stride),
+    differentiates that fit twice and evaluates
     kappa_g = det(gamma, gamma', gamma'') / |gamma'|^3, which equals
     the Sabban-frame geodesic curvature when sigma is arc length.
     """
@@ -133,8 +143,9 @@ def sabban_geodesic_curvature(sc: SphericalCurve) -> SabbanData:
         raise NotThreeDimensional(
             f"Sabban frame is defined in E^3, curve lives in E^{sc.dimension}"
         )
-    d1 = field_derivative(sc.sigma, sc.gamma, order=1)
-    d2 = field_derivative(sc.sigma, sc.gamma, order=2)
+    u = sc.sigma / max(sc.sigma[-1] - sc.sigma[0], 1e-300)
+    fit = _strided_spline(sc.sigma, sc.gamma, _field_stride(u, sc.gamma), 5)
+    d1, d2 = fit(sc.sigma, 1), fit(sc.sigma, 2)
     speed = np.linalg.norm(d1, axis=1)
     if speed.min() <= 1e-8 * max(speed.max(), 1e-300):
         raise DegenerateSpeed("spherical curve speed collapses")

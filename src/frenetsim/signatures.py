@@ -35,7 +35,6 @@ from .curves import (
     SampledCurve,
     field_derivative,
     frenet_apparatus,
-    structure_skew,
 )
 from .errors import (
     BadIndex,
@@ -129,8 +128,9 @@ def _ladder_signatures(ladder: np.ndarray, s: np.ndarray, indices,
     left out instead, and the last refusal is raised only when every
     index is refused. Every index keeps the same samples s[sl], so kt =
     d(1/Q_i)/ds of all the indices is one field_derivative of the matrix
-    whose columns are 1/Q_i, each column at the stride it would get
-    alone. Returns {i: ShapeSignature}, in the order of indices.
+    whose columns are 1/Q_i; each column gets its own stride there, so
+    its kt does not depend on which other indices are asked for.
+    Returns {i: ShapeSignature}, in the order of indices.
     """
     n = len(ladder) - 1
     grids = {}
@@ -145,7 +145,7 @@ def _ladder_signatures(ladder: np.ndarray, s: np.ndarray, indices,
         raise refusal
     sl = next(iter(grids.values()))[0]
     q = np.column_stack([qs for _, qs, _ in grids.values()])
-    kt = field_derivative(s[sl], 1.0 / q, order=1, each_column=True)
+    kt = field_derivative(s[sl], 1.0 / q, order=1)
     return {i: ShapeSignature(n, i, sigma, kt[:, c], ladder[1:n, sl] / q[:, c],
                               s=s[sl])
             for c, (i, (_, _, sigma)) in enumerate(grids.items())}
@@ -154,20 +154,6 @@ def _ladder_signatures(ladder: np.ndarray, s: np.ndarray, indices,
 def shape_curvatures(fr: FrenetData, i: int) -> ShapeSignature:
     """Shape curvatures of the V_i-indicatrix, on its sigma_i grid."""
     return _ladder_signatures(_curvature_ladder(fr), fr.s, [i])[i]
-
-
-def structure_matrix(sig: ShapeSignature, j: int) -> np.ndarray:
-    """The n x n coefficient matrix of the scaled-frame structure equations.
-
-    d/dsigma_i of the scaled frame (1/Q) V_k equals this matrix acting
-    on the scaled frame: kt on the whole diagonal, kt_1..kt_{n-1} on
-    the superdiagonal and their negatives below it, the Frenet pattern.
-    It is read at point j of the signature's sigma grid,
-    0 <= j < len(sig.sigma).
-    """
-    if not 0 <= j < len(sig.sigma):
-        raise BadIndex(f"j must be in 0..{len(sig.sigma) - 1}, got {j}")
-    return sig.kt[j] * np.eye(sig.dimension) + structure_skew(sig.ktj[:, j])
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +176,13 @@ def _interp_tuple(sig: ShapeSignature, grid: np.ndarray, shift: float = 0.0):
     return np.stack(rows)
 
 
-def _overlap_difference(a: ShapeSignature, b: ShapeSignature, shift: float,
-                        min_width: float = 0.0):
-    """a's signature tuple minus b's on 512 points of their sigma overlap.
+def signature_distance(a: ShapeSignature, b: ShapeSignature,
+                       shift: float = 0.0) -> float:
+    """RMS distance between signature tuples over the sigma overlap.
 
-    b's grid is displaced by `shift`. None when the overlap is empty or
-    shorter than min_width.
+    b's grid is displaced by `shift` before comparison, and both tuples
+    are read on 512 points of the overlap. Returns inf when the overlap
+    is shorter than 10% of the shorter signature.
     """
     if a.dimension != b.dimension or a.index != b.index:
         raise IncompatibleSignatures(
@@ -204,31 +191,11 @@ def _overlap_difference(a: ShapeSignature, b: ShapeSignature, shift: float,
         )
     lo = max(a.sigma[0], b.sigma[0] + shift)
     hi = min(a.sigma[-1], b.sigma[-1] + shift)
-    if hi <= lo or hi - lo < min_width:
-        return None
-    grid = np.linspace(lo, hi, 512)
-    return _interp_tuple(a, grid) - _interp_tuple(b, grid, shift)
-
-
-def signature_distance(a: ShapeSignature, b: ShapeSignature,
-                       shift: float = 0.0) -> float:
-    """RMS distance between signature tuples over the sigma overlap.
-
-    b's grid is displaced by `shift` before comparison. Returns inf
-    when the overlap is shorter than 10% of the shorter signature.
-    """
-    diff = _overlap_difference(a, b, shift,
-                               MIN_OVERLAP_FRACTION * min(a.span, b.span))
-    if diff is None:
+    if hi - lo < MIN_OVERLAP_FRACTION * min(a.span, b.span):
         return math.inf
+    grid = np.linspace(lo, hi, 512)
+    diff = _interp_tuple(a, grid) - _interp_tuple(b, grid, shift)
     return float(np.sqrt(np.mean(np.sum(diff ** 2, axis=0))))
-
-
-def signature_supnorm_deviation(a: ShapeSignature, b: ShapeSignature,
-                                shift: float = 0.0) -> float:
-    """Componentwise sup-norm deviation over the sigma overlap."""
-    diff = _overlap_difference(a, b, shift)
-    return math.inf if diff is None else float(np.abs(diff).max())
 
 
 def _shift_scan(a: ShapeSignature, b: ShapeSignature, lo: float, hi: float):

@@ -80,15 +80,6 @@ def random_similarity(seed: int, lambda_range, dimension: int) -> SimilarityTran
     return SimilarityTransform(lam, q, b)
 
 
-def compose(t2: SimilarityTransform, t1: SimilarityTransform) -> SimilarityTransform:
-    """The transform sending x to t2(t1(x))."""
-    if t2.dimension != t1.dimension:
-        raise DimensionMismatch("cannot compose transforms of different dimension")
-    return SimilarityTransform(
-        t2.lam * t1.lam, t2.A @ t1.A, t2.lam * (t1.b @ t2.A.T) + t2.b
-    )
-
-
 def apply_similarity(T: SimilarityTransform, curve: SampledCurve) -> SampledCurve:
     """Pointwise image of the curve; parameter values are unchanged.
 

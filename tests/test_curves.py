@@ -16,7 +16,7 @@ TAU = 2 * math.pi
 
 def test_arclength_circle():
     cur = fs.builtin_evaluate(fs.circle(2.0), np.linspace(0, TAU, 800))
-    s = fs.arclength_values(cur)
+    s = cur.source.arclength(cur.t)
     assert s[0] == 0.0
     assert abs(s[-1] - 4 * math.pi) < 1e-8
 
@@ -24,13 +24,13 @@ def test_arclength_circle():
 def test_arclength_helix():
     cur = fs.builtin_evaluate(fs.helix(3.0, 4.0, t_span=(0.0, 5.0)),
                               np.linspace(0, 5, 600))
-    s = fs.arclength_values(cur)
+    s = cur.source.arclength(cur.t)
     assert abs(s[-1] - 25.0) < 1e-8
 
 
 def test_arclength_line():
     cur = fs.builtin_evaluate(fs.line(3), np.linspace(0, 1, 50))
-    s = fs.arclength_values(cur)
+    s = cur.source.arclength(cur.t)
     assert abs(s[-1] - 1.0) < 1e-10
 
 
@@ -570,7 +570,7 @@ def _radii(fr):
     return fr.s[TRIM:-TRIM], 1.0 / np.hypot(k[:, :-1], k[:, 1:])
 
 
-def test_field_derivative_each_column_is_its_own_call(selfsim9_frenet):
+def test_field_derivative_columns_are_their_own_calls(selfsim9_frenet):
     # the radii 1/Q_i of an E^9 ladder choose several strides: each
     # column must come out as its own 1-d call, which one shared stride
     # does not give
@@ -578,15 +578,16 @@ def test_field_derivative_each_column_is_its_own_call(selfsim9_frenet):
     u = x / (x[-1] - x[0])
     assert len({_field_stride(u, col) for col in y.T}) >= 3
     for order in (1, 2):
-        d = fs.field_derivative(x, y, order, each_column=True)
+        d = fs.field_derivative(x, y, order)
         for c, col in enumerate(y.T):
             assert np.array_equal(d[:, c], fs.field_derivative(x, col, order))
-        assert not np.array_equal(d, fs.field_derivative(x, y, order))
+        joint = curves._strided_spline(x, y, _field_stride(u, y), 5)(x, order)
+        assert not np.array_equal(d, joint)
 
 
 def test_column_strides_are_the_per_column_strides(selfsim9_frenet):
-    # the strides of each_column mode come from one pass over all
-    # columns, and must be those of one _field_stride call per column
+    # field_derivative picks the strides of all columns in one pass,
+    # and they must be those of one _field_stride call per column
     x, y = _radii(selfsim9_frenet)
     u = x / (x[-1] - x[0])
     assert list(curves._column_strides(u, y)) == [_field_stride(u, c) for c in y.T]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import frenetsim as fs
+from frenetsim import curves
 from frenetsim import errors as E
 from frenetsim.curves import TRIM
 
@@ -57,25 +58,6 @@ def test_sigma_invariance_identity_and_pure_scale(helix_curve):
     assert fs.invariance_sweep(helix_curve, [scale5])["sigma_invariance"][2] < 1e-9
 
 
-def test_structure_matrix_helix(helix_frenet):
-    # sample 1000 of the curve is point 1000 - TRIM of the sigma grid
-    K = fs.structure_matrix(fs.shape_curvatures(helix_frenet, 2), 1000 - TRIM)
-    want = np.array([
-        [0.0, 0.6, 0.0],
-        [-0.6, 0.0, 0.8],
-        [0.0, -0.8, 0.0],
-    ])
-    assert np.abs(K - want).max() < 1e-9
-
-
-def test_structure_matrix_index_bounds(helix_frenet):
-    sig = fs.shape_curvatures(helix_frenet, 2)
-    with pytest.raises(E.BadIndex):
-        fs.structure_matrix(sig, -1)
-    with pytest.raises(E.BadIndex):
-        fs.structure_matrix(sig, len(sig.sigma))
-
-
 @pytest.mark.parametrize("coeffs, i", [
     # kappa_2 of (t, t^2, t^4) changes sign at t = 0: the V_3 speed |kappa_2|
     ([[0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 1.0]], 3),
@@ -120,6 +102,22 @@ def test_sabban_frame_is_orthonormal(helix_frenet):
     for a, b in ((sd.gamma, sd.t_vec), (sd.gamma, sd.rho), (sd.t_vec, sd.rho)):
         assert np.abs(np.einsum("qd,qd->q", a, b)).max() < 1e-6
     assert np.abs(np.linalg.norm(sd.rho, axis=1) - 1.0).max() < 1e-6
+
+
+def test_sabban_fits_gamma_once(cubic_frenet, monkeypatch):
+    # gamma' and gamma'' are two derivatives of one spline fit of all
+    # three coordinates
+    sc = fs.indicatrix_curve(cubic_frenet, 2)
+    fits = []
+    fit = curves.make_interp_spline
+
+    def counted(x, y, *args, **kwargs):
+        fits.append(y.shape[1:])
+        return fit(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(curves, "make_interp_spline", counted)
+    fs.sabban_geodesic_curvature(sc)
+    assert fits == [(3,)]
 
 
 def test_closed_forms_match_numeric(helix_frenet, cubic_frenet):

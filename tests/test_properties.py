@@ -81,20 +81,6 @@ def test_random_similarity_is_direct(seed):
     assert 0.5 <= T.lam <= 2.0
 
 
-@settings(deadline=None, max_examples=10)
-@given(st.integers(min_value=0, max_value=10 ** 6),
-       st.integers(min_value=0, max_value=10 ** 6))
-def test_compose_matches_sequential(s1, s2):
-    t1 = fs.random_similarity(s1, (0.5, 2.0), 4)
-    t2 = fs.random_similarity(s2, (0.5, 2.0), 4)
-    both = fs.compose(t2, t1)
-    pts = np.random.default_rng(0).normal(size=(20, 4))
-    cur = fs.SampledCurve(4, np.linspace(0, 1, 20), pts)
-    a = fs.apply_similarity(t2, fs.apply_similarity(t1, cur)).points
-    b = fs.apply_similarity(both, cur).points
-    assert np.abs(a - b).max() < 1e-10
-
-
 @settings(deadline=None, max_examples=8)
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_turning_angle_invariance(seed):

@@ -244,13 +244,15 @@ def test_helix_vs_spiral(helix_curve, spiral_curve):
 
 
 def test_similarity_invariance_of_signature(helix_curve, helix_frenet):
+    # the image keeps the sample grid, so the arrays compare sample by sample
     T = fs.random_similarity(21, (0.5, 2.0), 3)
     fb = fs.frenet_apparatus(fs.apply_similarity(T, helix_curve))
     for i in (1, 2, 3):
         a = fs.shape_curvatures(helix_frenet, i)
         b = fs.shape_curvatures(fb, i)
-        dev = fs.signature_supnorm_deviation(a, b)
-        assert dev < 1e-3
+        assert np.abs(a.sigma - b.sigma).max() < 1e-3
+        assert np.abs(a.kt - b.kt).max() < 1e-3
+        assert np.abs(a.ktj - b.ktj).max() < 1e-3
 
 
 def test_signature_distance_incompatible(helix_frenet, selfsim4_frenet):
@@ -266,12 +268,8 @@ def test_signature_distance_incompatible(helix_frenet, selfsim4_frenet):
 def test_signature_distance_no_overlap(helix_frenet):
     a = fs.shape_curvatures(helix_frenet, 2)
     assert fs.signature_distance(a, a, shift=1e6) == math.inf
-    assert fs.signature_supnorm_deviation(a, a, shift=1e6) == math.inf
-    # an overlap of 5% of the span is too short to score a distance but
-    # still has a sup-norm deviation
-    shift = 0.95 * a.span
-    assert fs.signature_distance(a, a, shift=shift) == math.inf
-    assert fs.signature_supnorm_deviation(a, a, shift=shift) < 1e-9
+    # an overlap of 5% of the span is too short to score a distance
+    assert fs.signature_distance(a, a, shift=0.95 * a.span) == math.inf
 
 
 def test_signature_json_round_trip(cubic_frenet):

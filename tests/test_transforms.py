@@ -41,14 +41,6 @@ def test_transform_scales_distances():
     assert abs(got - T.lam * np.linalg.norm(x - y)) < 1e-12
 
 
-def test_compose_matches_sequential_application():
-    t1 = fs.random_similarity(1, (0.5, 2.0), 3)
-    t2 = fs.random_similarity(2, (0.5, 2.0), 3)
-    both = fs.compose(t2, t1)
-    x = np.array([0.3, -1.2, 4.0])
-    assert np.abs(both(x) - t2(t1(x))).max() < 1e-10
-
-
 def test_reflection_rejected():
     A = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(E.BadParameters):
