@@ -18,15 +18,19 @@ tq[0] to each query parameter.
   source's arc-length table (_arclength_table).
 
 A SampledCurve carries its source, or gets a spline fitted to its
-samples, so no finite differencing of positions ever happens. Frame and
-curvatures do not depend on the parameter: the QR of the parameter
-derivatives [d^j a/dt^j] gives the Frenet frame in any regular
-parameter, and the pivots give kappa_j = R_{j+1,j+1}/(R_jj R_11), the
-last one signed by the projection of the n-th derivative on V_n. The QR
-of all samples is one Householder sweep (_householder_qr) that runs
-once per column, vectorized over the sample axis; since every
-reflection has determinant -1, the count of reflections it applies at
-a sample gives the orientation of that sample's Q.
+samples, so no finite differencing of positions ever happens. One rule,
+_auto_stride, sets the knot stride of every strided spline: the position
+fit reads it off the sample polyline, and the fits of computed fields
+(field_derivative, the Sabban fit of an indicatrix) off their graphs
+through _field_strides. Frame and curvatures do not depend on the
+parameter: the QR of the parameter derivatives [d^j a/dt^j] gives the
+Frenet frame in any regular parameter, and the pivots give kappa_j =
+R_{j+1,j+1}/(R_jj R_11), the last one signed by the projection of the
+n-th derivative on V_n. The QR of all samples is one Householder sweep
+(_householder_qr) that runs once per column, vectorized over the sample
+axis; since every reflection has determinant -1, the count of
+reflections it applies at a sample gives the orientation of that
+sample's Q.
 """
 
 from __future__ import annotations
@@ -214,8 +218,9 @@ class SampledCurve:
     source: object | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        t = np.ascontiguousarray(np.asarray(self.t, dtype=float))
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
+        # copies, so freezing them leaves the caller's arrays writable
+        t = np.array(self.t, dtype=float, order="C")
+        pts = np.array(self.points, dtype=float, order="C")
         if self.dimension < 2:
             raise BadParameters("curves live in E^n with n >= 2")
         if t.ndim != 1 or len(t) < 2:
@@ -255,25 +260,20 @@ def builtin_evaluate(curve: BuiltinCurve, t_values) -> SampledCurve:
 # strided splines
 
 
-def _auto_stride(points: np.ndarray, k: int, noise: float) -> int:
+def _auto_stride(coords, k: int, noise: float):
     """Knot stride balancing spline truncation against roundoff blowup.
 
-    Target knot spacing ~ rho * noise^(1/(k+1)) where rho is the
-    polyline's length per radian of turning, a cheap feature-scale
-    estimate. Fully straight data gets the widest admissible stride.
+    coords is a sequence of coordinate arrays with the samples on the
+    last axis; they may broadcast to a stack of polylines, and then one
+    stride per polyline comes back. Target knot spacing ~ rho *
+    noise^(1/(k+1)) where rho is the polyline's length per radian of
+    turning, a cheap feature-scale estimate. Fully straight data gets the
+    widest admissible stride.
     """
-    ch = np.diff(points, axis=0)
-    cl = np.linalg.norm(ch, axis=1)
-    u = ch / np.maximum(cl, 1e-300)[:, None]
-    return int(_stride_rule(cl, np.einsum("jd,jd->j", u[:-1], u[1:]), k, noise))
-
-
-def _stride_rule(cl: np.ndarray, cosang: np.ndarray, k: int, noise: float):
-    """The stride rule of _auto_stride, one stride per row of its inputs.
-
-    cl (..., N-1) holds a polyline's chord lengths and cosang (..., N-2)
-    the cosines of its turning angles, both along the last axis.
-    """
+    ch = [np.diff(c, axis=-1) for c in coords]
+    cl = np.sqrt(sum(c * c for c in ch))
+    unit = [c / np.maximum(cl, 1e-300) for c in ch]
+    cosang = sum(c[..., :-1] * c[..., 1:] for c in unit)
     turning = np.arccos(np.clip(cosang, -1.0, 1.0)).sum(axis=-1)
     rho = cl.sum(axis=-1) / np.maximum(turning, 1e-12)
     target = STRIDE_C * rho * noise ** (1.0 / (k + 1))
@@ -328,7 +328,7 @@ def _fit_spline_source(curve: SampledCurve) -> _SplineSource:
     k = n + 4
     if k % 2 == 0:
         k += 1
-    stride = _auto_stride(curve.points, k, POSITION_NOISE)
+    stride = _auto_stride(curve.points.T, k, POSITION_NOISE)
     return _SplineSource(_strided_spline(curve.t, curve.points, stride, k))
 
 
@@ -641,46 +641,35 @@ def frenet_residual_supnorm(fr: FrenetData) -> float:
 # derived-field differentiation
 
 
-def _field_stride(u: np.ndarray, y: np.ndarray) -> int:
-    """One knot stride for all columns of y: _auto_stride on [u, y / max|y|]."""
-    flat = y.reshape(len(u), -1)
-    scale = max(np.abs(flat).max(), 1e-300)
-    return _auto_stride(np.column_stack([u, flat / scale]), 5, FIELD_NOISE)
+def _field_strides(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Knot strides of m graphs of d coordinates each, y of shape (d, m, N).
 
-
-def _column_strides(u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """_field_stride(u, y[:, c]) of every column c of y (N, m), in one pass.
-
-    The graphs [u, y_c / max|y_c|] share u and its differences, so the
-    chords and turning cosines of all m graphs are (m, N-1) and (m, N-2)
-    arrays along the sample axis.
+    Graph g is the polyline [x / range, y[:, g] / max|y[:, g]|]; its
+    stride is _auto_stride of it at degree 5 and the field noise floor.
     """
-    scale = np.maximum(np.abs(y).max(axis=0), 1e-300)
-    du = np.diff(u)
-    dy = np.diff(np.ascontiguousarray(y.T) / scale[:, None], axis=1)
-    cl = np.sqrt(du * du + dy * dy)
-    ux, uy = du / np.maximum(cl, 1e-300), dy / np.maximum(cl, 1e-300)
-    cosang = ux[:, :-1] * ux[:, 1:] + uy[:, :-1] * uy[:, 1:]
-    return _stride_rule(cl, cosang, 5, FIELD_NOISE)
+    u = np.asarray(x) / max(x[-1] - x[0], 1e-300)
+    y = np.ascontiguousarray(y)  # the chords' median runs along the samples
+    scale = np.maximum(np.abs(y).max(axis=(0, 2)), 1e-300)[:, None]
+    return _auto_stride([u, *(c / scale for c in y)], 5, FIELD_NOISE)
 
 
-def field_derivative(x: np.ndarray, y: np.ndarray, order: int = 1) -> np.ndarray:
-    """Derivative of a sampled smooth field y(x) at the sample points.
+def field_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """First derivative of a sampled smooth field y(x) at the sample points.
 
     Same strided-knot strategy as the position spline, with a quintic
     and a noise floor matched to fields we computed ourselves (~1e-9
     relative). y is 1-d, read as one column, or (N, m). Every column
-    gets the stride of its own graph [x / range, y_c / max|y_c|], so its
-    derivative is bit-identical to that of a 1-d call on it; the columns
-    that share a stride share one fit.
+    gets the stride of its own graph (_field_strides), so its derivative
+    is bit-identical to that of a 1-d call on it; the columns that share
+    a stride share one fit.
     """
     y = np.asarray(y, dtype=float)
     cols = y.reshape(len(x), -1)
-    strides = _column_strides(np.asarray(x) / max(x[-1] - x[0], 1e-300), cols)
+    strides = _field_strides(x, cols.T[None])
     out = np.empty_like(cols)
     for stride in np.unique(strides):
         group = strides == stride
-        out[:, group] = _strided_spline(x, cols[:, group], stride, 5)(x, order)
+        out[:, group] = _strided_spline(x, cols[:, group], stride, 5)(x, 1)
     return out.reshape(y.shape)
 
 

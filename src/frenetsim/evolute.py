@@ -89,7 +89,7 @@ def evolute_invariant_report(fr: FrenetData, ed: EvoluteData) -> EvoluteReport:
     """
     sig = shape_curvatures(fr, 1)
     sl = slice(TRIM, fr.n_samples - TRIM)
-    m1p = field_derivative(ed.s, ed.m1, order=1)[sl]
+    m1p = field_derivative(ed.s, ed.m1)[sl]
     m1 = ed.m1[sl]
     m2 = ed.m2[sl]
     # m2 = m1 cot(phi) with phi' = kappa_2, so the chain rule gives m2'

@@ -60,7 +60,7 @@ def focal_curvatures(fr: FrenetData) -> FocalData:
                 f"f_{j - 1} vanishes; cannot continue the recursion to f_{j}"
             )
         # running = f_1 f_1' + ... + f_{j-1} f_{j-1}'
-        term = pivot * field_derivative(fr.s, pivot, order=1)
+        term = pivot * field_derivative(fr.s, pivot)
         running = term if j == 2 else running + term
         f[:, j - 1] = running / (kap[:, j - 1] * pivot)
         fscale = max(fscale, np.abs(f[:, j - 1]).max())
@@ -89,6 +89,6 @@ def shape_from_focal(fd: FocalData, i: int) -> ShapeSignature:
     kap[1] = 1.0 / fd.f[:, 0]
     # column j - 2 of S is S_{j-1}, summed left to right as in the recursion
     pivots = fd.f[:, : n - 2]
-    S = np.cumsum(pivots * field_derivative(fd.s, pivots, order=1), axis=1)
+    S = np.cumsum(pivots * field_derivative(fd.s, pivots), axis=1)
     kap[2:n] = (S / (pivots * fd.f[:, 1:])).T
     return _ladder_signatures(kap, fd.s, [i])[i]

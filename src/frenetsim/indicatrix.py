@@ -20,7 +20,7 @@ from scipy.integrate import cumulative_simpson
 from .curves import (
     TRIM,
     FrenetData,
-    _field_stride,
+    _field_strides,
     _strided_spline,
     _write_table,
     field_derivative,
@@ -89,8 +89,8 @@ class SphericalCurve:
     gamma: np.ndarray
 
     def __post_init__(self):
-        sig = np.ascontiguousarray(np.asarray(self.sigma, dtype=float))
-        g = np.ascontiguousarray(np.asarray(self.gamma, dtype=float))
+        sig = np.array(self.sigma, dtype=float, order="C")
+        g = np.array(self.gamma, dtype=float, order="C")
         if g.shape != (len(sig), self.dimension):
             raise BadIndex("gamma must be per-sample vectors in E^n")
         if not np.all(np.diff(sig) > 0):
@@ -134,8 +134,8 @@ def sabban_geodesic_curvature(sc: SphericalCurve) -> SabbanData:
 
     Fits gamma(sigma) once by the quintic strided spline of
     field_derivative, at one stride for all three coordinates read from
-    the joint graph [sigma / range, gamma / max|gamma|] (_field_stride),
-    differentiates that fit twice and evaluates
+    the joint graph [sigma / range, gamma / max|gamma|] (_field_strides
+    of gamma as one graph), differentiates that fit twice and evaluates
     kappa_g = det(gamma, gamma', gamma'') / |gamma'|^3, which equals
     the Sabban-frame geodesic curvature when sigma is arc length.
     """
@@ -143,8 +143,8 @@ def sabban_geodesic_curvature(sc: SphericalCurve) -> SabbanData:
         raise NotThreeDimensional(
             f"Sabban frame is defined in E^3, curve lives in E^{sc.dimension}"
         )
-    u = sc.sigma / max(sc.sigma[-1] - sc.sigma[0], 1e-300)
-    fit = _strided_spline(sc.sigma, sc.gamma, _field_stride(u, sc.gamma), 5)
+    stride = _field_strides(sc.sigma, sc.gamma.T[:, None])[0]
+    fit = _strided_spline(sc.sigma, sc.gamma, stride, 5)
     d1, d2 = fit(sc.sigma, 1), fit(sc.sigma, 2)
     speed = np.linalg.norm(d1, axis=1)
     if speed.min() <= 1e-8 * max(speed.max(), 1e-300):
@@ -189,7 +189,7 @@ def geodesic_closed_form(sig, which: str) -> np.ndarray:
     if np.any(np.abs(kt1) <= 1e-12):
         raise DivisionDegenerate("kt_1 vanishes; normal form undefined")
     ratio = kt2 / kt1
-    return kt1**2 * field_derivative(sig.sigma, ratio, order=1)
+    return kt1**2 * field_derivative(sig.sigma, ratio)
 
 
 def indicatrix_to_csv(sc: SphericalCurve, path, kappa_g=None) -> None:

@@ -97,9 +97,9 @@ class ShapeSignature:
         n = self.dimension
         if not 1 <= self.index <= n:
             raise BadIndex(f"index must be in 1..{n}, got {self.index}")
-        sig = np.ascontiguousarray(np.asarray(self.sigma, dtype=float))
-        kt = np.ascontiguousarray(np.asarray(self.kt, dtype=float))
-        ktj = np.ascontiguousarray(np.asarray(self.ktj, dtype=float))
+        sig = np.array(self.sigma, dtype=float, order="C")
+        kt = np.array(self.kt, dtype=float, order="C")
+        ktj = np.array(self.ktj, dtype=float, order="C")
         if kt.shape != sig.shape or ktj.shape != (n - 1, len(sig)):
             raise BadParameters("signature arrays have inconsistent shapes")
         if not np.all(np.diff(sig) > 0):
@@ -145,7 +145,7 @@ def _ladder_signatures(ladder: np.ndarray, s: np.ndarray, indices,
         raise refusal
     sl = next(iter(grids.values()))[0]
     q = np.column_stack([qs for _, qs, _ in grids.values()])
-    kt = field_derivative(s[sl], 1.0 / q, order=1)
+    kt = field_derivative(s[sl], 1.0 / q)
     return {i: ShapeSignature(n, i, sigma, kt[:, c], ladder[1:n, sl] / q[:, c],
                               s=s[sl])
             for c, (i, (_, _, sigma)) in enumerate(grids.items())}

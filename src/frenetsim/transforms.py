@@ -30,9 +30,14 @@ class SimilarityTransform:
     b: np.ndarray
 
     def __post_init__(self):
-        A = np.ascontiguousarray(np.asarray(self.A, dtype=float))
-        b = np.ascontiguousarray(np.asarray(self.b, dtype=float))
-        if not self.lam > 0:
+        lam = float(self.lam)
+        A = np.array(self.A, dtype=float, order="C")
+        b = np.array(self.b, dtype=float, order="C")
+        for name, value in (("scale lambda", lam), ("matrix A", A),
+                            ("offset b", b)):
+            if not np.all(np.isfinite(value)):
+                raise BadParameters(f"similarity {name} must be finite")
+        if not lam > 0:
             raise BadParameters("similarity scale must be positive")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise BadParameters("A must be square")
@@ -44,7 +49,7 @@ class SimilarityTransform:
             raise BadParameters("A must have determinant +1 (direct similarity)")
         A.setflags(write=False)
         b.setflags(write=False)
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 

@@ -521,12 +521,22 @@ def test_transform_only_maps_points(tmp_path, capsys):
 
 SPEC3 = ('"dimension": 3, "index": 2, '
          '"ktj": [0.8320502943378437, 0.5547001962252291]')
+TRANSFORM = ["transform", "--input", "{data}/helix.csv", "--input-b",
+             "{tmp}/spec.json", "--output", "{tmp}/image.csv"]
+EYE3 = '"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]'
 
 
-# every value here comes from outside the program: a flag or a spec field
+# every value here comes from outside the program: a flag, a spec field or
+# a field of a transform JSON
 @pytest.mark.parametrize("argv, spec", [
     pytest.param(["transform", "--input", "{data}/helix.csv", "--seed", "-1"],
                  None, id="transform_seed_negative"),
+    pytest.param(TRANSFORM, f'"lambda": Infinity, {EYE3}, "b": [0, 0, 0]',
+                 id="transform_lambda_inf"),
+    pytest.param(TRANSFORM, f'"lambda": 1, {EYE3}, "b": [NaN, 0, 0]',
+                 id="transform_b_nan"),
+    pytest.param(TRANSFORM, '"lambda": 1, "A": [[Infinity, 0, 0], [0, 1, 0], '
+                 '[0, 0, 1]], "b": [0, 0, 0]', id="transform_A_inf"),
     pytest.param(["verify", "--input", "{data}/helix.csv", "--seed", "-3"],
                  None, id="verify_seed_negative"),
     pytest.param(["evolute", "--input", "{data}/helix_short.csv",

@@ -9,7 +9,7 @@ import pytest
 import frenetsim as fs
 from frenetsim import errors as E
 from frenetsim import cli, curves
-from frenetsim.curves import TRIM, _engine, _field_stride, min_samples
+from frenetsim.curves import TRIM, _engine, _field_strides, min_samples
 
 TAU = 2 * math.pi
 
@@ -538,6 +538,26 @@ def test_sampled_curve_validation():
         fs.SampledCurve(3, np.array([0.0, 1.0]), np.zeros((2, 2)))
 
 
+def test_frozen_values_leave_the_callers_arrays_writable():
+    # each value object freezes a copy: the caller may still write to the
+    # arrays it passed in, and the object does not see the write
+    t = np.linspace(0.0, 1.0, 50)
+    plane = np.column_stack([np.cos(t), np.sin(t)])
+    sphere = np.column_stack([plane, np.zeros(50)])
+    kt, ktj, A, b = np.zeros(50), np.ones((1, 50)), np.eye(3), np.ones(3)
+    made = [(fs.SampledCurve(2, t, plane), ("t", "points")),
+            (fs.ShapeSignature(2, 1, t, kt, ktj), ("sigma", "kt", "ktj")),
+            (fs.SphericalCurve(3, 1, t, sphere), ("sigma", "gamma")),
+            (fs.SimilarityTransform(2.0, A, b), ("A", "b"))]
+    kept = [[getattr(obj, name).copy() for name in names] for obj, names in made]
+    for arr in (t, plane, sphere, kt, ktj, A, b):
+        arr[...] = 7.0
+    for (obj, names), values in zip(made, kept):
+        for name, value in zip(names, values):
+            got = getattr(obj, name)
+            assert np.array_equal(got, value) and not got.flags.writeable
+
+
 def test_builtin_validation():
     with pytest.raises(E.BadParameters):
         fs.circle(-1.0)
@@ -560,7 +580,7 @@ def test_custom_poly_against_hand_values():
 def test_field_derivative_polynomial():
     x = np.linspace(0.0, 2.0, 400)
     y = x ** 3 - x
-    d = fs.field_derivative(x, y, order=1)
+    d = fs.field_derivative(x, y)
     assert np.abs(d - (3 * x ** 2 - 1)).max() < 1e-7
 
 
@@ -575,22 +595,23 @@ def test_field_derivative_columns_are_their_own_calls(selfsim9_frenet):
     # column must come out as its own 1-d call, which one shared stride
     # does not give
     x, y = _radii(selfsim9_frenet)
-    u = x / (x[-1] - x[0])
-    assert len({_field_stride(u, col) for col in y.T}) >= 3
-    for order in (1, 2):
-        d = fs.field_derivative(x, y, order)
-        for c, col in enumerate(y.T):
-            assert np.array_equal(d[:, c], fs.field_derivative(x, col, order))
-        joint = curves._strided_spline(x, y, _field_stride(u, y), 5)(x, order)
-        assert not np.array_equal(d, joint)
+    assert len(set(_field_strides(x, y.T[None]))) >= 3
+    d = fs.field_derivative(x, y)
+    for c, col in enumerate(y.T):
+        assert np.array_equal(d[:, c], fs.field_derivative(x, col))
+    stride = _field_strides(x, y.T[:, None])[0]
+    joint = curves._strided_spline(x, y, stride, 5)(x, 1)
+    assert not np.array_equal(d, joint)
 
 
-def test_column_strides_are_the_per_column_strides(selfsim9_frenet):
-    # field_derivative picks the strides of all columns in one pass,
-    # and they must be those of one _field_stride call per column
+def test_a_stack_of_graphs_gets_each_graphs_own_stride(selfsim9_frenet):
+    # a stack of graphs gets each graph's own stride: field_derivative
+    # picks the strides of all its columns in one _field_strides call
+    def own(x, y):
+        return [_field_strides(x, c[None, None])[0] for c in y.T]
+
     x, y = _radii(selfsim9_frenet)
-    u = x / (x[-1] - x[0])
-    assert list(curves._column_strides(u, y)) == [_field_stride(u, c) for c in y.T]
+    assert list(_field_strides(x, y.T[None])) == own(x, y)
     rng = np.random.default_rng(5)
     for trial in range(60):
         N, m = int(rng.integers(20, 2500)), int(rng.integers(1, 6))
@@ -598,9 +619,7 @@ def test_column_strides_are_the_per_column_strides(selfsim9_frenet):
         y = (rng.standard_normal((N, m)).cumsum(axis=0) if trial % 2 else
              np.sin(np.outer(x / x[-1], rng.uniform(0.1, 30.0, m)))
              * rng.uniform(1e-3, 1e3, m))
-        u = x / (x[-1] - x[0])
-        assert (list(curves._column_strides(u, y))
-                == [_field_stride(u, c) for c in y.T])
+        assert list(_field_strides(x, y.T[None])) == own(x, y)
 
 
 def test_coarse_circle_still_accurate():

@@ -42,3 +42,62 @@ def test_no_unused_imports():
               for path in MODULES
               for line, name in unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
     assert unused == [], "\n".join(unused)
+
+
+def dead_definitions(trees: dict) -> list:
+    """(file, line, name) of every top-level definition that no tree reads.
+
+    trees maps a file name to its syntax tree. A definition is a top-level
+    function, class or assigned name other than a dunder. It is read where
+    any of the trees loads it as a name or as an attribute, which may be a
+    same-named definition of another file, and kept where an __all__
+    lists it.
+    """
+    read, defined = set(), []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node]
+            elif isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                ident = getattr(target, "name", getattr(target, "id", None))
+                if ident == "__all__":
+                    read.update(ast.literal_eval(node.value))
+                elif ident and not ident.startswith("__"):
+                    defined.append((name, node.lineno, ident))
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_dead_definition_is_found():
+    tree = ast.parse("__all__ = ['kept']\n"
+                     "LIMIT = 3\n"
+                     "def kept():\n"
+                     "    return helper(LIMIT)\n"
+                     "def helper(x):\n"
+                     "    return x\n"
+                     "def _leftover(x):\n"
+                     "    return x\n"
+                     "class Unused:\n"
+                     "    pass\n"
+                     "SPARE: int = 1\n")
+    assert dead_definitions({"m.py": tree}) == [
+        ("m.py", 7, "_leftover"), ("m.py", 9, "Unused"), ("m.py", 11, "SPARE")]
+
+
+def test_no_dead_definitions():
+    files = sorted((ROOT / "src" / "frenetsim").glob("*.py")) + sorted(
+        (ROOT / "scripts").glob("*.py"))
+    dead = [f"{path}:{line}: {name}" for path, line, name in dead_definitions(
+        {str(p.relative_to(ROOT)): ast.parse(p.read_text(encoding="utf-8"))
+         for p in files})]
+    assert dead == [], "\n".join(dead)

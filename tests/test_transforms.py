@@ -49,6 +49,16 @@ def test_reflection_rejected():
         fs.SimilarityTransform(-2.0, np.eye(3), np.zeros(3))
 
 
+@pytest.mark.parametrize("lam, A, b, name", [
+    (np.inf, np.eye(3), np.zeros(3), "scale lambda"),
+    (1.0, np.diag([np.inf, 1.0, 1.0]), np.zeros(3), "matrix A"),
+    (1.0, np.eye(3), np.array([np.nan, 0.0, 0.0]), "offset b"),
+])
+def test_non_finite_similarity_names_its_field(lam, A, b, name):
+    with pytest.raises(E.BadParameters, match=f"similarity {name} must be finite"):
+        fs.SimilarityTransform(lam, A, b)
+
+
 def test_apply_requires_matching_dimension(helix_curve):
     T = fs.random_similarity(0, (0.5, 2.0), 2)
     with pytest.raises(E.DimensionMismatch):
