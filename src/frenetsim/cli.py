@@ -24,6 +24,7 @@ from .curves import (
     TRIM,
     _read_text,
     _write_table,
+    _write_texts,
     arclength_reparam,
     curve_from_csv,
     curve_to_csv,
@@ -33,11 +34,11 @@ from .errors import BadParameters, BadRange, GeometryError, UsageError
 from .evolute import evolute_e3, evolute_invariant_report
 from .focal import focal_curvatures
 from .indicatrix import (
+    _write_indicatrix,
     indicatrix_curve,
-    indicatrix_to_csv,
     sabban_geodesic_curvature,
 )
-from .jsonio import dump_pretty
+from .jsonio import dump_pretty, float_texts
 from .selfsimilar import (
     SelfSimilarSpec,
     frame_ode_oracle,
@@ -46,9 +47,9 @@ from .selfsimilar import (
 )
 from .signatures import (
     DEFAULT_MATCH_TOL,
+    _signature_text,
     invariance_sweep,
     shape_curvatures,
-    signature_to_json,
     similarity_test,
 )
 from .transforms import (
@@ -83,23 +84,28 @@ def cmd_analyze(args) -> int:
     sig = shape_curvatures(fr, args.index)
     n = fr.dimension
     base = _base_path(args)
+    # every column is formatted once, for all the artifacts that carry it,
+    # and its texts dropped after the last of them is written
+    sigma, kt, ktj = map(float_texts, (sig.sigma, sig.kt, sig.ktj))
     sig_path = Path(f"{base}.signature.json")
-    sig_path.write_text(signature_to_json(sig) + "\n")
+    sig_path.write_text(_signature_text(n, args.index, sigma, kt, ktj) + "\n")
 
-    sl = slice(TRIM, fr.n_samples - TRIM)
-    cols = [sig.s, sig.sigma, fr.kappas[sl], sig.kt, sig.ktj.T]
-    names = ["s", "sigma", *[f"kappa_{j}" for j in range(1, n)],
-             "kt", *[f"kt_{j}" for j in range(1, n)]]
     sc = indicatrix_curve(fr, args.index)
     kappa_g = None
     if n == 3:
-        kappa_g = sabban_geodesic_curvature(sc).kappa_g
-        cols.append(kappa_g)
+        kappa_g = float_texts(sabban_geodesic_curvature(sc).kappa_g)
+    sl = slice(TRIM, fr.n_samples - TRIM)
+    names = ["s", "sigma", *[f"kappa_{j}" for j in range(1, n)],
+             "kt", *[f"kt_{j}" for j in range(1, n)]]
+    cols = [float_texts(sig.s), sigma, *float_texts(fr.kappas[sl].T), kt, *ktj]
+    if kappa_g is not None:
         names.append("kappa_g")
+        cols.append(kappa_g)
     samples_path = Path(f"{base}.samples.csv")
-    _write_table(samples_path, names, cols)
+    _write_texts(samples_path, names, cols)
+    del cols, kt, ktj
     ind_path = Path(f"{base}.indicatrix.csv")
-    indicatrix_to_csv(sc, ind_path, kappa_g=kappa_g)
+    _write_indicatrix(ind_path, sigma, float_texts(sc.gamma.T), kappa_g)
 
     sys.stdout.write(dump_pretty({
         "input": args.input,

@@ -53,6 +53,7 @@ from .errors import (
     TooFewSamples,
     ZeroSpeed,
 )
+from .jsonio import float_texts
 
 log = logging.getLogger("frenetsim.curves")
 
@@ -426,7 +427,10 @@ def arclength_reparam(curve, n_samples: int) -> SampledCurve:
 
     Accepts a SampledCurve or a BuiltinCurve (sampled over its t_span).
     The result is parameterized by arc length and carries a jet source
-    so downstream analysis keeps full accuracy.
+    so downstream analysis keeps full accuracy. Its points are entry [0]
+    of the order-n jet on the new grid (P[0] / v^0 = P[0], bit for bit),
+    which the source keeps, so frenet_apparatus of the result reads that
+    jet instead of evaluating t(s) and the inner source a second time.
     """
     if isinstance(curve, BuiltinCurve):
         t_lo, t_hi = curve.t_span
@@ -442,7 +446,7 @@ def arclength_reparam(curve, n_samples: int) -> SampledCurve:
     tt, svals = _arclength_table(src, t_lo, t_hi, n_samples)
     rep = _ReparamSource(src, make_interp_spline(svals, tt, k=5))
     s_targets = np.linspace(0.0, svals[-1], n_samples)
-    return SampledCurve(dim, s_targets, rep.jet(s_targets, 0)[0], source=rep)
+    return SampledCurve(dim, s_targets, rep.jet(s_targets, dim)[0], source=rep)
 
 
 def _input_parameter(src, tq: float) -> float:
@@ -676,25 +680,45 @@ def field_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV input and output
 #
-# A table is written by one %-format over all of its cells and read back by
-# np.loadtxt. The csv module reads only the bodies loadtxt refuses (quoted
-# cells, digit separators, digits outside ASCII, malformed rows), cell by cell
-# with float(), so it alone words the BadParameters messages.
+# A table is written from the texts of jsonio.float_texts, the one float
+# format of every artifact: each column is formatted once and each row
+# joins its cells with "," (_write_texts), so a caller that writes a column
+# into several artifacts can format it once for all of them. A table is
+# read back by np.loadtxt. The csv module reads only the bodies loadtxt
+# refuses (quoted cells, digit separators, digits outside ASCII, malformed
+# rows), cell by cell with float(), so it alone words the BadParameters
+# messages.
 
 _NON_BLANK = re.compile(r"\S")
+
+
+def _write_texts(path, header_cols, columns) -> None:
+    """Write a headed CSV table whose columns are lists of cell texts.
+
+    Each row joins its cells with "," and goes to the file on its own, so
+    no text of the whole table is built; columns of unequal length raise
+    ValueError.
+    """
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("table columns differ in length")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header_cols) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(row))
+            fh.write("\n")
 
 
 def _write_table(path, header_cols, columns) -> None:
     """Write a headed CSV table of column arrays, 17 significant digits per cell.
 
-    The bytes are those of np.savetxt(fmt="%.17g"): the same format applied
-    to every cell, in one pass instead of a Python loop over rows.
+    The bytes are those of np.savetxt(fmt="%.17g"): every cell is the
+    float_texts text of its value. As in np.column_stack, a 1-d array is
+    one column and a 2-d array contributes each of its columns.
     """
-    data = np.column_stack(columns)
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header_cols) + "\n")
-        fh.write((row * len(data)) % tuple(data.ravel().tolist()))
+    texts = []
+    for c in map(np.asarray, columns):
+        texts += [float_texts(c)] if c.ndim == 1 else float_texts(c.T)
+    _write_texts(path, header_cols, texts)
 
 
 def curve_to_csv(curve: SampledCurve, path) -> None:

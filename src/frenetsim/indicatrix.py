@@ -22,7 +22,7 @@ from .curves import (
     FrenetData,
     _field_strides,
     _strided_spline,
-    _write_table,
+    _write_texts,
     field_derivative,
 )
 from .errors import (
@@ -32,6 +32,7 @@ from .errors import (
     IndicatrixDegenerate,
     NotThreeDimensional,
 )
+from .jsonio import float_texts
 
 INDICATRIX_REL_TOL = 1e-8
 
@@ -192,11 +193,21 @@ def geodesic_closed_form(sig, which: str) -> np.ndarray:
     return kt1**2 * field_derivative(sig.sigma, ratio)
 
 
-def indicatrix_to_csv(sc: SphericalCurve, path, kappa_g=None) -> None:
-    """Write `sigma,g1,...,gn[,kappa_g]` with 17 significant digits."""
-    head = ["sigma"] + [f"g{d + 1}" for d in range(sc.dimension)]
-    cols = [sc.sigma, sc.gamma]
+def _write_indicatrix(path, sigma, gamma, kappa_g) -> None:
+    """Write `sigma,g1,...,gn[,kappa_g]` from the float_texts of its columns.
+
+    gamma holds the texts of each coordinate; kappa_g None leaves its
+    column out.
+    """
+    head = ["sigma"] + [f"g{d + 1}" for d in range(len(gamma))]
+    cols = [sigma, *gamma]
     if kappa_g is not None:
         head.append("kappa_g")
         cols.append(kappa_g)
-    _write_table(path, head, cols)
+    _write_texts(path, head, cols)
+
+
+def indicatrix_to_csv(sc: SphericalCurve, path, kappa_g=None) -> None:
+    """Write `sigma,g1,...,gn[,kappa_g]` with 17 significant digits."""
+    _write_indicatrix(path, float_texts(sc.sigma), float_texts(sc.gamma.T),
+                      None if kappa_g is None else float_texts(kappa_g))

@@ -1,29 +1,53 @@
-"""JSON text output with a fixed float format.
+"""Float texts, and JSON text output laid out from them.
 
-Every float is rendered as %.17g so that files are reproducible
-byte-for-byte and round-trip through float() without loss; negative
-zero is written -0.0, since json.loads reads "-0" as the int 0. Non-finite
-values follow the json module's own spelling (Infinity, NaN), which
-json.loads accepts back. A float array is rendered a row at a time: one
-join over the formatted values of each 1-d row, with no call of render
-per element.
+float_texts is the one float format of every artifact: it turns a float
+array into the %.17g text of each value in a single %-format pass, so
+files are reproducible byte-for-byte and round-trip through float()
+without loss. A CSV table joins the texts of a row with ","
+(curves._write_texts). render lays out texts wrapped as FloatTexts as a
+JSON array joined with ", ", after spelling -0 as -0.0 (json.loads reads
+"-0" as the int 0) and nan, inf, -inf as the json module's NaN,
+Infinity, -Infinity, which json.loads accepts back. A float or a float
+array given to render takes the same two steps, so a caller that formats
+a column once and writes it into both a CSV table and a JSON document
+gets the bytes that formatting it for each would give.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
+_JSON_SPELLING = {"-0": "-0.0", "nan": "NaN", "inf": "Infinity",
+                  "-inf": "-Infinity"}
 
-def _float_text(v: float) -> str:
-    if math.isnan(v):
-        return "NaN"
-    if math.isinf(v):
-        return "Infinity" if v > 0 else "-Infinity"
-    text = f"{v:.17g}"
-    return "-0.0" if text == "-0" else text
+
+def float_texts(a):
+    """The %.17g text of every value of a float array, nested as a.tolist().
+
+    One %-format over all the values, split at the separators; a float
+    or a 0-d array gives one text.
+    """
+    a = np.asarray(a, dtype=float)
+    flat = a.ravel().tolist()
+    texts = ("%.17g," * len(flat) % tuple(flat)).split(",")[:-1]
+    if a.ndim == 1:
+        return texts
+    return np.array(texts, dtype=object).reshape(a.shape).tolist()
+
+
+class FloatTexts(list):
+    """float_texts of an array, which render lays out as its JSON array."""
+
+
+def _json_floats(texts) -> str:
+    """JSON text of float_texts output: one number, or arrays nested alike."""
+    if isinstance(texts, str):
+        return _JSON_SPELLING.get(texts, texts)
+    if texts and not isinstance(texts[0], str):
+        return "[" + ", ".join(map(_json_floats, texts)) + "]"
+    return "[" + ", ".join(map(_JSON_SPELLING.get, texts, texts)) + "]"
 
 
 def render(obj) -> str:
@@ -34,14 +58,13 @@ def render(obj) -> str:
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _float_text(float(obj))
+    if isinstance(obj, (float, np.floating)) or (
+            isinstance(obj, np.ndarray) and obj.dtype.kind == "f"):
+        return _json_floats(float_texts(obj))
+    if isinstance(obj, FloatTexts):
+        return _json_floats(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim:
-        if obj.ndim == 1:
-            return "[" + ", ".join(map(_float_text, obj.tolist())) + "]"
-        return "[" + ", ".join(render(row) for row in obj) + "]"
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):

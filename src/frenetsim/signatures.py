@@ -48,7 +48,7 @@ from .indicatrix import (
     indicatrix_curve,
     sabban_geodesic_curvature,
 )
-from .jsonio import render
+from .jsonio import FloatTexts, float_texts, render
 from .transforms import apply_similarity
 
 log = logging.getLogger("frenetsim.signatures")
@@ -334,14 +334,20 @@ def invariance_sweep(curve: SampledCurve, transforms) -> dict:
 # JSON round trip
 
 
-def signature_to_json(sig: ShapeSignature) -> str:
+def _signature_text(dimension: int, index: int, sigma, kt, ktj) -> str:
+    """Signature JSON from the float_texts of sigma, kt and the rows of ktj."""
     return render({
-        "dimension": sig.dimension,
-        "index": sig.index,
-        "sigma": sig.sigma,
-        "kt": sig.kt,
-        "ktj": sig.ktj,
+        "dimension": dimension,
+        "index": index,
+        "sigma": FloatTexts(sigma),
+        "kt": FloatTexts(kt),
+        "ktj": FloatTexts(ktj),
     })
+
+
+def signature_to_json(sig: ShapeSignature) -> str:
+    return _signature_text(sig.dimension, sig.index, float_texts(sig.sigma),
+                           float_texts(sig.kt), float_texts(sig.ktj))
 
 
 def signature_from_json(text: str) -> ShapeSignature:

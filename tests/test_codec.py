@@ -1,15 +1,18 @@
 """The text codec: CSV tables, JSON float arrays and the artifacts they carry."""
 
 import json
+import math
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import frenetsim as fs
 from frenetsim.cli import main
 from frenetsim.curves import TRIM, _write_table
-from frenetsim.jsonio import _float_text, render
+from frenetsim.jsonio import FloatTexts, float_texts, render
 
 EXTREMES = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308,
                      -1e308, np.nan, np.inf, -np.inf, 1 / 3, -2.5e-17, 1e22])
@@ -35,6 +38,16 @@ def test_write_table_matches_savetxt(tmp_path):
     for header, columns in tables:
         _write_table(out, header, columns)
         assert out.read_bytes() == _savetxt_bytes(ref, header, columns)
+
+
+def _float_text(v: float) -> str:
+    """The reference JSON number: one value at a time, %.17g with JSON spellings."""
+    if math.isnan(v):
+        return "NaN"
+    if math.isinf(v):
+        return "Infinity" if v > 0 else "-Infinity"
+    text = f"{v:.17g}"
+    return "-0.0" if text == "-0" else text
 
 
 def _render_per_element(a):
@@ -82,3 +95,89 @@ def test_analyze_artifacts_load_back_bit_exact(data_dir, tmp_path, capsys):
     assert indicatrix[:, 0].tobytes() == sig.sigma.tobytes()
     frame = np.ascontiguousarray(fr.frames[sl, 1])
     assert np.ascontiguousarray(indicatrix[:, 1:4]).tobytes() == frame.tobytes()
+
+
+def test_json_layout_of_float_texts_is_render():
+    # the texts a CSV table shares, laid out as JSON, spell -0.0, NaN and
+    # the infinities as render does
+    for a in (EXTREMES, EXTREMES.reshape(3, 4), EXTREMES[:0].reshape(0, 2),
+              EXTREMES[:0].reshape(2, 0)):
+        assert render(FloatTexts(float_texts(a))) == _render_per_element(a)
+        assert render(a) == _render_per_element(a)
+    for v in EXTREMES:
+        assert render(v) == _float_text(float(v))
+
+
+def _self_similar_e4_csv(path):
+    spec = fs.SelfSimilarSpec(dimension=4, index=2, kt=0.1,
+                              ktj=(0.7, math.sqrt(1 - 0.49), 0.5),
+                              n_samples=600)
+    fs.curve_to_csv(fs.synthesize_self_similar(spec), path)
+
+
+def _log_spiral_csv(path):
+    t = np.linspace(0.0, 6.0, 500)
+    fs.curve_to_csv(fs.builtin_evaluate(fs.log_spiral(0.15, (0.0, 6.0)), t),
+                    path)
+
+
+@pytest.mark.parametrize("dimension", [2, 3, 4])
+def test_analyze_artifacts_are_the_writers_bytes(dimension, data_dir, tmp_path,
+                                                 capsys):
+    # the artifacts analyze writes from shared texts are byte for byte those
+    # of signature_to_json, indicatrix_to_csv and the table writer: E^2 at
+    # index 1, E^3 (with kappa_g) and E^4 at index 2
+    path = data_dir / "helix.csv" if dimension == 3 else tmp_path / "in.csv"
+    if dimension == 2:
+        _log_spiral_csv(path)
+    elif dimension == 4:
+        _self_similar_e4_csv(path)
+    index = 1 if dimension == 2 else 2
+    base, samples = tmp_path / "out", 700
+    assert main(["analyze", "--input", str(path), "--index", str(index),
+                 "--samples", str(samples), "--output", str(base)]) == 0
+    capsys.readouterr()
+    fr = fs.frenet_apparatus(fs.arclength_reparam(fs.curve_from_csv(path),
+                                                  samples))
+    n = fr.dimension
+    sig = fs.shape_curvatures(fr, index)
+    sc = fs.indicatrix_curve(fr, index)
+    kappa_g = fs.sabban_geodesic_curvature(sc).kappa_g if n == 3 else None
+    assert (tmp_path / "out.signature.json").read_text() \
+        == fs.signature_to_json(sig) + "\n"
+    ref = tmp_path / "ref.csv"
+    fs.indicatrix_to_csv(sc, ref, kappa_g=kappa_g)
+    assert (tmp_path / "out.indicatrix.csv").read_bytes() == ref.read_bytes()
+    names = ["s", "sigma", *[f"kappa_{j}" for j in range(1, n)],
+             "kt", *[f"kt_{j}" for j in range(1, n)]]
+    cols = [sig.s, sig.sigma, fr.kappas[TRIM:fr.n_samples - TRIM], sig.kt,
+            sig.ktj.T]
+    if kappa_g is not None:
+        names.append("kappa_g")
+        cols.append(kappa_g)
+    _write_table(ref, names, cols)
+    assert (tmp_path / "out.samples.csv").read_bytes() == ref.read_bytes()
+
+
+def test_analyze_formats_each_column_once(data_dir, tmp_path, monkeypatch,
+                                          capsys):
+    # an E^3 index-2 run carries 11 distinct columns in its three artifacts:
+    # s, sigma, kappa_1, kappa_2, kt, kt_1, kt_2, kappa_g and gamma_1..3
+    # (17 column formats when each artifact formats its own)
+    sizes = []
+
+    def counted(a):
+        sizes.append(np.size(a))
+        return float_texts(a)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "frenetsim" or name.startswith("frenetsim.")) \
+                and vars(module).get("float_texts") is float_texts:
+            monkeypatch.setattr(module, "float_texts", counted)
+    samples = 400
+    assert main(["analyze", "--input", str(data_dir / "helix.csv"),
+                 "--index", "2", "--samples", str(samples),
+                 "--output", str(tmp_path / "helix")]) == 0
+    capsys.readouterr()
+    # stdout's sigma_span, kt_min and kt_max are three floats more
+    assert sum(sizes) == 11 * (samples - 2 * TRIM) + 3, sizes
