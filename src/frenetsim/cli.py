@@ -5,7 +5,8 @@ verify. Curves travel as CSV (header t,x1,...,xn), transforms and
 signatures as JSON, and every float is printed with 17 significant
 digits. Exit codes: 0 success (or "similar"), 1 a decision or property
 check failed, 2 usage or parse problems, 3 geometric degeneracy.
-Set FRENETSIM_LOG=info (or debug) for progress logging on stderr.
+Set FRENETSIM_LOG=info (or debug) for progress logging on stderr; a
+value that is not a logging level name is ignored with a warning.
 """
 
 from __future__ import annotations
@@ -349,12 +350,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     level = os.environ.get("FRENETSIM_LOG", "")
-    if level:
+    # getLevelName maps a level name to its number and anything else to a
+    # str; logging's other attributes (BASIC_FORMAT) are not levels
+    number = logging.getLevelName(level.upper()) if level else None
+    if isinstance(number, int):
         logging.basicConfig(
-            level=getattr(logging, level.upper(), logging.INFO),
+            level=number,
             stream=sys.stderr,
             format="%(levelname)s %(name)s: %(message)s",
         )
+    elif level:
+        print(f"warning: FRENETSIM_LOG={level!r} is not a logging level "
+              "name (debug, info, warning, error, critical); logging stays off",
+              file=sys.stderr)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,6 +17,10 @@ tq[0] to each query parameter.
   parameter is its own arc length, read back to t through the inner
   source's arc-length table (_arclength_table).
 
+The arc-length table holds t, s and the speed v = ds/dt on one uniform
+grid, so it is read either way by cubic Hermite interpolation with exact
+slopes, v for s(t) and 1/v for t(s), with no spline fit of its own.
+
 A SampledCurve carries its source, or gets a spline fitted to its
 samples, so no finite differencing of positions ever happens. One rule,
 _auto_stride, sets the knot stride of every strided spline: the position
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.interpolate import make_interp_spline
+from scipy.interpolate import CubicHermiteSpline, make_interp_spline
 
 from .errors import (
     BadParameters,
@@ -354,8 +358,12 @@ def parameter_speeds(source, tq: np.ndarray) -> np.ndarray:
 def _arclength_table(source, t_lo: float, t_hi: float, n_hint: int):
     """Arc length s(t) from t_lo at max(4N, 4096) + 1 uniform parameters.
 
-    Cumulative Simpson of the speed; returns the grid and s there, which
-    is strictly increasing, so the table can be read either way.
+    Cumulative Simpson of the speed; returns the grid, s there and the
+    speed v = ds/dt there. s is strictly increasing, so the table is read
+    either way by cubic Hermite with exact slopes: v for s(t), 1/v for
+    t(s), each with O(h^4) error. At debug level it logs its point count,
+    the total length and the stall margin min(ds)/mean(ds) between grid
+    points, which is <= 0 where the stall refusal below fires.
     """
     m = max(4 * n_hint, 4096) + 1
     tt = np.linspace(t_lo, t_hi, m)
@@ -364,32 +372,36 @@ def _arclength_table(source, t_lo: float, t_hi: float, n_hint: int):
     if mx <= 0 or sp.min() <= 1e-9 * mx:
         raise ZeroSpeed("curve speed vanishes inside the parameter window")
     svals = cumulative_simpson(sp, x=tt, initial=0.0)
+    ds = np.diff(svals)
+    log.debug("arc-length table: %d points, length %.6g, stall margin %.3g",
+              m, svals[-1], ds.min() / ds.mean())
     # Simpson's panel weights are not all positive, so a speed that
     # oscillates between grid points, as on noisy samples, can step s back
-    stall = np.flatnonzero(np.diff(svals) <= 0)
+    stall = np.flatnonzero(ds <= 0)
     if len(stall):
         raise ZeroSpeed(f"arc length stops increasing at t = {tt[stall[0]]:.6g}; "
                         "the speed oscillates faster than the quadrature grid there")
-    return tt, svals
+    return tt, svals, sp
 
 
 def _arclength(source, t: np.ndarray) -> np.ndarray:
-    S = make_interp_spline(*_arclength_table(source, t[0], t[-1], len(t)), k=5)
-    return np.asarray(S(t) - S(t[0]))
+    tt, svals, sp = _arclength_table(source, t[0], t[-1], len(t))
+    # the table starts at t[0] with s = 0, which the Hermite read returns
+    return CubicHermiteSpline(tt, svals, sp)(t)
 
 
 @dataclass(frozen=True)
 class _ReparamSource:
     """Arclength reparameterization of another jet source.
 
-    Query parameters are arc lengths; t_of_s is the quintic interpolant
-    of the inner source's arc-length table read backward, s -> t. Each
-    jet call returns the inner derivatives D_k at t_of_s(s) divided by
-    v^k, v = |D_1|: the exact derivatives in the parameter that is linear
-    in t with unit speed at the query point, so entry [0] is the position
-    and entry [1] the unit tangent. Keeping the inner source alive avoids
-    refitting splines to resampled data, which would destroy the
-    high-order derivatives.
+    Query parameters are arc lengths; t_of_s reads the inner source's
+    arc-length table backward, s -> t, by cubic Hermite with slopes
+    dt/ds = 1/v. Each jet call returns the inner derivatives D_k at
+    t_of_s(s) divided by v^k, v = |D_1|: the exact derivatives in the
+    parameter that is linear in t with unit speed at the query point, so
+    entry [0] is the position and entry [1] the unit tangent. Keeping the
+    inner source alive avoids refitting splines to resampled data, which
+    would destroy the high-order derivatives.
 
     The last jet is kept, read-only, with its query grid: a call on an
     equal grid and at most that order returns its leading entries, so
@@ -427,10 +439,13 @@ def arclength_reparam(curve, n_samples: int) -> SampledCurve:
 
     Accepts a SampledCurve or a BuiltinCurve (sampled over its t_span).
     The result is parameterized by arc length and carries a jet source
-    so downstream analysis keeps full accuracy. Its points are entry [0]
-    of the order-n jet on the new grid (P[0] / v^0 = P[0], bit for bit),
-    which the source keeps, so frenet_apparatus of the result reads that
-    jet instead of evaluating t(s) and the inner source a second time.
+    so downstream analysis keeps full accuracy. Its t(s) is the cubic
+    Hermite read of the arc-length table with slopes 1/v, so the only
+    spline fit is the position fit of a raw curve. Its points are entry
+    [0] of the order-n jet on the new grid (P[0] / v^0 = P[0], bit for
+    bit), which the source keeps, so frenet_apparatus of the result reads
+    that jet instead of evaluating t(s) and the inner source a second
+    time.
     """
     if isinstance(curve, BuiltinCurve):
         t_lo, t_hi = curve.t_span
@@ -443,8 +458,8 @@ def arclength_reparam(curve, n_samples: int) -> SampledCurve:
     dim = curve.dimension
     n_samples = int(n_samples)
     _require_samples(n_samples, dim)
-    tt, svals = _arclength_table(src, t_lo, t_hi, n_samples)
-    rep = _ReparamSource(src, make_interp_spline(svals, tt, k=5))
+    tt, svals, sp = _arclength_table(src, t_lo, t_hi, n_samples)
+    rep = _ReparamSource(src, CubicHermiteSpline(svals, tt, 1.0 / sp))
     s_targets = np.linspace(0.0, svals[-1], n_samples)
     return SampledCurve(dim, s_targets, rep.jet(s_targets, dim)[0], source=rep)
 

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line, run in process."""
 
 import json
+import logging
 import re
 import warnings
 
@@ -283,6 +284,25 @@ def test_unknown_command(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["analyze", "--help"]) == 0
+
+
+@pytest.mark.parametrize("value, level", [
+    ("debug", logging.DEBUG), ("INFO", logging.INFO),
+    # logging.BASIC_FORMAT is an attribute of logging, but not a level
+    ("basic_format", None), ("nonsense", None)])
+def test_log_variable_takes_level_names_only(value, level, data_dir,
+                                             monkeypatch, capsys):
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig",
+                        lambda **kwargs: levels.append(kwargs["level"]))
+    monkeypatch.setenv("FRENETSIM_LOG", value)
+    assert main(["analyze", "--input", str(data_dir / "helix.csv"),
+                 "--samples", "200"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert levels == ([] if level is None else [level])
+    assert err == ([] if level else [
+        f"warning: FRENETSIM_LOG={value!r} is not a logging level name "
+        "(debug, info, warning, error, critical); logging stays off"])
 
 
 def test_verify_properties_match_invariance_sweep(data_dir, capsys):

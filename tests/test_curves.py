@@ -1,5 +1,6 @@
 import csv
 import io
+import logging
 import math
 import re
 
@@ -45,7 +46,18 @@ def test_arclength_inverse_closed_forms(n):
         cur = fs.arclength_reparam(curve, n)
         # the sample grid and the midpoints between its samples
         s = np.linspace(0.0, cur.t[-1], 2 * n - 1)
-        assert np.abs(cur.source.t_of_s(s) - t_of_s(s)).max() < 1e-11
+        assert np.abs(cur.source.t_of_s(s) - t_of_s(s)).max() < 5e-12
+
+
+def test_arclength_forward_closed_form():
+    # helix(3, 4) has speed 5, so s(t) = 5 (t - t0) on its spline fit too;
+    # the error is the position spline's (1.4e-12), not the table read's
+    t = np.linspace(0.0, 5.0, 2000)
+    raw = fs.builtin_evaluate(fs.helix(3.0, 4.0, t_span=(0.0, 5.0)), t)
+    src = _engine(fs.SampledCurve(3, t, raw.points))
+    # the samples and the midpoints between them
+    tq = np.linspace(0.0, 5.0, 2 * len(t) - 1)
+    assert np.abs(src.arclength(tq) - 5.0 * (tq - tq[0])).max() < 3e-12
 
 
 def test_reparam_is_unit_speed(helix_curve):
@@ -230,18 +242,22 @@ def test_affine_image_jet(helix_curve):
 
 def test_raw_curve_fits_one_position_spline(monkeypatch):
     t = np.linspace(0.0, 5.0, 2000)
-    raw = fs.builtin_evaluate(fs.helix(3.0, 4.0, t_span=(0.0, 5.0)), t)
+    raw = fs.SampledCurve(3, t, fs.builtin_evaluate(
+        fs.helix(3.0, 4.0, t_span=(0.0, 5.0)), t).points)
     fits = []
     fit = curves.make_interp_spline
 
     def counting_fit(x, y, k):
-        fits.append(len(x))
+        fits.append((y.shape[-1], k))
         return fit(x, y, k=k)
 
     monkeypatch.setattr(curves, "make_interp_spline", counting_fit)
-    fs.frenet_apparatus(fs.SampledCurve(3, t, raw.points))
-    # the position spline, then the arc-length table s(t) on 8001 points
-    assert len(fits) == 2 and fits[1] == 8001
+    # the degree-7 position spline of the E^3 samples and nothing else: the
+    # arc-length table is read both ways by cubic Hermite, not fitted
+    for resample in (fs.frenet_apparatus, lambda c: fs.arclength_reparam(c, 500)):
+        fits.clear()
+        resample(raw)
+        assert fits == [(3, 7)]
 
 
 def _gram_schmidt_frenet(D):
@@ -504,16 +520,31 @@ def test_too_few_samples(tmp_path):
                         "--output", str(tmp_path / "out")]) == 2
 
 
-def test_noisy_spiral_arclength_stalls():
+def test_noisy_spiral_arclength_stalls(caplog):
     # the speed of heavily noisy samples oscillates faster than the
     # quadrature grid, and a Simpson panel with a negative weight on the
     # peak steps the arc length back
+    caplog.set_level(logging.DEBUG, logger="frenetsim.curves")
     t = np.linspace(0.0, 2 * TAU, 2000)
     pts = np.column_stack([np.exp(0.1 * t) * np.cos(t), np.exp(0.1 * t) * np.sin(t)])
     diam = np.linalg.norm(np.ptp(pts, axis=0))
     pts = pts + np.random.default_rng(0).normal(0.0, 1e-3 * diam, pts.shape)
     with pytest.raises(E.ZeroSpeed, match="stops increasing"):
         fs.arclength_reparam(fs.SampledCurve(2, t, pts), 2000)
+    # the table's debug line, logged before the refusal, shows why
+    assert float(re.findall(r"stall margin (\S+)", caplog.text)[-1]) <= 0
+
+
+def test_arclength_table_debug_line(caplog):
+    caplog.set_level(logging.DEBUG, logger="frenetsim.curves")
+    # helix(3, 4) has speed 5 everywhere, so every step of s is as long
+    fs.arclength_reparam(fs.helix(3.0, 4.0, t_span=(0.0, 5.0)), 2000)
+    m = re.search(r"arc-length table: (\d+) points, length (\S+), "
+                  r"stall margin (\S+)", caplog.text)
+    assert m, caplog.text
+    assert int(m[1]) == 8001
+    assert float(m[2]) == pytest.approx(25.0, rel=1e-6)
+    assert float(m[3]) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_zero_speed_cusp():
