@@ -12,6 +12,7 @@ value that is not a logging level name is ignored with a warning.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -280,7 +281,9 @@ def cmd_verify(args) -> int:
     return 0 if not failing else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="frenetsim",
         description="Similarity-invariant curve analysis in E^n.",

@@ -520,17 +520,29 @@ def _householder_qr(D: np.ndarray):
     operations on contiguous rows. Column k < n - 1 is reflected onto e_k
     in LAPACK's dlarfg form, beta = -sign(x_0) |x|, tau = (beta - x_0) /
     beta, v_0 = 1, except where its part below the diagonal is already
-    zero; Q is accumulated backward from the identity. Returns Q (N, n, n),
+    zero. Each reflection is applied in place, one row at a time. Q is
+    accumulated backward from the identity on its moving block only:
+    before H_k acts, row and column k of Q[k:, k:] are still e_0, so H_k
+    sets them from tau and v and reflects Q[k+1:, k+1:] alone (Golub and
+    Van Loan, Matrix Computations, 4th ed., 5.1.6). Returns Q (N, n, n),
     the diagonal of R (N, n) and det Q = (-1)^(reflections applied) (N,).
     """
     n, N = D.shape[-1], D.shape[0]
-    A = np.ascontiguousarray(np.moveaxis(D, 0, -1))  # A[i, j, q] = D[q, i, j]
+    # a copy: for a single matrix the moved axes are already contiguous,
+    # and np.ascontiguousarray would hand the sweep a view of D
+    A = np.moveaxis(D, 0, -1).copy()  # A[i, j, q] = D[q, i, j]
     r, reflections, det = np.empty((n, N)), [], np.ones(N)
 
+    def reflect_rows(M, v, w):  # M -= v w^T, with no (m, c, N) temporary
+        for vi, row in zip(v, M):
+            row -= vi * w
+
     def reflect(M, v, tau):  # M -= tau u (u^T M) with u = [1, v]
-        w = tau * (M[0] + np.einsum("iq,ijq->jq", v, M[1:]))
+        w = np.einsum("iq,ijq->jq", v, M[1:])
+        w += M[0]
+        w *= tau
         M[0] -= w
-        M[1:] -= v[:, None] * w
+        reflect_rows(M[1:], v, w)
 
     for k in range(n - 1):
         x0, tail = A[k, k], A[k + 1:, k]
@@ -547,7 +559,14 @@ def _householder_qr(D: np.ndarray):
     Q = np.zeros_like(A)
     Q[np.arange(n), np.arange(n)] = 1.0
     for k in range(n - 2, -1, -1):
-        reflect(Q[k:, k:], *reflections[k])
+        v, tau = reflections[k]
+        M = Q[k + 1:, k + 1:]
+        w = np.einsum("iq,ijq->jq", v, M)
+        w *= tau
+        Q[k, k] -= tau
+        Q[k + 1:, k] -= tau * v
+        Q[k, k + 1:] -= w
+        reflect_rows(M, v, w)
     return np.moveaxis(Q, -1, 0), r.T, det
 
 

@@ -40,11 +40,10 @@ from .errors import (
     BadIndex,
     BadParameters,
     IncompatibleSignatures,
-    IndicatrixDegenerate,
 )
 from .indicatrix import (
     _curvature_ladder,
-    _sigma_grid,
+    _sigma_grids,
     indicatrix_curve,
     sabban_geodesic_curvature,
 )
@@ -66,13 +65,14 @@ def _check_index_circle(ktj, i: int, tol: float) -> None:
     is kt_1 = kappa_1/|kappa_1|, -1 on a clockwise plane curve.
     """
     ktj = np.asarray(ktj, dtype=float)
-    zero = np.zeros_like(ktj[:1])
-    padded = np.concatenate([zero, ktj, zero])
-    miss = np.abs(padded[i - 1] ** 2 + padded[i] ** 2 - 1.0)
+    n = len(ktj) + 1
+    below = ktj[i - 2] if i > 1 else 0.0
+    above = ktj[i - 1] if i < n else 0.0
+    miss = np.abs(below ** 2 + above ** 2 - 1.0)
     if np.any(miss > tol):
         raise BadParameters(
             f"index {i} needs kt_{i - 1}^2 + kt_{i}^2 = 1 (kt_0 = "
-            f"kt_{len(ktj) + 1} = 0); it misses by {np.max(miss):.3g}"
+            f"kt_{n} = 0); it misses by {np.max(miss):.3g}"
         )
 
 
@@ -123,32 +123,23 @@ def _ladder_signatures(ladder: np.ndarray, s: np.ndarray, indices,
 
     ladder holds kappa_0..kappa_n as rows (kappa_0 = kappa_n = 0) over
     the arc-length grid s; the direct and the focal route both end here.
-    _sigma_grid decides, once per index, whether the V_i-indicatrix
-    exists and raises when it does not. With partial, a refused index is
-    left out instead, and the last refusal is raised only when every
-    index is refused. Every index keeps the same samples s[sl], so kt =
-    d(1/Q_i)/ds of all the indices is one field_derivative of the matrix
-    whose columns are 1/Q_i; each column gets its own stride there, so
-    its kt does not depend on which other indices are asked for.
-    Returns {i: ShapeSignature}, in the order of indices.
+    _sigma_grids runs one sigma quadrature for all the indices, decides
+    for each whether the V_i-indicatrix exists and raises when it does
+    not; with partial, a refused index is left out instead, and the last
+    refusal is raised only when every index is refused. Every index keeps
+    the same samples s[sl], so kt = d(1/Q_i)/ds of all the indices is one
+    field_derivative of the matrix whose columns are 1/Q_i; each column
+    gets its own stride there, so its kt does not depend on which other
+    indices are asked for. Returns {i: ShapeSignature}, in the order of
+    indices.
     """
     n = len(ladder) - 1
-    grids = {}
-    for i in indices:
-        try:
-            grids[i] = _sigma_grid(ladder, s, i)
-        except IndicatrixDegenerate as exc:
-            if not partial:
-                raise
-            refusal = exc
-    if not grids:
-        raise refusal
-    sl = next(iter(grids.values()))[0]
-    q = np.column_stack([qs for _, qs, _ in grids.values()])
+    sl, grids = _sigma_grids(ladder, s, indices, partial)
+    q = np.column_stack([qs for qs, _ in grids.values()])
     kt = field_derivative(s[sl], 1.0 / q)
     return {i: ShapeSignature(n, i, sigma, kt[:, c], ladder[1:n, sl] / q[:, c],
                               s=s[sl])
-            for c, (i, (_, _, sigma)) in enumerate(grids.items())}
+            for c, (i, (_, sigma)) in enumerate(grids.items())}
 
 
 def shape_curvatures(fr: FrenetData, i: int) -> ShapeSignature:
@@ -292,15 +283,15 @@ def invariance_sweep(curve: SampledCurve, transforms) -> dict:
     Each image keeps the curve's sample grid, so sample j of the image
     matches sample j of the curve, and one Frenet apparatus per image
     serves every index. Each image recomputes its frames, curvatures,
-    sigma_i, kt, kt_j and kappa_g, and differentiates the radii 1/Q_i
-    of all its indices in one pass, on its own data, as the curve does.
-    It shares the curve's jet source, and
-    so its fit, mapped by lam A D + b; on an arclength_reparam curve the
-    images also share the jet itself, evaluated once on that grid. The
-    sweep therefore does not test the fit. Returns
-    {property: {i: worst deviation}} for
-    "sigma_invariance" (sigma_i), "shape_invariance" (kt and every
-    kt_j) and, in E^3, "geodesic_invariance" (the Sabban kappa_g).
+    sigma_i, kt, kt_j and kappa_g on its own data, as the curve does:
+    one sigma quadrature over the speeds Q_i of all its indices and one
+    field derivative of their radii 1/Q_i. It shares the curve's jet
+    source, and so its fit, mapped by lam A D + b; on an
+    arclength_reparam curve the images also share the jet itself,
+    evaluated once on that grid. The sweep therefore does not test the
+    fit. Returns {property: {i: worst deviation}} for "sigma_invariance"
+    (sigma_i), "shape_invariance" (kt and every kt_j) and, in E^3,
+    "geodesic_invariance" (the Sabban kappa_g).
     Indices whose indicatrix is degenerate on the curve itself are left
     out; when every index is, that IndicatrixDegenerate is raised.
     """

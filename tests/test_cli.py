@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import frenetsim as fs
-from frenetsim import curves, signatures
+from frenetsim import cli, curves, signatures
 from frenetsim.cli import main
 
 
@@ -284,6 +284,34 @@ def test_unknown_command(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["analyze", "--help"]) == 0
+
+
+def test_cached_parser_keeps_no_state_between_calls(data_dir, capsys):
+    # main builds its parser once per process; each call in a sequence
+    # must answer as it would with a parser of its own
+    pair = ("match", "--input", str(data_dir / "helix.csv"),
+            "--input-b", str(data_dir / "helix_double.csv"),
+            "--index", "2", "--samples", "400")
+    calls = [("match", "--input", str(data_dir / "helix.csv")),
+             (*pair, "--tol", "0.5"), pair, ("--help",)]
+
+    def answers(fresh):
+        got = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            rc = main(list(argv))
+            got.append((rc, *capsys.readouterr()))
+        return got
+
+    fresh = answers(True)
+    assert answers(False) == fresh
+    assert cli._build_parser() is cli._build_parser()
+    (usage, _, err), (tol, out_tol, _), (default, out, _), (help_rc, _, _) = fresh
+    assert usage == 2 and "--input-b" in err
+    assert tol == default == 0 and help_rc == 0
+    assert json.loads(out_tol)["tol"] == 0.5
+    assert json.loads(out)["tol"] == signatures.DEFAULT_MATCH_TOL
 
 
 @pytest.mark.parametrize("value, level", [

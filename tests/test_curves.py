@@ -327,6 +327,79 @@ def test_householder_sweep_matches_lapack_qr_on_e9_jet(selfsim9_curve):
     assert dq <= 1e-13 and dr <= 1e-13 and orth <= 1e-14
 
 
+def _reference_householder_qr(D):
+    """The sweep before its in-place kernel: each reflection builds an
+    (m, c, N) temporary, and Q is reflected on its whole trailing block."""
+    n, N = D.shape[-1], D.shape[0]
+    A = np.moveaxis(D, 0, -1).copy()
+    r, reflections, det = np.empty((n, N)), [], np.ones(N)
+
+    def reflect(M, v, tau):
+        w = tau * (M[0] + np.einsum("iq,ijq->jq", v, M[1:]))
+        M[0] -= w
+        M[1:] -= v[:, None] * w
+
+    for k in range(n - 1):
+        x0, tail = A[k, k], A[k + 1:, k]
+        norm = np.sqrt(np.einsum("iq,iq->q", tail, tail))
+        hit = norm > 0
+        beta = np.where(hit, -np.copysign(np.hypot(x0, norm), x0), x0)
+        tau = np.divide(beta - x0, beta, out=np.zeros(N), where=hit)
+        v = np.divide(tail, x0 - beta, out=np.zeros_like(tail), where=hit)
+        det[hit] *= -1.0
+        r[k] = beta
+        reflect(A[k:, k + 1:], v, tau)
+        reflections.append((v, tau))
+    r[n - 1] = A[n - 1, n - 1]
+    Q = np.zeros_like(A)
+    Q[np.arange(n), np.arange(n)] = 1.0
+    for k in range(n - 2, -1, -1):
+        reflect(Q[k:, k:], *reflections[k])
+    return np.moveaxis(Q, -1, 0), r.T, det
+
+
+def _assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _zero_riddled_stack(rng, n):
+    """Random matrices with exact +0 and -0 entries, and with sub-columns
+    that are already zero, so that some columns are not reflected."""
+    D = rng.standard_normal((int(rng.integers(1, 60)), n, n))
+    D[rng.random(D.shape) < 0.2] = 0.0
+    D[rng.random(D.shape) < 0.1] = -0.0
+    for q in np.flatnonzero(rng.random(len(D)) < 0.3):
+        k = int(rng.integers(0, n))
+        D[q, k + 1:, k] = rng.choice([0.0, -0.0], size=n - k - 1)
+    return D
+
+
+def test_householder_sweep_is_bit_identical_to_reference(selfsim9_curve):
+    # the in-place kernel and the moving-block accumulation of Q change
+    # no bit of Q, r or det, signs of zero included
+    rng = np.random.default_rng(22)
+    for trial in range(320):
+        D = _zero_riddled_stack(rng, 2 + trial % 8)
+        _assert_same_bits(curves._householder_qr(D), _reference_householder_qr(D))
+    cur = selfsim9_curve
+    D = np.moveaxis(_engine(cur).jet(cur.t, 9)[1:], 0, -1)
+    _assert_same_bits(curves._householder_qr(D), _reference_householder_qr(D))
+
+
+@pytest.mark.parametrize("writable", [True, False])
+def test_householder_sweep_leaves_a_single_matrix_alone(writable):
+    # for N = 1 the sample axis moved last is already contiguous, so a
+    # sweep that only asked for a contiguous array would work in D itself
+    D = np.random.default_rng(5).standard_normal((1, 4, 4))
+    D0 = D.copy()
+    D.setflags(write=writable)
+    dq, dr, orth = _qr_against_lapack(D)
+    assert np.array_equal(D, D0)
+    assert dq <= 1e-14 and dr <= 1e-14 and orth <= 1e-15
+
+
 def test_householder_sweep_counts_its_reflections():
     # a column that already lies along e_k is not reflected, so det Q
     # is (-1)^(reflections applied), not (-1)^(n-1)

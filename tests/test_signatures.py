@@ -4,10 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 from scipy.optimize import minimize_scalar
 
 import frenetsim as fs
 from frenetsim import errors as E
+from frenetsim import indicatrix
 from frenetsim.curves import TRIM
 from frenetsim.indicatrix import _curvature_ladder
 from frenetsim.signatures import _ladder_signatures
@@ -58,15 +60,20 @@ def test_kt_is_arclength_derivative_of_radius(helix_frenet, cubic_frenet,
 
 
 def test_ladder_signatures_match_one_index_at_a_time(selfsim9_frenet):
-    # invariance_sweep asks for every index at once; each signature must
-    # be the one shape_curvatures gives alone, and a refused index is
-    # left out only when asked to
+    # invariance_sweep asks for every index at once; each sigma_i row of
+    # the one batched quadrature must be the quadrature of that index
+    # alone, each signature the one shape_curvatures gives alone, and a
+    # refused index is left out only when asked to
     fr = selfsim9_frenet
     ladder = _curvature_ladder(fr)
+    sl = slice(TRIM, len(fr.s) - TRIM)
     every = range(1, fr.dimension + 1)
     sigs = _ladder_signatures(ladder, fr.s, every, partial=True)
     assert list(sigs) == list(range(1, 9))
     for i, sig in sigs.items():
+        alone = cumulative_simpson(np.hypot(ladder[i - 1, sl], ladder[i, sl]),
+                                   x=fr.s[sl], initial=0.0)
+        assert np.array_equal(sig.sigma, alone)
         one = fs.shape_curvatures(fr, i)
         for name in ("sigma", "kt", "ktj", "s"):
             assert np.array_equal(getattr(sig, name), getattr(one, name))
@@ -74,6 +81,29 @@ def test_ladder_signatures_match_one_index_at_a_time(selfsim9_frenet):
         _ladder_signatures(ladder, fr.s, every)
     with pytest.raises(E.IndicatrixDegenerate, match="kappa_8 changes sign"):
         _ladder_signatures(ladder, fr.s, [9], partial=True)
+    # refusals come in index order: a degenerate index before a bad one
+    # raises first unless it may be left out
+    with pytest.raises(E.IndicatrixDegenerate, match="kappa_8 changes sign"):
+        _ladder_signatures(ladder, fr.s, [9, 10])
+    with pytest.raises(E.BadIndex, match="got 10"):
+        _ladder_signatures(ladder, fr.s, [9, 10], partial=True)
+
+
+def test_ladder_signatures_run_one_sigma_quadrature(selfsim9_frenet,
+                                                    monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cumulative_simpson(*args, **kwargs)
+
+    monkeypatch.setattr(indicatrix, "cumulative_simpson", counted)
+    fr = selfsim9_frenet
+    ladder = _curvature_ladder(fr)
+    for indices in ([3], range(1, 9), range(1, 10)):
+        calls.clear()
+        _ladder_signatures(ladder, fr.s, indices, partial=True)
+        assert len(calls) == 1
 
 
 def test_signature_validation_rejects_bad_rows():
