@@ -9,9 +9,11 @@ them should sit many orders of magnitude below 1e-3. The sweep is
 frenetsim.invariance_sweep, the same one `frenetsim verify` runs: each
 image keeps the sample grid of the base curve and recomputes its own
 frames, curvatures, sigma_i, kt, kt_j and kappa_g, with one derivative
-pass over the radii 1/Q_i of all its indices. The images share the
-base curve's jet source and its derivative jet, evaluated once on that
-grid and mapped by lambda A D + b, so the sweep does not test the fit.
+pass over the radii 1/Q_i of all its indices; in E^3 each kappa_g is
+read on the sigma_i of its index's signature, not integrated again. The
+images share the base curve's jet source and its derivative jet,
+evaluated once on that grid and mapped by lambda A D + b, so the sweep
+does not test the fit.
 
 Usage:
     python3 scripts/invariance_sweep.py --curve helix --trials 20

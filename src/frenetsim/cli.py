@@ -36,11 +36,11 @@ from .errors import BadParameters, BadRange, GeometryError, UsageError
 from .evolute import evolute_e3, evolute_invariant_report
 from .focal import focal_curvatures
 from .indicatrix import (
+    _indicatrix,
     _write_indicatrix,
-    indicatrix_curve,
     sabban_geodesic_curvature,
 )
-from .jsonio import dump_pretty, float_texts
+from .jsonio import dump_pretty, float_texts, json_int
 from .selfsimilar import (
     SelfSimilarSpec,
     frame_ode_oracle,
@@ -92,10 +92,9 @@ def cmd_analyze(args) -> int:
     sig_path = Path(f"{base}.signature.json")
     sig_path.write_text(_signature_text(n, args.index, sigma, kt, ktj) + "\n")
 
-    sc = indicatrix_curve(fr, args.index)
-    kappa_g = None
-    if n == 3:
-        kappa_g = float_texts(sabban_geodesic_curvature(sc).kappa_g)
+    sc = _indicatrix(fr, args.index, sig.sigma)
+    kappa_g = (float_texts(sabban_geodesic_curvature(sc).kappa_g) if n == 3
+               else None)
     sl = slice(TRIM, fr.n_samples - TRIM)
     names = ["s", "sigma", *[f"kappa_{j}" for j in range(1, n)],
              "kt", *[f"kt_{j}" for j in range(1, n)]]
@@ -166,12 +165,12 @@ def _spec_from_json(path: str) -> SelfSimilarSpec:
     try:
         obj = json.loads(_read_text(path))
         return SelfSimilarSpec(
-            dimension=int(obj["dimension"]),
-            index=int(obj["index"]),
+            dimension=json_int(obj["dimension"], "dimension"),
+            index=json_int(obj["index"], "index"),
             kt=float(obj["kt"]),
             ktj=tuple(float(v) for v in obj["ktj"]),
             sigma_range=tuple(obj.get("sigma_range", (0.0, 4.0))),
-            n_samples=int(obj.get("samples", DEFAULT_SAMPLES)),
+            n_samples=json_int(obj.get("samples", DEFAULT_SAMPLES), "samples"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadParameters(f"malformed self-similar spec JSON: {exc}") from None

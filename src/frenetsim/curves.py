@@ -187,7 +187,7 @@ def custom_poly(coeffs, t_span=(0.0, 1.0)) -> BuiltinCurve:
 
 @dataclass(frozen=True)
 class AffineImage:
-    """A direct-similarity image lam * A x + b of another analytic source.
+    """A direct-similarity image lam * A x + b of another jet source.
 
     Derivative k is lam * A D_k, plus b at k = 0.
     """

@@ -9,7 +9,9 @@ _sigma_grids decides whether a V_i-indicatrix exists. It integrates the
 speeds of all the asked indices in one quadrature, then refuses, index
 by index, an index outside 1..n, a collapsing speed, a sigma_i that
 stops increasing, and a sign change of kappa_{n-1} where the speed is
-|kappa_{n-1}|.
+|kappa_{n-1}|. A ShapeSignature keeps that sigma_i, and the indicatrix
+with its Sabban kappa_g is built on it (_indicatrix) without a second
+quadrature.
 """
 
 from __future__ import annotations
@@ -124,14 +126,20 @@ class SphericalCurve:
         object.__setattr__(self, "gamma", g)
 
 
+def _indicatrix(fr: FrenetData, i: int, sigma) -> SphericalCurve:
+    """The V_i-indicatrix of fr on sigma_i: frame row V_i, retained samples."""
+    return SphericalCurve(fr.dimension, i, sigma,
+                          fr.frames[TRIM:fr.n_samples - TRIM, i - 1])
+
+
 def indicatrix_curve(fr: FrenetData, i: int) -> SphericalCurve:
     """The spherical V_i-indicatrix with its arc length sigma_i.
 
     sigma_i integrates the indicatrix speed by cumulative Simpson
     quadrature over s, anchored at 0 on the first retained sample.
     """
-    sl, grids = _sigma_grids(_curvature_ladder(fr), fr.s, [i])
-    return SphericalCurve(fr.dimension, i, grids[i][1], fr.frames[sl, i - 1, :])
+    _, grids = _sigma_grids(_curvature_ladder(fr), fr.s, [i])
+    return _indicatrix(fr, i, grids[i][1])
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +184,11 @@ def sabban_geodesic_curvature(sc: SphericalCurve) -> SabbanData:
     return SabbanData(sc.sigma, sc.gamma, t_vec, rho, kappa_g)
 
 
-def geodesic_closed_form(sig, which: str) -> np.ndarray:
+def geodesic_closed_form(sig) -> np.ndarray:
     """Geodesic curvature of an E^3 indicatrix from shape curvatures.
 
-    sig is a ShapeSignature whose index must match the indicatrix:
-    tangent -> 1, normal -> 2, binormal -> 3. Closed forms:
+    sig is a ShapeSignature, and its index picks the indicatrix and its
+    closed form: 1 the tangent, 2 the normal, 3 the binormal.
 
         tangent:  kt_2 / kt_1
         normal:   kt_1^2 * d/dsigma_2 (kt_2 / kt_1)
@@ -192,24 +200,15 @@ def geodesic_closed_form(sig, which: str) -> np.ndarray:
     """
     if sig.dimension != 3:
         raise NotThreeDimensional("closed forms are specific to E^3")
-    expected = {"tangent": 1, "normal": 2, "binormal": 3}
-    if which not in expected:
-        raise BadIndex(f"unknown indicatrix {which!r}")
-    if sig.index != expected[which]:
-        raise BadIndex(
-            f"{which} indicatrix needs a signature with index "
-            f"{expected[which]}, got {sig.index}"
-        )
-    kt1, kt2 = sig.ktj[0], sig.ktj[1]
+    kt1, kt2 = sig.ktj
     # a ShapeSignature holds |kt_1| = 1 at index 1 and |kt_2| = 1 at index 3
-    if which == "tangent":
+    if sig.index == 1:
         return kt2 / kt1
-    if which == "binormal":
+    if sig.index == 3:
         return kt1 / kt2
     if np.any(np.abs(kt1) <= 1e-12):
         raise DivisionDegenerate("kt_1 vanishes; normal form undefined")
-    ratio = kt2 / kt1
-    return kt1**2 * field_derivative(sig.sigma, ratio)
+    return kt1**2 * field_derivative(sig.sigma, kt2 / kt1)
 
 
 def _write_indicatrix(path, sigma, gamma, kappa_g) -> None:

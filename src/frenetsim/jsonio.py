@@ -10,7 +10,8 @@ JSON array joined with ", ", after spelling -0 as -0.0 (json.loads reads
 Infinity, -Infinity, which json.loads accepts back. A float or a float
 array given to render takes the same two steps, so a caller that formats
 a column once and writes it into both a CSV table and a JSON document
-gets the bytes that formatting it for each would give.
+gets the bytes that formatting it for each would give. json_int reads an
+integer field of a parsed document and refuses a fraction or a boolean.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import json
 
 import numpy as np
+
+from .errors import BadParameters
 
 _JSON_SPELLING = {"-0": "-0.0", "nan": "NaN", "inf": "Infinity",
                   "-inf": "-Infinity"}
@@ -35,6 +38,18 @@ def float_texts(a):
     if a.ndim == 1:
         return texts
     return np.array(texts, dtype=object).reshape(a.shape).tolist()
+
+
+def json_int(value, name: str) -> int:
+    """The JSON value of the field name as an int, refusing a fraction.
+
+    int() alone would read 3.7 as 3 and true as 1; an integral float such
+    as 3.0 passes.
+    """
+    n = int(value)
+    if n != value or isinstance(value, bool):
+        raise BadParameters(f"{name} must be an integer, got {value!r}")
+    return n
 
 
 class FloatTexts(list):

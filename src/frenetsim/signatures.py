@@ -43,11 +43,11 @@ from .errors import (
 )
 from .indicatrix import (
     _curvature_ladder,
+    _indicatrix,
     _sigma_grids,
-    indicatrix_curve,
     sabban_geodesic_curvature,
 )
-from .jsonio import FloatTexts, float_texts, render
+from .jsonio import FloatTexts, float_texts, json_int, render
 from .transforms import apply_similarity
 
 log = logging.getLogger("frenetsim.signatures")
@@ -285,8 +285,9 @@ def invariance_sweep(curve: SampledCurve, transforms) -> dict:
     serves every index. Each image recomputes its frames, curvatures,
     sigma_i, kt, kt_j and kappa_g on its own data, as the curve does:
     one sigma quadrature over the speeds Q_i of all its indices and one
-    field derivative of their radii 1/Q_i. It shares the curve's jet
-    source, and so its fit, mapped by lam A D + b; on an
+    field derivative of their radii 1/Q_i, and kappa_g is read on the
+    sigma_i of its index's signature. It shares the curve's jet source,
+    and so its fit, mapped by lam A D + b; on an
     arclength_reparam curve the images also share the jet itself,
     evaluated once on that grid. The sweep therefore does not test the
     fit. Returns {property: {i: worst deviation}} for "sigma_invariance"
@@ -303,8 +304,8 @@ def invariance_sweep(curve: SampledCurve, transforms) -> dict:
     base_kg = {}
     if fr.dimension == 3:
         dev["geodesic_invariance"] = dict.fromkeys(base, 0.0)
-        base_kg = {i: sabban_geodesic_curvature(indicatrix_curve(fr, i)).kappa_g
-                   for i in base}
+        base_kg = {i: sabban_geodesic_curvature(_indicatrix(fr, i, sig.sigma)).kappa_g
+                   for i, sig in base.items()}
     for T in transforms:
         fri = frenet_apparatus(apply_similarity(T, curve))
         imgs = _ladder_signatures(_curvature_ladder(fri), fri.s, base)
@@ -314,7 +315,7 @@ def invariance_sweep(curve: SampledCurve, transforms) -> dict:
                    "shape_invariance": max(np.abs(sig.kt - img.kt).max(),
                                            np.abs(sig.ktj - img.ktj).max())}
             if base_kg:
-                kg = sabban_geodesic_curvature(indicatrix_curve(fri, i)).kappa_g
+                kg = sabban_geodesic_curvature(_indicatrix(fri, i, img.sigma)).kappa_g
                 now["geodesic_invariance"] = np.abs(base_kg[i] - kg).max()
             for prop, value in now.items():
                 dev[prop][i] = max(dev[prop][i], float(value))
@@ -345,10 +346,11 @@ def signature_from_json(text: str) -> ShapeSignature:
     try:
         obj = json.loads(text)
         return ShapeSignature(
-            int(obj["dimension"]), int(obj["index"]),
+            json_int(obj["dimension"], "dimension"),
+            json_int(obj["index"], "index"),
             np.array(obj["sigma"], dtype=float),
             np.array(obj["kt"], dtype=float),
             np.array(obj["ktj"], dtype=float),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadParameters(f"malformed signature JSON: {exc}") from None

@@ -1,10 +1,11 @@
 """Direct similarities F(x) = lam A x + b and their JSON round trip.
 
 Only orientation-preserving similarities are modeled: lam > 0 and A a
-rotation. Applying a transform to a curve that carries an analytic jet
-source wraps the source in an AffineImage, so the image is exact: its
-arc length is lam times the curve's and its curvatures are the curve's
-divided by lam, by construction.
+rotation. Applying a transform to a curve that carries a jet source (an
+analytic curve, a spline fit or an arc-length reparameterization) wraps
+the source in an AffineImage, so the image is the exact image of that
+source: its arc length is lam times the curve's and its curvatures are
+the curve's divided by lam, by construction.
 """
 
 from __future__ import annotations
@@ -88,8 +89,9 @@ def random_similarity(seed: int, lambda_range, dimension: int) -> SimilarityTran
 def apply_similarity(T: SimilarityTransform, curve: SampledCurve) -> SampledCurve:
     """Pointwise image of the curve; parameter values are unchanged.
 
-    A jet source, when the curve carries one, is wrapped in an
-    AffineImage, so the image's arc length is lam times the curve's.
+    A jet source, when the curve carries one (analytic, a spline fit or
+    an arc-length reparameterization), is wrapped in an AffineImage, so
+    the image's arc length is lam times the curve's.
     """
     if T.dimension != curve.dimension:
         raise DimensionMismatch(

@@ -127,14 +127,12 @@ def test_criterion_4_synthesis_grid(capsys):
 
 def test_criterion_5_geodesic_curvature(helix_frenet, helix_images, capsys):
     closed = {1: 4.0 / 3.0, 2: 0.0, 3: 3.0 / 4.0}
-    names = {1: "tangent", 2: "normal", 3: "binormal"}
     dev_val = dev_form = dev_inv = 0.0
     for i in (1, 2, 3):
         sc = fs.indicatrix_curve(helix_frenet, i)
         kg = fs.sabban_geodesic_curvature(sc).kappa_g
         dev_val = max(dev_val, float(np.abs(kg - closed[i]).max()))
-        form = fs.geodesic_closed_form(
-            fs.shape_curvatures(helix_frenet, i), names[i])
+        form = fs.geodesic_closed_form(fs.shape_curvatures(helix_frenet, i))
         dev_form = max(dev_form, float(np.abs(kg - form).max()))
         for _, fri in helix_images[:5]:
             kgi = fs.sabban_geodesic_curvature(

@@ -614,6 +614,16 @@ EYE3 = '"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]'
     pytest.param(["synthesize", "--input", "{tmp}/spec.json"],
                  SPEC3 + ', "kt": 0.1, "sigma_range": [0, Infinity]',
                  id="spec_sigma_range_inf"),
+    # int() would cut a fraction off an integer field
+    pytest.param(["synthesize", "--input", "{tmp}/spec.json"],
+                 SPEC3.replace('"dimension": 3', '"dimension": 3.7')
+                 + ', "kt": 0.1', id="spec_dimension_fraction"),
+    pytest.param(["synthesize", "--input", "{tmp}/spec.json"],
+                 SPEC3.replace('"index": 2', '"index": 2.9') + ', "kt": 0.1',
+                 id="spec_index_fraction"),
+    pytest.param(["synthesize", "--input", "{tmp}/spec.json"],
+                 SPEC3 + ', "kt": 0.1, "samples": 2000.5',
+                 id="spec_samples_fraction"),
     # finite numbers whose closed form e^{kt sigma} overflows float64
     pytest.param(["synthesize", "--input", "{tmp}/spec.json"],
                  SPEC3 + ', "kt": 0.1, "sigma_range": [0, 10000]',

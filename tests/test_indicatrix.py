@@ -121,21 +121,13 @@ def test_sabban_fits_gamma_once(cubic_frenet, monkeypatch):
 
 
 def test_closed_forms_match_numeric(helix_frenet, cubic_frenet):
-    names = {1: "tangent", 2: "normal", 3: "binormal"}
+    # the signature's index picks the tangent, normal or binormal form
     for fr in (helix_frenet, cubic_frenet):
-        for i, name in names.items():
+        for i in (1, 2, 3):
             sc = fs.indicatrix_curve(fr, i)
             kg = fs.sabban_geodesic_curvature(sc).kappa_g
-            cf = fs.geodesic_closed_form(fs.shape_curvatures(fr, i), name)
+            cf = fs.geodesic_closed_form(fs.shape_curvatures(fr, i))
             assert np.abs(kg - cf).max() < 1e-3
-
-
-def test_closed_form_index_mismatch(helix_frenet):
-    sig1 = fs.shape_curvatures(helix_frenet, 1)
-    with pytest.raises(E.BadIndex):
-        fs.geodesic_closed_form(sig1, "normal")
-    with pytest.raises(E.BadIndex):
-        fs.geodesic_closed_form(sig1, "osculating")
 
 
 def test_normal_form_refuses_vanishing_kt1():
@@ -145,7 +137,7 @@ def test_normal_form_refuses_vanishing_kt1():
     sig = fs.ShapeSignature(3, 2, sigma, np.zeros(50),
                             np.vstack([np.zeros(50), np.ones(50)]))
     with pytest.raises(E.DivisionDegenerate):
-        fs.geodesic_closed_form(sig, "normal")
+        fs.geodesic_closed_form(sig)
 
 
 def test_sabban_needs_three_dimensions(selfsim4_frenet):

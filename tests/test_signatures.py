@@ -10,6 +10,7 @@ from scipy.optimize import minimize_scalar
 import frenetsim as fs
 from frenetsim import errors as E
 from frenetsim import indicatrix
+from frenetsim.cli import main
 from frenetsim.curves import TRIM
 from frenetsim.indicatrix import _curvature_ladder
 from frenetsim.signatures import _ladder_signatures
@@ -62,8 +63,9 @@ def test_kt_is_arclength_derivative_of_radius(helix_frenet, cubic_frenet,
 def test_ladder_signatures_match_one_index_at_a_time(selfsim9_frenet):
     # invariance_sweep asks for every index at once; each sigma_i row of
     # the one batched quadrature must be the quadrature of that index
-    # alone, each signature the one shape_curvatures gives alone, and a
-    # refused index is left out only when asked to
+    # alone, each signature the one shape_curvatures gives alone, the
+    # sigma_i of indicatrix_curve that same row, and a refused index is
+    # left out only when asked to
     fr = selfsim9_frenet
     ladder = _curvature_ladder(fr)
     sl = slice(TRIM, len(fr.s) - TRIM)
@@ -77,6 +79,7 @@ def test_ladder_signatures_match_one_index_at_a_time(selfsim9_frenet):
         one = fs.shape_curvatures(fr, i)
         for name in ("sigma", "kt", "ktj", "s"):
             assert np.array_equal(getattr(sig, name), getattr(one, name))
+        assert np.array_equal(fs.indicatrix_curve(fr, i).sigma, sig.sigma)
     with pytest.raises(E.IndicatrixDegenerate, match="kappa_8 changes sign"):
         _ladder_signatures(ladder, fr.s, every)
     with pytest.raises(E.IndicatrixDegenerate, match="kappa_8 changes sign"):
@@ -90,7 +93,12 @@ def test_ladder_signatures_match_one_index_at_a_time(selfsim9_frenet):
 
 
 def test_ladder_signatures_run_one_sigma_quadrature(selfsim9_frenet,
+                                                    helix_curve, data_dir,
+                                                    tmp_path, capsys,
                                                     monkeypatch):
+    # one sigma quadrature per Frenet apparatus, whatever the number of
+    # indices; the indicatrix and its Sabban kappa_g of analyze and of
+    # the E^3 sweep read the signature's sigma_i instead of a second one
     calls = []
 
     def counted(*args, **kwargs):
@@ -104,6 +112,17 @@ def test_ladder_signatures_run_one_sigma_quadrature(selfsim9_frenet,
         calls.clear()
         _ladder_signatures(ladder, fr.s, indices, partial=True)
         assert len(calls) == 1
+    calls.clear()
+    assert main(["analyze", "--input", str(data_dir / "helix.csv"),
+                 "--index", "2", "--samples", "700",
+                 "--output", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    # the input curve and each of 3 images: one quadrature per apparatus
+    calls.clear()
+    fs.invariance_sweep(helix_curve, [fs.random_similarity(seed, (0.5, 2.0), 3)
+                                      for seed in range(3)])
+    assert len(calls) == 4
 
 
 def test_signature_validation_rejects_bad_rows():
@@ -316,3 +335,14 @@ def test_signature_json_round_trip(cubic_frenet):
 def test_signature_json_rejects_garbage():
     with pytest.raises(E.BadParameters):
         fs.signature_from_json('{"dimension": 3}')
+    # integer fields are not cut to an integer, and an infinite one is
+    # refused as malformed
+    arrays = '"sigma": [0, 1], "kt": [0, 0], "ktj": [[1, 1], [0, 0]]'
+    for head, field in (('"dimension": 3.5, "index": 1', "dimension"),
+                        ('"dimension": 3, "index": 1.5', "index"),
+                        ('"dimension": 3, "index": true', "index")):
+        with pytest.raises(E.BadParameters, match=f"{field} must be an integer"):
+            fs.signature_from_json("{" + head + ", " + arrays + "}")
+    with pytest.raises(E.BadParameters, match="malformed"):
+        fs.signature_from_json('{"dimension": Infinity, "index": 1, '
+                               + arrays + "}")
