@@ -26,7 +26,6 @@ from .curves import (
     TRIM,
     _read_text,
     _write_table,
-    _write_texts,
     arclength_reparam,
     curve_from_csv,
     curve_to_csv,
@@ -37,7 +36,7 @@ from .evolute import evolute_e3, evolute_invariant_report
 from .focal import focal_curvatures
 from .indicatrix import (
     _indicatrix,
-    _write_indicatrix,
+    indicatrix_to_csv,
     sabban_geodesic_curvature,
 )
 from .jsonio import dump_pretty, float_texts, json_int
@@ -86,8 +85,9 @@ def cmd_analyze(args) -> int:
     sig = shape_curvatures(fr, args.index)
     n = fr.dimension
     base = _base_path(args)
-    # every column is formatted once, for all the artifacts that carry it,
-    # and its texts dropped after the last of them is written
+    # the columns that two or three artifacts carry are formatted once, for
+    # all of them, and their texts dropped after the last of them is
+    # written; the table writer formats the others as it writes them
     sigma, kt, ktj = map(float_texts, (sig.sigma, sig.kt, sig.ktj))
     sig_path = Path(f"{base}.signature.json")
     sig_path.write_text(_signature_text(n, args.index, sigma, kt, ktj) + "\n")
@@ -95,18 +95,17 @@ def cmd_analyze(args) -> int:
     sc = _indicatrix(fr, args.index, sig.sigma)
     kappa_g = (float_texts(sabban_geodesic_curvature(sc).kappa_g) if n == 3
                else None)
-    sl = slice(TRIM, fr.n_samples - TRIM)
     names = ["s", "sigma", *[f"kappa_{j}" for j in range(1, n)],
              "kt", *[f"kt_{j}" for j in range(1, n)]]
-    cols = [float_texts(sig.s), sigma, *float_texts(fr.kappas[sl].T), kt, *ktj]
+    cols = [sig.s, sigma, fr.kappas[TRIM:fr.n_samples - TRIM], kt, *ktj]
     if kappa_g is not None:
         names.append("kappa_g")
         cols.append(kappa_g)
     samples_path = Path(f"{base}.samples.csv")
-    _write_texts(samples_path, names, cols)
+    _write_table(samples_path, names, cols)
     del cols, kt, ktj
     ind_path = Path(f"{base}.indicatrix.csv")
-    _write_indicatrix(ind_path, sigma, float_texts(sc.gamma.T), kappa_g)
+    indicatrix_to_csv(sc, ind_path, kappa_g, sigma_texts=sigma)
 
     sys.stdout.write(dump_pretty({
         "input": args.input,

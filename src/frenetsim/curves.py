@@ -52,12 +52,13 @@ from scipy.interpolate import CubicHermiteSpline, make_interp_spline
 
 from .errors import (
     BadParameters,
+    BadRange,
     DimensionMismatch,
     FrameDegenerate,
     TooFewSamples,
     ZeroSpeed,
 )
-from .jsonio import float_texts
+from .jsonio import format_rows
 
 log = logging.getLogger("frenetsim.curves")
 
@@ -70,6 +71,11 @@ POSITION_NOISE = 1e-16
 FIELD_NOISE = 1e-9
 # knot spacing constant (calibrated on self-similar round trips)
 STRIDE_C = 1.5
+# largest admissible sample count, the last integer a float64 holds
+# exactly; numpy can size every array of a count up to it, so memory
+# refuses a count too large with MemoryError (past numpy's size limit it
+# would raise ValueError instead)
+MAX_SAMPLES = 2**53
 
 TAU = 2.0 * math.pi
 
@@ -83,6 +89,8 @@ def _require_samples(count: int, dimension: int) -> None:
     if count < min_samples(dimension):
         raise TooFewSamples(f"need at least {min_samples(dimension)} samples "
                             f"in E^{dimension}, got {count}")
+    if count > MAX_SAMPLES:
+        raise BadRange(f"at most {MAX_SAMPLES} samples, got {count:.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -714,45 +722,57 @@ def field_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV input and output
 #
-# A table is written from the texts of jsonio.float_texts, the one float
-# format of every artifact: each column is formatted once and each row
-# joins its cells with "," (_write_texts), so a caller that writes a column
-# into several artifacts can format it once for all of them. A table is
+# Every table is written by _write_table, one %-format and one write per
+# block of rows through jsonio.format_rows, which holds the one float
+# format of every artifact. A column is a float array, formatted as its
+# block is written, or the texts of a column formatted before: a caller
+# that writes a column into several artifacts formats it once
+# (jsonio.float_texts) and hands each writer the same texts. A table is
 # read back by np.loadtxt. The csv module reads only the bodies loadtxt
 # refuses (quoted cells, digit separators, digits outside ASCII, malformed
 # rows), cell by cell with float(), so it alone words the BadParameters
 # messages.
 
 _NON_BLANK = re.compile(r"\S")
-
-
-def _write_texts(path, header_cols, columns) -> None:
-    """Write a headed CSV table whose columns are lists of cell texts.
-
-    Each row joins its cells with "," and goes to the file on its own, so
-    no text of the whole table is built; columns of unequal length raise
-    ValueError.
-    """
-    if len({len(c) for c in columns}) > 1:
-        raise ValueError("table columns differ in length")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header_cols) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(row))
-            fh.write("\n")
+# rows per %-format and write: the texts of one block are all that is
+# held at a time beside the columns themselves
+_ROW_BLOCK = 4096
 
 
 def _write_table(path, header_cols, columns) -> None:
-    """Write a headed CSV table of column arrays, 17 significant digits per cell.
+    """Write a headed CSV table, one %-format and one write per row block.
 
-    The bytes are those of np.savetxt(fmt="%.17g"): every cell is the
-    float_texts text of its value. As in np.column_stack, a 1-d array is
-    one column and a 2-d array contributes each of its columns.
+    A column is either a list of texts, formatted before, which goes in
+    as it is, or a float array, whose cells get 17 significant digits; as
+    in np.column_stack, a 1-d array is one column and a 2-d array
+    contributes each of its columns. The bytes are those of
+    np.savetxt(fmt="%.17g") on the values. Columns of unequal length
+    raise ValueError.
     """
-    texts = []
-    for c in map(np.asarray, columns):
-        texts += [float_texts(c)] if c.ndim == 1 else float_texts(c.T)
-    _write_texts(path, header_cols, texts)
+    text_cells, placed = [], []
+    for c in columns:
+        at = len(text_cells)
+        if isinstance(c, list) and c and isinstance(c[0], str):
+            text_cells.append(True)
+        else:
+            c = np.asarray(c, dtype=float)
+            if c.ndim == 1:
+                c = c[:, None]
+            at = slice(at, at + c.shape[1])
+            text_cells += [False] * c.shape[1]
+        placed.append((at, c))
+    lengths = {len(c) for _, c in placed}
+    if len(lengths) > 1:
+        raise ValueError("table columns differ in length")
+    rows = lengths.pop() if lengths else 0
+    cells = np.empty((min(rows, _ROW_BLOCK), len(text_cells)), dtype=object)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header_cols) + "\n")
+        for start in range(0, rows, _ROW_BLOCK):
+            block = cells[:min(rows - start, _ROW_BLOCK)]
+            for at, c in placed:
+                block[:, at] = c[start:start + len(block)]
+            fh.write(format_rows(text_cells, block.ravel().tolist(), len(block)))
 
 
 def curve_to_csv(curve: SampledCurve, path) -> None:

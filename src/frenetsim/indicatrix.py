@@ -26,7 +26,7 @@ from .curves import (
     FrenetData,
     _field_strides,
     _strided_spline,
-    _write_texts,
+    _write_table,
     field_derivative,
 )
 from .errors import (
@@ -36,7 +36,6 @@ from .errors import (
     IndicatrixDegenerate,
     NotThreeDimensional,
 )
-from .jsonio import float_texts
 
 INDICATRIX_REL_TOL = 1e-8
 
@@ -211,21 +210,17 @@ def geodesic_closed_form(sig) -> np.ndarray:
     return kt1**2 * field_derivative(sig.sigma, kt2 / kt1)
 
 
-def _write_indicatrix(path, sigma, gamma, kappa_g) -> None:
-    """Write `sigma,g1,...,gn[,kappa_g]` from the float_texts of its columns.
+def indicatrix_to_csv(sc: SphericalCurve, path, kappa_g=None,
+                      sigma_texts=None) -> None:
+    """Write `sigma,g1,...,gn[,kappa_g]` with 17 significant digits.
 
-    gamma holds the texts of each coordinate; kappa_g None leaves its
-    column out.
+    kappa_g None leaves its column out. A caller that shares a column
+    with another artifact hands over its float_texts instead, formatted
+    once for both: sigma_texts those of sc.sigma, or kappa_g as texts.
     """
-    head = ["sigma"] + [f"g{d + 1}" for d in range(len(gamma))]
-    cols = [sigma, *gamma]
+    head = ["sigma"] + [f"g{d + 1}" for d in range(sc.dimension)]
+    cols = [sc.sigma if sigma_texts is None else sigma_texts, sc.gamma]
     if kappa_g is not None:
         head.append("kappa_g")
         cols.append(kappa_g)
-    _write_texts(path, head, cols)
-
-
-def indicatrix_to_csv(sc: SphericalCurve, path, kappa_g=None) -> None:
-    """Write `sigma,g1,...,gn[,kappa_g]` with 17 significant digits."""
-    _write_indicatrix(path, float_texts(sc.sigma), float_texts(sc.gamma.T),
-                      None if kappa_g is None else float_texts(kappa_g))
+    _write_table(path, head, cols)

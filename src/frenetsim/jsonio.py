@@ -1,17 +1,21 @@
 """Float texts, and JSON text output laid out from them.
 
-float_texts is the one float format of every artifact: it turns a float
-array into the %.17g text of each value in a single %-format pass, so
+format_rows holds the one float format of every artifact, %.17g, so
 files are reproducible byte-for-byte and round-trip through float()
-without loss. A CSV table joins the texts of a row with ","
-(curves._write_texts). render lays out texts wrapped as FloatTexts as a
-JSON array joined with ", ", after spelling -0 as -0.0 (json.loads reads
-"-0" as the int 0) and nan, inf, -inf as the json module's NaN,
-Infinity, -Infinity, which json.loads accepts back. A float or a float
-array given to render takes the same two steps, so a caller that formats
-a column once and writes it into both a CSV table and a JSON document
-gets the bytes that formatting it for each would give. json_int reads an
-integer field of a parsed document and refuses a fraction or a boolean.
+without loss: it writes rows of ","-separated cells in a single
+%-format pass, each cell either a float, given its %.17g text, or a text
+formatted before, which goes in as it is. A CSV table is one such pass
+per block of rows (curves._write_table); float_texts is one such pass
+over an array with "," ending each value, split into the text of each.
+render lays out texts wrapped as FloatTexts as a JSON array joined with
+", ", after spelling -0 as -0.0 (json.loads reads "-0" as the int 0) and
+nan, inf, -inf as the json module's NaN, Infinity, -Infinity, which
+json.loads accepts back; the spelling is looked up only for an array
+that holds such a text. A float or a float array given to render takes
+the same two steps, so a caller that formats a column once and writes it
+into both a CSV table and a JSON document gets the bytes that formatting
+it for each would give. json_int reads an integer field of a parsed
+document and refuses a fraction or a boolean.
 """
 
 from __future__ import annotations
@@ -26,15 +30,27 @@ _JSON_SPELLING = {"-0": "-0.0", "nan": "NaN", "inf": "Infinity",
                   "-inf": "-Infinity"}
 
 
+def format_rows(text_cells, values, rows: int, end: str = "\n") -> str:
+    """Text of rows of ","-separated cells, each row ending with end.
+
+    text_cells holds a flag per cell of a row: True for a text that goes
+    in as it is, False for a float that goes in as its %.17g text. values
+    lists the cells of all rows, row after row; one %-operation formats
+    them.
+    """
+    row = ",".join("%s" if t else "%.17g" for t in text_cells) + end
+    return row * rows % tuple(values)
+
+
 def float_texts(a):
     """The %.17g text of every value of a float array, nested as a.tolist().
 
-    One %-format over all the values, split at the separators; a float
-    or a 0-d array gives one text.
+    One format_rows pass over all the values, split at the separators; a
+    float or a 0-d array gives one text.
     """
     a = np.asarray(a, dtype=float)
     flat = a.ravel().tolist()
-    texts = ("%.17g," * len(flat) % tuple(flat)).split(",")[:-1]
+    texts = format_rows((False,), flat, len(flat), ",").split(",")[:-1]
     if a.ndim == 1:
         return texts
     return np.array(texts, dtype=object).reshape(a.shape).tolist()
@@ -62,7 +78,12 @@ def _json_floats(texts) -> str:
         return _JSON_SPELLING.get(texts, texts)
     if texts and not isinstance(texts[0], str):
         return "[" + ", ".join(map(_json_floats, texts)) + "]"
-    return "[" + ", ".join(map(_JSON_SPELLING.get, texts, texts)) + "]"
+    body = ", ".join(texts)
+    # only nan and inf hold an "n", and only -0 ends in "-0" (an exponent
+    # has two digits at least), so most arrays need no spelling lookup
+    if "n" in body or "-0, " in body or body.endswith("-0"):
+        body = ", ".join(map(_JSON_SPELLING.get, texts, texts))
+    return "[" + body + "]"
 
 
 def render(obj) -> str:

@@ -25,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .curves import SampledCurve, min_samples, structure_skew
+from .curves import SampledCurve, _require_samples, structure_skew
 from .errors import (
     BadIndex,
     BadParameters,
     NoRealSolution,
     RepeatedEigenvalue,
-    TooFewSamples,
 )
 from .signatures import _check_index_circle
 
@@ -81,10 +80,7 @@ class SelfSimilarSpec:
         lo, hi = float(self.sigma_range[0]), float(self.sigma_range[1])
         if not -math.inf < lo < hi < math.inf:
             raise BadParameters("sigma_range must be finite and increasing")
-        if self.n_samples < min_samples(n):
-            raise TooFewSamples(
-                f"need at least {min_samples(n)} samples in E^{n}"
-            )
+        _require_samples(self.n_samples, n)
         object.__setattr__(self, "kt", float(self.kt))
         object.__setattr__(self, "ktj", ktj)
         object.__setattr__(self, "sigma_range", (lo, hi))

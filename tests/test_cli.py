@@ -638,6 +638,26 @@ EYE3 = '"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]'
     pytest.param(["verify", "--input", "{data}/helix.csv",
                   "--samples", "1000000000000000"], None,
                  id="verify_samples_unallocatable"),
+    # counts past numpy's size limit, which it would meet with ValueError
+    pytest.param(["analyze", "--input", "{data}/helix.csv",
+                  "--samples", "100000000000000000000"], None,
+                 id="analyze_samples_unsizable"),
+    pytest.param(["match", "--input", "{data}/helix.csv", "--input-b",
+                  "{data}/helix_double.csv",
+                  "--samples", "100000000000000000000"],
+                 None, id="match_samples_unsizable"),
+    pytest.param(["verify", "--input", "{data}/helix.csv",
+                  "--samples", "100000000000000000000"], None,
+                 id="verify_samples_unsizable"),
+    pytest.param(["focal", "--input", "{data}/helix.csv",
+                  "--samples", "100000000000000000000"], None,
+                 id="focal_samples_unsizable"),
+    pytest.param(["evolute", "--input", "{data}/helix_short.csv",
+                  "--samples", "100000000000000000000"], None,
+                 id="evolute_samples_unsizable"),
+    pytest.param(["synthesize", "--input", "{tmp}/spec.json"],
+                 SPEC3 + ', "kt": 0.1, "samples": 1e300',
+                 id="spec_samples_unsizable"),
 ])
 def test_out_of_range_value_exits_usage(data_dir, tmp_path, capsys, argv, spec):
     if spec is not None:

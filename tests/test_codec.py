@@ -6,13 +6,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import frenetsim as fs
 from frenetsim.cli import main
-from frenetsim.curves import TRIM, _write_table
-from frenetsim.jsonio import FloatTexts, float_texts, render
+from frenetsim.curves import _ROW_BLOCK, TRIM, _write_table
+from frenetsim.jsonio import FloatTexts, float_texts, format_rows, render
 
 EXTREMES = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308,
                      -1e308, np.nan, np.inf, -np.inf, 1 / 3, -2.5e-17, 1e22])
@@ -28,16 +28,34 @@ def _savetxt_bytes(path, header_cols, columns):
 def test_write_table_matches_savetxt(tmp_path):
     out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
     rng = np.random.default_rng(3)
+    long = _ROW_BLOCK + 7
+    big = rng.normal(size=(long, 2)) * np.logspace(-300, 300, long)[:, None]
+    big[::97, 0] = EXTREMES[np.arange(len(big[::97])) % len(EXTREMES)]
+    mixed = np.resize(EXTREMES, 24)
     tables = [
         (["t", "x1"], [EXTREMES, EXTREMES[::-1]]),
         (["a", "b", "c", "d"], [EXTREMES[:1], EXTREMES[1:4][None, :]]),
         (["s", "v1", "v2", "w"], [rng.normal(size=50),
                                   rng.normal(size=(50, 2)) * 1e-300,
                                   rng.standard_cauchy(50)]),
+        # texts formatted before go in as they are, beside 1-d and 2-d
+        # float columns
+        (["a", "b", "c1", "c2", "c3", "d"],
+         [float_texts(mixed), mixed[::-1], np.resize(EXTREMES[::-1], (24, 3)),
+          float_texts(-mixed)]),
+        # more rows than one %-format block, texts last
+        (["s", "f1", "f2", "g"], [np.arange(long) * 0.1, big,
+                                  float_texts(big[::-1, 1])]),
+        (["s", "g1", "g2"], [np.empty(0), np.empty((0, 2))]),
+        (["s", "t"], [[], np.empty(0)]),
     ]
     for header, columns in tables:
         _write_table(out, header, columns)
-        assert out.read_bytes() == _savetxt_bytes(ref, header, columns)
+        values = [np.array(c, dtype=float) if isinstance(c, list) else c
+                  for c in columns]
+        assert out.read_bytes() == _savetxt_bytes(ref, header, values)
+    with pytest.raises(ValueError):
+        _write_table(out, ["a", "b"], [np.zeros(3), float_texts(np.zeros(4))])
 
 
 def _float_text(v: float) -> str:
@@ -56,7 +74,24 @@ def _render_per_element(a):
     return "[" + ", ".join(_render_per_element(row) for row in a) + "]"
 
 
+# texts the JSON spelling lookup must catch, first, last and alone, and
+# texts that hold "-0" or "e-0" without being -0
+JSON_EDGES = [np.array(v) for v in (
+    [-0.0], [-0.0, 1.5], [1.5, 2.0, -0.0], [np.nan], [np.inf], [-np.inf],
+    [1e-05, -1e-300, -0.05], [-0.5, 2e-05, -0.0, 3.0],
+    [[1.0, -0.0], [np.nan, -1e-05]])]
+
+
 @settings(deadline=None, max_examples=60)
+@example(JSON_EDGES[0])
+@example(JSON_EDGES[1])
+@example(JSON_EDGES[2])
+@example(JSON_EDGES[3])
+@example(JSON_EDGES[4])
+@example(JSON_EDGES[5])
+@example(JSON_EDGES[6])
+@example(JSON_EDGES[7])
+@example(JSON_EDGES[8])
 @given(hnp.arrays(np.float64,
                   hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
                                    max_side=5),
@@ -101,7 +136,7 @@ def test_json_layout_of_float_texts_is_render():
     # the texts a CSV table shares, laid out as JSON, spell -0.0, NaN and
     # the infinities as render does
     for a in (EXTREMES, EXTREMES.reshape(3, 4), EXTREMES[:0].reshape(0, 2),
-              EXTREMES[:0].reshape(2, 0)):
+              EXTREMES[:0].reshape(2, 0), *JSON_EDGES):
         assert render(FloatTexts(float_texts(a))) == _render_per_element(a)
         assert render(a) == _render_per_element(a)
     for v in EXTREMES:
@@ -163,21 +198,22 @@ def test_analyze_formats_each_column_once(data_dir, tmp_path, monkeypatch,
                                           capsys):
     # an E^3 index-2 run carries 11 distinct columns in its three artifacts:
     # s, sigma, kappa_1, kappa_2, kt, kt_1, kt_2, kappa_g and gamma_1..3
-    # (17 column formats when each artifact formats its own)
-    sizes = []
+    # (17 column formats when each artifact formats its own); every float
+    # cell passes through the one holder of the float format
+    cells = []
 
-    def counted(a):
-        sizes.append(np.size(a))
-        return float_texts(a)
+    def counted(text_cells, values, rows, *args):
+        cells.append(rows * sum(not t for t in text_cells))
+        return format_rows(text_cells, values, rows, *args)
 
     for name, module in list(sys.modules.items()):
         if (name == "frenetsim" or name.startswith("frenetsim.")) \
-                and vars(module).get("float_texts") is float_texts:
-            monkeypatch.setattr(module, "float_texts", counted)
+                and vars(module).get("format_rows") is format_rows:
+            monkeypatch.setattr(module, "format_rows", counted)
     samples = 400
     assert main(["analyze", "--input", str(data_dir / "helix.csv"),
                  "--index", "2", "--samples", str(samples),
                  "--output", str(tmp_path / "helix")]) == 0
     capsys.readouterr()
     # stdout's sigma_span, kt_min and kt_max are three floats more
-    assert sum(sizes) == 11 * (samples - 2 * TRIM) + 3, sizes
+    assert sum(cells) == 11 * (samples - 2 * TRIM) + 3, cells

@@ -1,11 +1,11 @@
 """One function of the package holds the 17-significant-digit float format.
 
 Every float of the package's CSV tables and JSON output goes through
-that function (jsonio.float_texts), so a column formatted once serves
-every artifact that carries it, and no writer can drift from the others. The check walks
-the syntax tree of each module: the format is a string constant holding
-".17g", such as "%.17g" or the spec of f"{v:.17g}"; docstrings do not
-count.
+that function (jsonio.format_rows), so a column formatted once serves
+every artifact that carries it, and no writer can drift from the others.
+The check walks the syntax tree of each module: the format is a string
+constant holding ".17g", such as "%.17g" or the spec of f"{v:.17g}";
+docstrings do not count.
 """
 
 import ast
@@ -65,4 +65,4 @@ def test_one_function_holds_the_float_format():
     scopes = {(path.name, scope)
               for path in PACKAGE
               for _, scope in format_scopes(ast.parse(path.read_text(encoding="utf-8")))}
-    assert scopes == {("jsonio.py", "float_texts")}, scopes
+    assert scopes == {("jsonio.py", "format_rows")}, scopes
