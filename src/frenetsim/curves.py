@@ -18,8 +18,10 @@ tq[0] to each query parameter.
   source's arc-length table (_arclength_table).
 
 The arc-length table holds t, s and the speed v = ds/dt on one uniform
-grid, so it is read either way by cubic Hermite interpolation with exact
-slopes, v for s(t) and 1/v for t(s), with no spline fit of its own.
+grid of max(4N, 4096) + 1 parameters, or of 64 per knot span of a
+position spline when that is fewer, so it is read either way by cubic
+Hermite interpolation with exact slopes, v for s(t) and 1/v for t(s),
+with no spline fit of its own.
 
 A SampledCurve carries its source, or gets a spline fitted to its
 samples, so no finite differencing of positions ever happens. One rule,
@@ -76,6 +78,12 @@ STRIDE_C = 1.5
 # refuses a count too large with MemoryError (past numpy's size limit it
 # would raise ValueError instead)
 MAX_SAMPLES = 2**53
+# arc-length table points per knot span of a position spline
+TABLE_PER_SPAN = 64
+# golden-section steps refining a dip of the tabulated speed: they shrink
+# its two-interval bracket by 0.618^48, about 1e-10
+_DIP_STEPS = 48
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 TAU = 2.0 * math.pi
 
@@ -318,6 +326,11 @@ class _SplineSource:
 
     spline: object
 
+    @property
+    def knot_spans(self) -> int:
+        """Number of polynomial pieces of the spline."""
+        return len(np.unique(self.spline.t)) - 1
+
     def jet(self, tq: np.ndarray, order: int) -> np.ndarray:
         out = np.zeros((order + 1, len(tq), self.spline.c.shape[-1]))
         for j in range(min(order, self.spline.k) + 1):
@@ -363,26 +376,73 @@ def parameter_speeds(source, tq: np.ndarray) -> np.ndarray:
 # arc length
 
 
-def _arclength_table(source, t_lo: float, t_hi: float, n_hint: int):
-    """Arc length s(t) from t_lo at max(4N, 4096) + 1 uniform parameters.
+def _slowest_point(source, tt: np.ndarray, sp: np.ndarray):
+    """The parameter where the curve is slowest on [tt[0], tt[-1]], and its speed.
 
-    Cumulative Simpson of the speed; returns the grid, s there and the
-    speed v = ds/dt there. s is strictly increasing, so the table is read
-    either way by cubic Hermite with exact slopes: v for s(t), 1/v for
-    t(s), each with O(h^4) error. At debug level it logs its point count,
-    the total length and the stall margin min(ds)/mean(ds) between grid
-    points, which is <= 0 where the stall refusal below fires.
+    sp is the speed on the grid tt, which can step over a cusp: near a
+    zero of the speed at c it grows like a |t - c|^p with p >= 1, so the
+    slower of the two grid points around c, tt[i], has a neighbour more
+    than twice as fast, the one on its far side from c. Every such
+    interior minimum of sp is refined by a golden-section search of
+    |alpha'|^2 over [tt[i-1], tt[i+1]], vectorized over the minima.
     """
-    m = max(4 * n_hint, 4096) + 1
+    q = int(np.argmin(sp))
+    mid = sp[1:-1]
+    dips = 1 + np.flatnonzero((mid <= sp[:-2]) & (mid <= sp[2:])
+                              & (2.0 * mid < np.maximum(sp[:-2], sp[2:])))
+    if not len(dips):
+        return tt[q], sp[q]
+
+    def speed2(x):
+        v = source.velocity(x)
+        return np.einsum("qd,qd->q", v, v)
+
+    a, b = tt[dips - 1], tt[dips + 1]
+    for _ in range(_DIP_STEPS):
+        x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        # the minimum lies in [a, x2], or else in [x1, b]
+        left = speed2(x1) < speed2(x2)
+        a, b = np.where(left, a, x1), np.where(left, x2, b)
+    x = (a + b) / 2
+    f = speed2(x)
+    j = int(np.argmin(f))
+    if f[j] < sp[q] ** 2:
+        return x[j], math.sqrt(f[j])
+    return tt[q], sp[q]
+
+
+def _arclength_table(source, t_lo: float, t_hi: float, n_hint: int):
+    """Arc length s(t) from t_lo on m uniform parameters.
+
+    m = max(4N, 4096) + 1, capped at TABLE_PER_SPAN K + 1 on a spline
+    source with K knot spans, where the speed is one smooth polynomial
+    expression per span. Cumulative Simpson of the speed; returns the
+    grid, s there and the speed v = ds/dt there. s is strictly
+    increasing, so the table is read either way by cubic Hermite with
+    exact slopes: v for s(t), 1/v for t(s), each with O(h^4) error.
+    ZeroSpeed refuses a speed that falls to 1e-9 of its maximum at a grid
+    point or, refined by _slowest_point, between two. At debug level it
+    logs its point count, the total length, the stall margin
+    min(ds)/mean(ds) between grid points, which is <= 0 where the stall
+    refusal below fires, and the knot spans of a spline source.
+    """
+    spans = source.knot_spans if isinstance(source, _SplineSource) else None
+    m = max(4 * n_hint, 4096)
+    if spans is not None:
+        m = min(m, TABLE_PER_SPAN * spans)
+    m += 1
     tt = np.linspace(t_lo, t_hi, m)
     sp = parameter_speeds(source, tt)
     mx = sp.max()
-    if mx <= 0 or sp.min() <= 1e-9 * mx:
-        raise ZeroSpeed("curve speed vanishes inside the parameter window")
+    t_slow, v_slow = _slowest_point(source, tt, sp)
+    if not v_slow > 1e-9 * mx:
+        raise ZeroSpeed(f"curve speed vanishes at t = {t_slow:.6g}, inside the "
+                        "parameter window")
     svals = cumulative_simpson(sp, x=tt, initial=0.0)
     ds = np.diff(svals)
-    log.debug("arc-length table: %d points, length %.6g, stall margin %.3g",
-              m, svals[-1], ds.min() / ds.mean())
+    log.debug("arc-length table: %d points, length %.6g, stall margin %.3g%s",
+              m, svals[-1], ds.min() / ds.mean(),
+              "" if spans is None else f" over {spans} knot spans")
     # Simpson's panel weights are not all positive, so a speed that
     # oscillates between grid points, as on noisy samples, can step s back
     stall = np.flatnonzero(ds <= 0)

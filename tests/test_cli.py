@@ -517,6 +517,25 @@ def test_edge_input_exit_codes(edge_csvs, capsys, name):
         assert err.count("\n") == (rc != 0) and "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", (51, 201, 2001))
+def test_cusp_between_grid_points_exits_degenerate(tmp_path, capsys, n):
+    # ((t - c)^3, (t - c)^4, 0.1 (t - c)^5) stops at t = c; the arc-length
+    # table's grid steps over most of these c, so its speed is refined
+    # between grid points
+    t = np.linspace(0.0, 1.0, n)
+    path = tmp_path / "cusp.csv"
+    for c in np.random.default_rng(7).uniform(0.3, 0.7, 8):
+        u = t - c
+        fs.curve_to_csv(fs.SampledCurve(3, t, np.column_stack([u ** 3, u ** 4,
+                                                               0.1 * u ** 5])),
+                        path)
+        rc = main(["analyze", "--index", "2", "--input", str(path),
+                   "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3 and err.count("\n") == 1, (c, err)
+        assert f"ZeroSpeed): curve speed vanishes at t = {c:.6g}," in err
+
+
 @pytest.mark.parametrize("n", (3, 4))
 def test_frame_message_names_input_parameter(edge_csvs, capsys, n):
     # kappa_{n-2} vanishes at t = 0; the sample numbers are those of the

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
+from scipy.interpolate import CubicHermiteSpline
 
 import frenetsim as fs
 from frenetsim import errors as E
@@ -47,6 +49,76 @@ def test_arclength_inverse_closed_forms(n):
         # the sample grid and the midpoints between its samples
         s = np.linspace(0.0, cur.t[-1], 2 * n - 1)
         assert np.abs(cur.source.t_of_s(s) - t_of_s(s)).max() < 5e-12
+
+
+@pytest.mark.parametrize("n", [2000, 20000])
+def test_arclength_inverse_closed_forms_of_raw_samples(n):
+    # the same closed forms through the position spline of raw samples,
+    # whose arc-length table is sized by the fit's knot spans
+    c = -0.1
+    for curve, t_of_s in (
+            (fs.helix(3.0, 4.0), lambda s: s / 5.0),
+            (fs.log_spiral(c), lambda s: np.log1p(c * s / math.hypot(1.0, c)) / c)):
+        t = np.linspace(*curve.t_span, n)
+        raw = fs.SampledCurve(curve.dimension, t, curve.jet(t, 0)[0])
+        cur = fs.arclength_reparam(raw, n)
+        s = np.linspace(0.0, cur.t[-1], 2 * n - 1)
+        assert np.abs(cur.source.t_of_s(s) - t_of_s(s)).max() < 5e-12
+
+
+def _raw_table_inputs(data_dir, interior_flat_curves):
+    """Raw curves of the conftest fixtures and two of 20k samples.
+
+    A raw 20k-sample helix is left to the closed-form test above: its
+    speed is constant, so the float64 running sum of either table rounds
+    the same way at every step and drifts by 1e-13 to 6e-13 of the
+    length, as much as the two tables differ there.
+    """
+    raws = [fs.curve_from_csv(data_dir / f"{name}.csv") for name in
+            ("helix", "helix_double", "helix_swapped", "helix_short", "line")]
+    raws += [interior_flat_curves[3], interior_flat_curves[4]]
+    t = np.linspace(0.0, TAU, 20000)
+    big = [fs.SampledCurve(2, t, fs.log_spiral(-0.1).jet(t, 0)[0]),
+           fs.synthesize_self_similar(fs.SelfSimilarSpec(
+               dimension=4, index=2, kt=0.1, ktj=(0.7, math.sqrt(1 - 0.49), 0.5),
+               n_samples=20000))]
+    return raws + big
+
+
+def _reference_table(src, t_lo, t_hi, n_hint):
+    """The arc-length table at max(4N, 4096) + 1 points, whatever the fit."""
+    tt = np.linspace(t_lo, t_hi, max(4 * n_hint, 4096) + 1)
+    sp = curves.parameter_speeds(src, tt)
+    return tt, cumulative_simpson(sp, x=tt, initial=0.0), sp
+
+
+def test_fit_sized_table_agrees_with_the_4n_table(data_dir, interior_flat_curves):
+    for raw in _raw_table_inputs(data_dir, interior_flat_curves):
+        n = raw.n_samples
+        cur = fs.arclength_reparam(raw, n)
+        src = cur.source.inner
+        if n == 20000:
+            # the fit-sized table is the smaller one on these
+            assert curves.TABLE_PER_SPAN * src.knot_spans < 4 * n
+        t_lo, t_hi = raw.t[0], raw.t[-1]
+        tt, sv, sp = _reference_table(src, t_lo, t_hi, n)
+        t_of_s = CubicHermiteSpline(sv, tt, 1.0 / sp)
+        length = cur.t[-1]
+        # the total length, and t(s) at the samples and the midpoints
+        assert abs(length - sv[-1]) < 1e-13 * sv[-1]
+        s = np.linspace(0.0, min(length, sv[-1]), 2 * n - 1)
+        assert np.abs(cur.source.t_of_s(s) - t_of_s(s)).max() < 1e-13 * (t_hi - t_lo)
+        # s(t) at the samples and the midpoints
+        tq = np.empty(2 * n - 1)
+        tq[::2] = raw.t
+        tq[1::2] = (raw.t[1:] + raw.t[:-1]) / 2
+        tt, sv, sp = _reference_table(src, t_lo, t_hi, len(tq))
+        s_ref = CubicHermiteSpline(tt, sv, sp)(tq)
+        assert np.abs(src.arclength(tq) - s_ref).max() < 1e-13 * s_ref[-1]
+        # the resampled points
+        want = src.jet(t_of_s(np.linspace(0.0, length, n)), 0)[0]
+        diam = np.linalg.norm(np.ptp(want, axis=0))
+        assert np.abs(cur.points - want).max() < 1e-13 * diam
 
 
 def test_arclength_forward_closed_form():
@@ -604,8 +676,10 @@ def test_noisy_spiral_arclength_stalls(caplog):
     pts = pts + np.random.default_rng(0).normal(0.0, 1e-3 * diam, pts.shape)
     with pytest.raises(E.ZeroSpeed, match="stops increasing"):
         fs.arclength_reparam(fs.SampledCurve(2, t, pts), 2000)
-    # the table's debug line, logged before the refusal, shows why
-    assert float(re.findall(r"stall margin (\S+)", caplog.text)[-1]) <= 0
+    # the table's debug line, logged before the refusal, shows why; the
+    # noise is fitted at stride 1, so the knot spans keep the 4N + 1 grid
+    m = re.findall(r"(\d+) points, .* stall margin (\S+)", caplog.text)[-1]
+    assert int(m[0]) == 8001 and float(m[1]) <= 0
 
 
 def test_arclength_table_debug_line(caplog):
@@ -618,6 +692,20 @@ def test_arclength_table_debug_line(caplog):
     assert int(m[1]) == 8001
     assert float(m[2]) == pytest.approx(25.0, rel=1e-6)
     assert float(m[3]) == pytest.approx(1.0, abs=1e-6)
+    # an analytic source has no knot spans to name
+    assert "knot spans" not in caplog.text
+    # raw samples: 64 points per knot span of the position spline, fewer
+    # than 4N + 1 = 80001
+    caplog.clear()
+    t = np.linspace(0.0, 5.0, 20000)
+    raw = fs.SampledCurve(3, t, fs.helix(3.0, 4.0).jet(t, 0)[0])
+    spans = len(np.unique(_engine(raw).spline.t)) - 1
+    fs.arclength_reparam(raw, 20000)
+    m = re.search(r"arc-length table: (\d+) points, length (\S+), "
+                  r"stall margin (\S+) over (\d+) knot spans", caplog.text)
+    assert m, caplog.text
+    assert int(m[4]) == spans and int(m[1]) == 64 * spans + 1 < 80001
+    assert float(m[2]) == pytest.approx(25.0, rel=1e-6)
 
 
 def test_zero_speed_cusp():
@@ -631,6 +719,35 @@ def test_zero_speed_cusp():
     cur = fs.builtin_evaluate(cusp, np.linspace(-1, 1, 201))
     with pytest.raises(E.ZeroSpeed, match="sample 100"):
         fs.frenet_apparatus(cur)
+
+
+def test_cusp_between_grid_points():
+    # ((t - c)^2, (t - c)^3) stops at t = c, which the table's grid steps
+    # over: the speed is refined between grid points, and t named
+    t = np.linspace(0.0, 1.0, 51)
+    for c in np.random.default_rng(7).uniform(0.3, 0.7, 8):
+        cur = fs.SampledCurve(2, t, np.column_stack([(t - c) ** 2, (t - c) ** 3]))
+        with pytest.raises(E.ZeroSpeed, match=f"vanishes at t = {c:.6g},"):
+            fs.arclength_reparam(cur, 200)
+
+
+def test_slow_regular_curve_is_not_a_cusp():
+    # (u^3/3 + eps u, u^2/2), u = t - c: the slowest speed, eps at u = 0,
+    # is about 1e-3 of the fastest; refined, it is eps, not zero
+    eps = 1e-3
+    for n in (51, 201, 2001):
+        t = np.linspace(0.0, 1.0, n)
+        for c in np.random.default_rng(7).uniform(0.3, 0.7, 8):
+            u = t - c
+            cur = fs.SampledCurve(2, t, np.column_stack([u ** 3 / 3 + eps * u,
+                                                         u ** 2 / 2]))
+            fs.arclength_reparam(cur, n)
+    # on a grid that misses u = 0 the search finds the slowest point
+    src = fs.custom_poly([[0.0, eps, 0.0, 1 / 3], [0.0, 0.0, 0.5]],
+                         t_span=(-1.0, 1.0))
+    tt = np.linspace(-1.0, 1.0, 20)
+    t_slow, v_slow = curves._slowest_point(src, tt, curves.parameter_speeds(src, tt))
+    assert abs(t_slow) < 1e-9 and v_slow == pytest.approx(eps, rel=1e-9)
 
 
 def test_sampled_curve_validation():
