@@ -35,11 +35,11 @@ from .errors import BadParameters, BadRange, GeometryError, UsageError
 from .evolute import evolute_e3, evolute_invariant_report
 from .focal import focal_curvatures
 from .indicatrix import (
-    _indicatrix,
+    indicatrix_curve,
     indicatrix_to_csv,
     sabban_geodesic_curvature,
 )
-from .jsonio import dump_pretty, float_texts, json_int
+from .jsonio import dump_pretty, float_texts, json_float, json_floats, json_int
 from .selfsimilar import (
     SelfSimilarSpec,
     frame_ode_oracle,
@@ -92,7 +92,7 @@ def cmd_analyze(args) -> int:
     sig_path = Path(f"{base}.signature.json")
     sig_path.write_text(_signature_text(n, args.index, sigma, kt, ktj) + "\n")
 
-    sc = _indicatrix(fr, args.index, sig.sigma)
+    sc = indicatrix_curve(fr, sig)
     kappa_g = (float_texts(sabban_geodesic_curvature(sc).kappa_g) if n == 3
                else None)
     names = ["s", "sigma", *[f"kappa_{j}" for j in range(1, n)],
@@ -105,7 +105,7 @@ def cmd_analyze(args) -> int:
     _write_table(samples_path, names, cols)
     del cols, kt, ktj
     ind_path = Path(f"{base}.indicatrix.csv")
-    indicatrix_to_csv(sc, ind_path, kappa_g, sigma_texts=sigma)
+    indicatrix_to_csv(ind_path, sigma, sc.gamma, kappa_g)
 
     sys.stdout.write(dump_pretty({
         "input": args.input,
@@ -166,9 +166,10 @@ def _spec_from_json(path: str) -> SelfSimilarSpec:
         return SelfSimilarSpec(
             dimension=json_int(obj["dimension"], "dimension"),
             index=json_int(obj["index"], "index"),
-            kt=float(obj["kt"]),
-            ktj=tuple(float(v) for v in obj["ktj"]),
-            sigma_range=tuple(obj.get("sigma_range", (0.0, 4.0))),
+            kt=json_float(obj["kt"], "kt"),
+            ktj=tuple(json_floats(obj["ktj"], "ktj").tolist()),
+            sigma_range=tuple(json_floats(obj.get("sigma_range", [0.0, 4.0]),
+                                          "sigma_range").tolist()),
             n_samples=json_int(obj.get("samples", DEFAULT_SAMPLES), "samples"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

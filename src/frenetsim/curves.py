@@ -354,7 +354,10 @@ def _fit_spline_source(curve: SampledCurve) -> _SplineSource:
     k = n + 4
     if k % 2 == 0:
         k += 1
-    stride = _auto_stride(curve.points.T, k, POSITION_NOISE)
+    # the stride rule squares chords: on the polyline scaled by a power of
+    # two they stay in float64, and the stride is that of the unscaled one
+    big = np.frexp(np.abs(curve.points).max())[1]
+    stride = _auto_stride(np.ldexp(curve.points.T, -big), k, POSITION_NOISE)
     return _SplineSource(_strided_spline(curve.t, curve.points, stride, k))
 
 
@@ -513,23 +516,37 @@ def arclength_reparam(curve, n_samples: int) -> SampledCurve:
     [0] of the order-n jet on the new grid (P[0] / v^0 = P[0], bit for
     bit), which the source keeps, so frenet_apparatus of the result reads
     that jet instead of evaluating t(s) and the inner source a second
-    time.
+    time. A speed table, t(s) or jet that would overflow float64 is
+    refused with BadRange, naming the coordinate extent and the parameter
+    span, before any of them leaves it.
     """
     if isinstance(curve, BuiltinCurve):
         t_lo, t_hi = curve.t_span
-        src = curve
     elif isinstance(curve, SampledCurve):
         t_lo, t_hi = float(curve.t[0]), float(curve.t[-1])
-        src = _engine(curve)
     else:
         raise BadParameters(f"not a curve: {type(curve).__name__}")
     dim = curve.dimension
     n_samples = int(n_samples)
-    _require_samples(n_samples, dim)
-    tt, svals, sp = _arclength_table(src, t_lo, t_hi, n_samples)
-    rep = _ReparamSource(src, CubicHermiteSpline(svals, tt, 1.0 / sp))
-    s_targets = np.linspace(0.0, svals[-1], n_samples)
-    return SampledCurve(dim, s_targets, rep.jet(s_targets, dim)[0], source=rep)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            src = curve if isinstance(curve, BuiltinCurve) else _engine(curve)
+            _require_samples(n_samples, dim)
+            tt, svals, sp = _arclength_table(src, t_lo, t_hi, n_samples)
+            rep = _ReparamSource(src, CubicHermiteSpline(svals, tt, 1.0 / sp))
+            s_targets = np.linspace(0.0, svals[-1], n_samples)
+            points = rep.jet(s_targets, dim)[0]
+    except FloatingPointError:
+        if isinstance(curve, BuiltinCurve):
+            what = f"the {curve.kind} curve {curve.params}"
+        else:
+            lo, hi = curve.points.min(axis=0), curve.points.max(axis=0)
+            what = ("coordinates spanning "
+                    f"{max(float(b) - float(a) for a, b in zip(lo, hi)):.3g}")
+        raise BadRange(f"{what} over a parameter span of {t_hi - t_lo:.3g} put "
+                       "the curve's speed or derivatives outside float64; "
+                       "rescale the points or t") from None
+    return SampledCurve(dim, s_targets, points, source=rep)
 
 
 def _input_parameter(src, tq: float) -> float:

@@ -5,13 +5,13 @@ its arc element is dsigma_i = sqrt(kappa_{i-1}^2 + kappa_i^2) ds with
 the boundary conventions kappa_0 = kappa_n = 0. sigma_i is anchored at
 0 on the first retained sample (two samples per end are trimmed as
 boundary noise) and is invariant under direct similarities. Only
-_sigma_grids decides whether a V_i-indicatrix exists. It integrates the
-speeds of all the asked indices in one quadrature, then refuses, index
-by index, an index outside 1..n, a collapsing speed, a sigma_i that
-stops increasing, and a sign change of kappa_{n-1} where the speed is
-|kappa_{n-1}|. A ShapeSignature keeps that sigma_i, and the indicatrix
-with its Sabban kappa_g is built on it (_indicatrix) without a second
-quadrature.
+_sigma_grids, which _ladder_signatures calls, decides whether a
+V_i-indicatrix exists. It integrates the speeds of all the asked
+indices in one quadrature, then refuses, index by index, an index
+outside 1..n, a collapsing speed, a sigma_i that stops increasing, and
+a sign change of kappa_{n-1} where the speed is |kappa_{n-1}|. A
+ShapeSignature keeps that sigma_i, and indicatrix_curve reads frame
+row V_i on it, so the indicatrix needs no second quadrature.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .curves import (
 from .errors import (
     BadIndex,
     DegenerateSpeed,
+    DimensionMismatch,
     DivisionDegenerate,
     IndicatrixDegenerate,
     NotThreeDimensional,
@@ -105,7 +106,6 @@ class SphericalCurve:
     """A curve on S^{n-1} parameterized by its arc length sigma."""
 
     dimension: int
-    source_index: int
     sigma: np.ndarray
     gamma: np.ndarray
 
@@ -125,20 +125,20 @@ class SphericalCurve:
         object.__setattr__(self, "gamma", g)
 
 
-def _indicatrix(fr: FrenetData, i: int, sigma) -> SphericalCurve:
-    """The V_i-indicatrix of fr on sigma_i: frame row V_i, retained samples."""
-    return SphericalCurve(fr.dimension, i, sigma,
-                          fr.frames[TRIM:fr.n_samples - TRIM, i - 1])
+def indicatrix_curve(fr: FrenetData, sig) -> SphericalCurve:
+    """The V_i-indicatrix of fr on the sigma_i of sig, i = sig.index.
 
-
-def indicatrix_curve(fr: FrenetData, i: int) -> SphericalCurve:
-    """The spherical V_i-indicatrix with its arc length sigma_i.
-
-    sigma_i integrates the indicatrix speed by cumulative Simpson
-    quadrature over s, anchored at 0 on the first retained sample.
+    sig is a ShapeSignature of fr; gamma is frame row V_i on the samples
+    it keeps. DimensionMismatch refuses a signature of another apparatus,
+    of another dimension or sample count.
     """
-    _, grids = _sigma_grids(_curvature_ladder(fr), fr.s, [i])
-    return _indicatrix(fr, i, grids[i][1])
+    kept = fr.n_samples - 2 * TRIM
+    if sig.dimension != fr.dimension or len(sig.sigma) != kept:
+        raise DimensionMismatch(f"signature of {len(sig.sigma)} samples in E^"
+                                f"{sig.dimension}, apparatus keeps {kept} in "
+                                f"E^{fr.dimension}")
+    return SphericalCurve(fr.dimension, sig.sigma,
+                          fr.frames[TRIM:fr.n_samples - TRIM, sig.index - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +210,15 @@ def geodesic_closed_form(sig) -> np.ndarray:
     return kt1**2 * field_derivative(sig.sigma, kt2 / kt1)
 
 
-def indicatrix_to_csv(sc: SphericalCurve, path, kappa_g=None,
-                      sigma_texts=None) -> None:
+def indicatrix_to_csv(path, sigma, gamma, kappa_g=None) -> None:
     """Write `sigma,g1,...,gn[,kappa_g]` with 17 significant digits.
 
-    kappa_g None leaves its column out. A caller that shares a column
-    with another artifact hands over its float_texts instead, formatted
-    once for both: sigma_texts those of sc.sigma, or kappa_g as texts.
+    Each column is a float array or, when another artifact shares it,
+    its float_texts, formatted once for both (_write_table). gamma has
+    one row per sample; kappa_g None leaves its column out.
     """
-    head = ["sigma"] + [f"g{d + 1}" for d in range(sc.dimension)]
-    cols = [sc.sigma if sigma_texts is None else sigma_texts, sc.gamma]
+    head = ["sigma"] + [f"g{d + 1}" for d in range(np.shape(gamma)[1])]
+    cols = [sigma, gamma]
     if kappa_g is not None:
         head.append("kappa_g")
         cols.append(kappa_g)

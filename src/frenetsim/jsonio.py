@@ -15,7 +15,9 @@ that holds such a text. A float or a float array given to render takes
 the same two steps, so a caller that formats a column once and writes it
 into both a CSV table and a JSON document gets the bytes that formatting
 it for each would give. json_int reads an integer field of a parsed
-document and refuses a fraction or a boolean.
+document and refuses a fraction or a boolean; json_float and json_floats
+read a number or nested arrays of numbers and refuse a string, a
+boolean or a null, which float() and np.array would take.
 """
 
 from __future__ import annotations
@@ -68,16 +70,38 @@ def json_int(value, name: str) -> int:
     return n
 
 
+def json_float(value, name: str) -> float:
+    """The JSON number of the field name as a float."""
+    if type(value) not in (int, float):
+        raise BadParameters(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_floats(value, name: str) -> np.ndarray:
+    """A JSON number or nested arrays of numbers as a float array.
+
+    Every value at every depth must be a number: float() would read "2"
+    as 2.0 and true as 1.0. Ragged arrays raise ValueError from np.array.
+    """
+    values = [value]
+    for v in values:  # the loop also visits the items it appends
+        if type(v) is list:
+            values.extend(v)
+        elif type(v) not in (int, float):
+            raise BadParameters(f"{name} must hold numbers only, got {v!r}")
+    return np.array(value, dtype=float)
+
+
 class FloatTexts(list):
     """float_texts of an array, which render lays out as its JSON array."""
 
 
-def _json_floats(texts) -> str:
+def _json_text(texts) -> str:
     """JSON text of float_texts output: one number, or arrays nested alike."""
     if isinstance(texts, str):
         return _JSON_SPELLING.get(texts, texts)
     if texts and not isinstance(texts[0], str):
-        return "[" + ", ".join(map(_json_floats, texts)) + "]"
+        return "[" + ", ".join(map(_json_text, texts)) + "]"
     body = ", ".join(texts)
     # only nan and inf hold an "n", and only -0 ends in "-0" (an exponent
     # has two digits at least), so most arrays need no spelling lookup
@@ -96,9 +120,9 @@ def render(obj) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)) or (
             isinstance(obj, np.ndarray) and obj.dtype.kind == "f"):
-        return _json_floats(float_texts(obj))
+        return _json_text(float_texts(obj))
     if isinstance(obj, FloatTexts):
-        return _json_floats(obj)
+        return _json_text(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):

@@ -43,11 +43,11 @@ from .errors import (
 )
 from .indicatrix import (
     _curvature_ladder,
-    _indicatrix,
     _sigma_grids,
+    indicatrix_curve,
     sabban_geodesic_curvature,
 )
-from .jsonio import FloatTexts, float_texts, json_int, render
+from .jsonio import FloatTexts, float_texts, json_floats, json_int, render
 from .transforms import apply_similarity
 
 log = logging.getLogger("frenetsim.signatures")
@@ -304,7 +304,7 @@ def invariance_sweep(curve: SampledCurve, transforms) -> dict:
     base_kg = {}
     if fr.dimension == 3:
         dev["geodesic_invariance"] = dict.fromkeys(base, 0.0)
-        base_kg = {i: sabban_geodesic_curvature(_indicatrix(fr, i, sig.sigma)).kappa_g
+        base_kg = {i: sabban_geodesic_curvature(indicatrix_curve(fr, sig)).kappa_g
                    for i, sig in base.items()}
     for T in transforms:
         fri = frenet_apparatus(apply_similarity(T, curve))
@@ -315,7 +315,7 @@ def invariance_sweep(curve: SampledCurve, transforms) -> dict:
                    "shape_invariance": max(np.abs(sig.kt - img.kt).max(),
                                            np.abs(sig.ktj - img.ktj).max())}
             if base_kg:
-                kg = sabban_geodesic_curvature(_indicatrix(fri, i, img.sigma)).kappa_g
+                kg = sabban_geodesic_curvature(indicatrix_curve(fri, img)).kappa_g
                 now["geodesic_invariance"] = np.abs(base_kg[i] - kg).max()
             for prop, value in now.items():
                 dev[prop][i] = max(dev[prop][i], float(value))
@@ -348,9 +348,9 @@ def signature_from_json(text: str) -> ShapeSignature:
         return ShapeSignature(
             json_int(obj["dimension"], "dimension"),
             json_int(obj["index"], "index"),
-            np.array(obj["sigma"], dtype=float),
-            np.array(obj["kt"], dtype=float),
-            np.array(obj["ktj"], dtype=float),
+            json_floats(obj["sigma"], "sigma"),
+            json_floats(obj["kt"], "kt"),
+            json_floats(obj["ktj"], "ktj"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadParameters(f"malformed signature JSON: {exc}") from None

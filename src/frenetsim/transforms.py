@@ -17,7 +17,7 @@ import numpy as np
 
 from .curves import AffineImage, SampledCurve
 from .errors import BadParameters, BadRange, DimensionMismatch
-from .jsonio import render
+from .jsonio import json_float, json_floats, render
 
 ORTHO_TOL = 1e-12
 
@@ -113,7 +113,8 @@ def transform_to_json(T: SimilarityTransform) -> str:
 def transform_from_json(text: str) -> SimilarityTransform:
     try:
         obj = json.loads(text)
-        return SimilarityTransform(obj["lambda"], np.array(obj["A"], dtype=float),
-                                   np.array(obj["b"], dtype=float))
+        return SimilarityTransform(json_float(obj["lambda"], "lambda"),
+                                   json_floats(obj["A"], "A"),
+                                   json_floats(obj["b"], "b"))
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParameters(f"malformed transform JSON: {exc}") from None

@@ -35,11 +35,16 @@ def helix_images(helix_curve):
     return [image_apparatus(helix_curve, 100 + k, 3) for k in range(20)]
 
 
+def indicatrix(fr, i):
+    # built as the commands build it, on the sigma_i of its signature
+    return fs.indicatrix_curve(fr, fs.shape_curvatures(fr, i))
+
+
 def valid_indices(fr):
     out = []
     for i in range(1, fr.dimension + 1):
         try:
-            fs.indicatrix_curve(fr, i)
+            indicatrix(fr, i)
         except E.IndicatrixDegenerate:
             continue
         out.append(i)
@@ -60,10 +65,10 @@ def test_criterion_1_curvature_scaling(helix_frenet, helix_images, capsys):
 def test_criterion_2_sigma_invariance(helix_frenet, helix_images, capsys):
     dev = 0.0
     for i in (1, 2, 3):
-        base = fs.indicatrix_curve(helix_frenet, i).sigma
+        base = indicatrix(helix_frenet, i).sigma
         for _, fri in helix_images:
             dev = max(dev, float(
-                np.abs(fs.indicatrix_curve(fri, i).sigma - base).max()))
+                np.abs(indicatrix(fri, i).sigma - base).max()))
     report(capsys, "indicatrix arc length invariance (i = 1, 2, 3)",
            dev <= TOL, f"max dev {dev:.3e}, tol {TOL:g}")
 
@@ -129,14 +134,15 @@ def test_criterion_5_geodesic_curvature(helix_frenet, helix_images, capsys):
     closed = {1: 4.0 / 3.0, 2: 0.0, 3: 3.0 / 4.0}
     dev_val = dev_form = dev_inv = 0.0
     for i in (1, 2, 3):
-        sc = fs.indicatrix_curve(helix_frenet, i)
-        kg = fs.sabban_geodesic_curvature(sc).kappa_g
+        sig = fs.shape_curvatures(helix_frenet, i)
+        kg = fs.sabban_geodesic_curvature(
+            fs.indicatrix_curve(helix_frenet, sig)).kappa_g
         dev_val = max(dev_val, float(np.abs(kg - closed[i]).max()))
-        form = fs.geodesic_closed_form(fs.shape_curvatures(helix_frenet, i))
+        form = fs.geodesic_closed_form(sig)
         dev_form = max(dev_form, float(np.abs(kg - form).max()))
         for _, fri in helix_images[:5]:
             kgi = fs.sabban_geodesic_curvature(
-                fs.indicatrix_curve(fri, i)).kappa_g
+                indicatrix(fri, i)).kappa_g
             dev_inv = max(dev_inv, float(np.abs(kgi - kg).max()))
     ok = max(dev_val, dev_form, dev_inv) <= TOL
     report(capsys, "Sabban geodesic curvature: helix values 4/3, 0, 3/4",

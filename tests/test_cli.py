@@ -222,6 +222,44 @@ def test_synthesize_rejects_garbage_json(data_dir, capsys):
     assert err.count("\n") == 1 and "malformed self-similar spec JSON" in err
 
 
+# the slot of each document takes the number 1 in a valid file; float()
+# reads "1" and true as 1.0, and np.array reads them inside arrays
+NUMBER_SLOTS = [
+    ("synthesize", "kt", '{"dimension": 2, "index": 1, "kt": %s, "ktj": [1]}'),
+    ("synthesize", "ktj", '{"dimension": 2, "index": 1, "kt": 0.1, "ktj": [%s]}'),
+    ("synthesize", "sigma_range", '{"dimension": 2, "index": 1, "kt": 0.1, '
+     '"ktj": [1], "sigma_range": [0, %s]}'),
+    ("transform", "lambda", '{"lambda": %s, "A": [[1, 0, 0], [0, 1, 0], '
+     '[0, 0, 1]], "b": [0, 0, 0]}'),
+    ("transform", "A", '{"lambda": 2, "A": [[1, 0, 0], [0, 1, 0], '
+     '[0, 0, %s]], "b": [0, 0, 0]}'),
+    ("transform", "b", '{"lambda": 2, "A": [[1, 0, 0], [0, 1, 0], '
+     '[0, 0, 1]], "b": [0, %s, 0]}'),
+]
+
+
+@pytest.mark.parametrize("command, field, doc", NUMBER_SLOTS,
+                         ids=[f"{c}-{f}" for c, f, _ in NUMBER_SLOTS])
+def test_json_numbers_refuse_strings_booleans_and_nulls(command, field, doc,
+                                                        data_dir, tmp_path,
+                                                        capsys):
+    path = tmp_path / "in.json"
+    argv = {"synthesize": ["synthesize", "--input", str(path),
+                           "--output", str(tmp_path / "out.csv")],
+            "transform": ["transform", "--input", str(data_dir / "helix.csv"),
+                          "--input-b", str(path),
+                          "--output", str(tmp_path / "out.csv")]}[command]
+    path.write_text(doc % "1")
+    assert main(argv) == 0
+    capsys.readouterr()
+    for bad in ('"1"', "true", "null"):
+        path.write_text(doc % bad)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert re.search(rf"\b{field} must (be a number|hold numbers only)", err)
+
+
 def test_focal_command(data_dir, tmp_path, capsys):
     rc, out = run(capsys, "focal", "--input", str(data_dir / "helix.csv"),
                   "--samples", "800", "--output", str(tmp_path / "h"))
@@ -414,6 +452,43 @@ def test_nonfinite_cell_exits_usage(tmp_path, capsys, row):
     rc = main(["analyze", "--input", str(path)])
     assert rc == 2
     assert "must be finite; sample 4" in capsys.readouterr().err
+
+
+def test_scaled_curve_runs_or_is_refused_as_out_of_range(tmp_path, capsys):
+    # the helix (3 cos t, 3 sin t, 0.6 t) scaled by 10^e: each command exits
+    # as it does on the unscaled curve, or exits 2 naming the coordinate
+    # extent, where the speed, t(s) or the resampled jet would leave
+    # float64; never with NaN arithmetic or a NaN read back from the points
+    t = np.linspace(0.0, 4.0 * np.pi, 400)
+    helix = np.column_stack([3.0 * np.cos(t), 3.0 * np.sin(t), 0.6 * t])
+
+    def codes(e):
+        path = tmp_path / f"h{e}.csv"
+        fs.curve_to_csv(fs.SampledCurve(3, t, helix * 10.0 ** e), path)
+        common = ["--input", str(path), "--samples", "400"]
+        out = ["--output", str(tmp_path / f"o{e}")]
+        runs = {"analyze": ["analyze", *common, "--index", "2", *out],
+                "match": ["match", *common, "--input-b", str(path), "--index", "2"],
+                "verify": ["verify", *common, "--trials", "2"],
+                "focal": ["focal", *common, *out],
+                "evolute": ["evolute", *common, *out]}
+        got = {}
+        for name, argv in runs.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got[name] = main(argv)
+            err = capsys.readouterr().err
+            assert "NaN or Inf" not in err
+            if got[name] == 2:
+                assert "coordinates spanning" in err and "outside float64" in err
+        return got
+
+    unscaled = codes(0)
+    for e in (-100, 100):
+        assert codes(e) == unscaled
+    for e in (-150, -120, 120, 150, 155, 160, 200, 300):
+        for name, rc in codes(e).items():
+            assert rc in (unscaled[name], 2), (e, name, rc)
 
 
 def test_clockwise_circle(tmp_path, capsys):

@@ -132,6 +132,19 @@ def test_arclength_forward_closed_form():
     assert np.abs(src.arclength(tq) - 5.0 * (tq - tq[0])).max() < 3e-12
 
 
+def test_position_stride_does_not_depend_on_the_scale():
+    # the stride rule squares chords; scaled by 2^600 they would overflow
+    # and by 2^-600 underflow to 0, yet the fit keeps the knots of the
+    # unscaled samples and its coefficients scale exactly
+    t = np.linspace(0.0, 4.0 * np.pi, 400)
+    pts = np.column_stack([3.0 * np.cos(t), 3.0 * np.sin(t), 0.6 * t])
+    base = _engine(fs.SampledCurve(3, t, pts)).spline
+    for k in (-600, 600):
+        fit = _engine(fs.SampledCurve(3, t, np.ldexp(pts, k))).spline
+        assert np.array_equal(fit.t, base.t)
+        assert np.array_equal(fit.c, np.ldexp(base.c, k))
+
+
 def test_reparam_is_unit_speed(helix_curve):
     ds = np.diff(helix_curve.t)
     assert np.allclose(ds, ds[0], atol=1e-12)
@@ -768,7 +781,7 @@ def test_frozen_values_leave_the_callers_arrays_writable():
     kt, ktj, A, b = np.zeros(50), np.ones((1, 50)), np.eye(3), np.ones(3)
     made = [(fs.SampledCurve(2, t, plane), ("t", "points")),
             (fs.ShapeSignature(2, 1, t, kt, ktj), ("sigma", "kt", "ktj")),
-            (fs.SphericalCurve(3, 1, t, sphere), ("sigma", "gamma")),
+            (fs.SphericalCurve(3, t, sphere), ("sigma", "gamma")),
             (fs.SimilarityTransform(2.0, A, b), ("A", "b"))]
     kept = [[getattr(obj, name).copy() for name in names] for obj, names in made]
     for arr in (t, plane, sphere, kt, ktj, A, b):

@@ -11,11 +11,16 @@ def trimmed_span(fr):
     return fr.s[fr.n_samples - TRIM - 1] - fr.s[TRIM]
 
 
+def indicatrix(fr, i):
+    # built as the commands build it, on the sigma_i of its signature
+    return fs.indicatrix_curve(fr, fs.shape_curvatures(fr, i))
+
+
 def test_helix_sigma_totals(helix_frenet):
     # constant speeds of the three unit-vector curves: kappa_1,
     # hypot(kappa_1, kappa_2), |kappa_2| = 0.12, 0.2, 0.16
     for i, rate in ((1, 0.12), (2, 0.2), (3, 0.16)):
-        sc = fs.indicatrix_curve(helix_frenet, i)
+        sc = indicatrix(helix_frenet, i)
         assert sc.sigma[0] == 0.0
         want = rate * trimmed_span(helix_frenet)
         assert abs(sc.sigma[-1] - want) < 1e-8
@@ -24,7 +29,7 @@ def test_helix_sigma_totals(helix_frenet):
 def test_indicatrix_on_unit_sphere(helix_frenet, cubic_frenet):
     for fr in (helix_frenet, cubic_frenet):
         for i in range(1, 4):
-            sc = fs.indicatrix_curve(fr, i)
+            sc = indicatrix(fr, i)
             norms = np.linalg.norm(sc.gamma, axis=1)
             assert np.abs(norms - 1.0).max() < 1e-9
             assert np.all(np.diff(sc.sigma) > 0)
@@ -32,15 +37,30 @@ def test_indicatrix_on_unit_sphere(helix_frenet, cubic_frenet):
 
 def test_indicatrix_bad_index(helix_frenet):
     with pytest.raises(E.BadIndex):
-        fs.indicatrix_curve(helix_frenet, 0)
+        indicatrix(helix_frenet, 0)
     with pytest.raises(E.BadIndex):
-        fs.indicatrix_curve(helix_frenet, 4)
+        indicatrix(helix_frenet, 4)
 
 
 def test_degenerate_indicatrix(planar_circle_frenet):
-    # the last unit vector of a plane curve in E^3 never moves
+    # the last unit vector of a plane curve in E^3 never moves, and the
+    # signature that would carry its sigma_3 is refused
     with pytest.raises(E.IndicatrixDegenerate):
-        fs.indicatrix_curve(planar_circle_frenet, 3)
+        indicatrix(planar_circle_frenet, 3)
+
+
+def test_indicatrix_refuses_another_apparatus(helix_frenet, cubic_frenet,
+                                              selfsim4_frenet, spiral_frenet):
+    # the signature must come from the apparatus whose frames it reads: one
+    # of another dimension, or of another sample count, is refused
+    coarse = fs.frenet_apparatus(fs.arclength_reparam(
+        fs.helix(3.0, 4.0, t_span=(0.0, 5.0)), 500))
+    for fr, other in ((helix_frenet, fs.shape_curvatures(selfsim4_frenet, 4)),
+                      (helix_frenet, fs.shape_curvatures(spiral_frenet, 2)),
+                      (helix_frenet, fs.shape_curvatures(coarse, 2)),
+                      (coarse, fs.shape_curvatures(cubic_frenet, 3))):
+        with pytest.raises(E.DimensionMismatch, match="apparatus keeps"):
+            fs.indicatrix_curve(fr, other)
 
 
 def test_sigma_invariance_random(helix_curve):
@@ -69,11 +89,8 @@ def test_sigma_invariance_identity_and_pure_scale(helix_curve):
 def test_indicatrix_refuses_cusp(coeffs, i):
     cur = fs.arclength_reparam(fs.custom_poly(coeffs, t_span=(-1.0, 1.0)), 2000)
     fr = fs.frenet_apparatus(cur)
-    with pytest.raises(E.IndicatrixDegenerate) as via_signature:
-        fs.shape_curvatures(fr, i)
-    with pytest.raises(E.IndicatrixDegenerate, match="changes sign") as direct:
-        fs.indicatrix_curve(fr, i)
-    assert str(direct.value) == str(via_signature.value)
+    with pytest.raises(E.IndicatrixDegenerate, match="changes sign"):
+        indicatrix(fr, i)
 
 
 def test_frame_equations_residual(helix_frenet, cubic_frenet):
@@ -82,7 +99,7 @@ def test_frame_equations_residual(helix_frenet, cubic_frenet):
 
 
 def test_great_circle_geodesic_curvature(planar_circle_frenet):
-    sc = fs.indicatrix_curve(planar_circle_frenet, 1)
+    sc = indicatrix(planar_circle_frenet, 1)
     sd = fs.sabban_geodesic_curvature(sc)
     assert np.abs(sd.kappa_g).max() < 1e-6
 
@@ -91,13 +108,13 @@ def test_helix_geodesic_curvatures(helix_frenet):
     # closed-form constants for the circular helix: 4/3, 0, 3/4
     want = {1: 4.0 / 3.0, 2: 0.0, 3: 0.75}
     for i, w in want.items():
-        sc = fs.indicatrix_curve(helix_frenet, i)
+        sc = indicatrix(helix_frenet, i)
         sd = fs.sabban_geodesic_curvature(sc)
         assert np.abs(sd.kappa_g - w).max() < 1e-3
 
 
 def test_sabban_frame_is_orthonormal(helix_frenet):
-    sc = fs.indicatrix_curve(helix_frenet, 1)
+    sc = indicatrix(helix_frenet, 1)
     sd = fs.sabban_geodesic_curvature(sc)
     for a, b in ((sd.gamma, sd.t_vec), (sd.gamma, sd.rho), (sd.t_vec, sd.rho)):
         assert np.abs(np.einsum("qd,qd->q", a, b)).max() < 1e-6
@@ -107,7 +124,7 @@ def test_sabban_frame_is_orthonormal(helix_frenet):
 def test_sabban_fits_gamma_once(cubic_frenet, monkeypatch):
     # gamma' and gamma'' are two derivatives of one spline fit of all
     # three coordinates
-    sc = fs.indicatrix_curve(cubic_frenet, 2)
+    sc = indicatrix(cubic_frenet, 2)
     fits = []
     fit = curves.make_interp_spline
 
@@ -124,7 +141,7 @@ def test_closed_forms_match_numeric(helix_frenet, cubic_frenet):
     # the signature's index picks the tangent, normal or binormal form
     for fr in (helix_frenet, cubic_frenet):
         for i in (1, 2, 3):
-            sc = fs.indicatrix_curve(fr, i)
+            sc = indicatrix(fr, i)
             kg = fs.sabban_geodesic_curvature(sc).kappa_g
             cf = fs.geodesic_closed_form(fs.shape_curvatures(fr, i))
             assert np.abs(kg - cf).max() < 1e-3
@@ -141,7 +158,7 @@ def test_normal_form_refuses_vanishing_kt1():
 
 
 def test_sabban_needs_three_dimensions(selfsim4_frenet):
-    sc = fs.indicatrix_curve(selfsim4_frenet, 2)
+    sc = indicatrix(selfsim4_frenet, 2)
     with pytest.raises(E.NotThreeDimensional):
         fs.sabban_geodesic_curvature(sc)
 
@@ -151,17 +168,17 @@ def test_geodesic_invariance_under_similarity(helix_curve, helix_frenet):
     fb = fs.frenet_apparatus(fs.apply_similarity(T, helix_curve))
     for i in (1, 2, 3):
         kg_a = fs.sabban_geodesic_curvature(
-            fs.indicatrix_curve(helix_frenet, i)).kappa_g
+            indicatrix(helix_frenet, i)).kappa_g
         kg_b = fs.sabban_geodesic_curvature(
-            fs.indicatrix_curve(fb, i)).kappa_g
+            indicatrix(fb, i)).kappa_g
         assert np.abs(kg_a - kg_b).max() < 1e-3
 
 
 def test_indicatrix_csv(tmp_path, helix_frenet):
-    sc = fs.indicatrix_curve(helix_frenet, 2)
+    sc = indicatrix(helix_frenet, 2)
     sd = fs.sabban_geodesic_curvature(sc)
     p = tmp_path / "ind.csv"
-    fs.indicatrix_to_csv(sc, p, kappa_g=sd.kappa_g)
+    fs.indicatrix_to_csv(p, sc.sigma, sc.gamma, kappa_g=sd.kappa_g)
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "sigma,g1,g2,g3,kappa_g"
     assert len(lines) == 1 + len(sc.sigma)

@@ -11,8 +11,8 @@ from frenetsim.series import series_compose, series_mul
 _t = np.linspace(0.0, 2 * math.pi, 400, endpoint=False)
 BASE_CIRCLE = fs.builtin_evaluate(fs.circle(1.5, t_span=(0.0, 2 * math.pi)), _t)
 BASE_FR = fs.frenet_apparatus(fs.arclength_reparam(BASE_CIRCLE, 400))
-BASE_SC = fs.indicatrix_curve(BASE_FR, 1)
 BASE_SIG = fs.shape_curvatures(BASE_FR, 1)
+BASE_SC = fs.indicatrix_curve(BASE_FR, BASE_SIG)
 
 coeff = st.floats(min_value=-2.0, max_value=2.0,
                   allow_nan=False, allow_infinity=False)
@@ -87,7 +87,7 @@ def test_turning_angle_invariance(seed):
     T = fs.random_similarity(seed, (0.5, 2.0), 2)
     fr = fs.frenet_apparatus(fs.arclength_reparam(
         fs.apply_similarity(T, BASE_CIRCLE), 400))
-    sc = fs.indicatrix_curve(fr, 1)
+    sc = fs.indicatrix_curve(fr, fs.shape_curvatures(fr, 1))
     assert np.abs(sc.sigma - BASE_SC.sigma).max() < 1e-3
 
 

@@ -63,8 +63,8 @@ def test_kt_is_arclength_derivative_of_radius(helix_frenet, cubic_frenet,
 def test_ladder_signatures_match_one_index_at_a_time(selfsim9_frenet):
     # invariance_sweep asks for every index at once; each sigma_i row of
     # the one batched quadrature must be the quadrature of that index
-    # alone, each signature the one shape_curvatures gives alone, the
-    # sigma_i of indicatrix_curve that same row, and a refused index is
+    # alone, each signature the one shape_curvatures gives alone, its
+    # indicatrix frame row V_i on that same row, and a refused index is
     # left out only when asked to
     fr = selfsim9_frenet
     ladder = _curvature_ladder(fr)
@@ -79,7 +79,9 @@ def test_ladder_signatures_match_one_index_at_a_time(selfsim9_frenet):
         one = fs.shape_curvatures(fr, i)
         for name in ("sigma", "kt", "ktj", "s"):
             assert np.array_equal(getattr(sig, name), getattr(one, name))
-        assert np.array_equal(fs.indicatrix_curve(fr, i).sigma, sig.sigma)
+        sc = fs.indicatrix_curve(fr, sig)
+        assert np.array_equal(sc.sigma, sig.sigma)
+        assert np.array_equal(sc.gamma, fr.frames[sl, i - 1])
     with pytest.raises(E.IndicatrixDegenerate, match="kappa_8 changes sign"):
         _ladder_signatures(ladder, fr.s, every)
     with pytest.raises(E.IndicatrixDegenerate, match="kappa_8 changes sign"):
@@ -346,3 +348,18 @@ def test_signature_json_rejects_garbage():
     with pytest.raises(E.BadParameters, match="malformed"):
         fs.signature_from_json('{"dimension": Infinity, "index": 1, '
                                + arrays + "}")
+
+
+@pytest.mark.parametrize("field, arrays", [
+    ("sigma", '"sigma": [0, %s, 2], "kt": [0, 0, 0], "ktj": [[1, 1, 1]]'),
+    ("kt", '"sigma": [0, 1, 2], "kt": [0, %s, 0], "ktj": [[1, 1, 1]]'),
+    ("ktj", '"sigma": [0, 1, 2], "kt": [0, 0, 0], "ktj": [[1, %s, 1]]'),
+], ids=["sigma", "kt", "ktj"])
+def test_signature_json_refuses_strings_booleans_and_nulls(field, arrays):
+    # the number 1 in the slot reads; "1", true and null, which float()
+    # and np.array would take, are refused at any depth, naming the field
+    doc = '{"dimension": 2, "index": 1, ' + arrays + "}"
+    assert fs.signature_from_json(doc % "1").dimension == 2
+    for bad in ('"1"', "true", "null"):
+        with pytest.raises(E.BadParameters, match=f"{field} must hold numbers"):
+            fs.signature_from_json(doc % bad)
