@@ -505,6 +505,12 @@ class _ReparamSource:
         return sq - sq[0]
 
 
+def _coordinate_extent(points: np.ndarray) -> float:
+    """The widest coordinate range of the points, inf past float64."""
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    return max(float(b) - float(a) for a, b in zip(lo, hi))
+
+
 def arclength_reparam(curve, n_samples: int) -> SampledCurve:
     """Resample a curve uniformly in arc length.
 
@@ -540,9 +546,7 @@ def arclength_reparam(curve, n_samples: int) -> SampledCurve:
         if isinstance(curve, BuiltinCurve):
             what = f"the {curve.kind} curve {curve.params}"
         else:
-            lo, hi = curve.points.min(axis=0), curve.points.max(axis=0)
-            what = ("coordinates spanning "
-                    f"{max(float(b) - float(a) for a, b in zip(lo, hi)):.3g}")
+            what = f"coordinates spanning {_coordinate_extent(curve.points):.3g}"
         raise BadRange(f"{what} over a parameter span of {t_hi - t_lo:.3g} put "
                        "the curve's speed or derivatives outside float64; "
                        "rescale the points or t") from None
@@ -672,24 +676,38 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     2 <= j < n, kappa_{j-1} L <= PIVOT_REL with L the total arc length,
     or when some V_j, 2 <= j < n, reverses between two samples, where
     kappa_{j-1} passes through zero. Each message names the sample and
-    the input curve's parameter t there (_input_parameter).
+    the input curve's parameter t there (_input_parameter). A derivative
+    whose square leaves float64 in the norms or the sweep is refused
+    with BadRange, naming the coordinate extent and its order: in arc
+    length d^j a/ds^j grows as size^(1 - j), so a small curve in high
+    dimension gets there first.
     """
     n = curve.dimension
     _require_samples(curve.n_samples, n)
     src = _engine(curve)
     # columns of D[q] are d^j alpha/dt^j at sample q, j = 1..n
     D = np.moveaxis(src.jet(curve.t, n)[1:], 0, -1)
-    dmag = np.linalg.norm(D[:, :, : n - 1], axis=1)
-    speeds = dmag[:, 0]
 
     def t_in(q):
         return _input_parameter(src, curve.t[q])
 
-    if not speeds.min() > 1e-9 * speeds.max():
-        q = int(np.argmin(speeds))
-        raise ZeroSpeed(f"curve speed collapses at sample {q} (t = {t_in(q):.6g})")
-
-    Q, r, det = _householder_qr(D)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            dmag = np.linalg.norm(D[:, :, : n - 1], axis=1)
+            speeds = dmag[:, 0]
+            if not speeds.min() > 1e-9 * speeds.max():
+                q = int(np.argmin(speeds))
+                raise ZeroSpeed(f"curve speed collapses at sample {q} "
+                                f"(t = {t_in(q):.6g})")
+            Q, r, det = _householder_qr(D)
+    except FloatingPointError:
+        big = np.abs(D).max(axis=(0, 1))
+        j = int(np.argmax(big)) + 1
+        raise BadRange(
+            f"coordinates spanning {_coordinate_extent(curve.points):.3g} over "
+            f"a parameter span of {curve.t[-1] - curve.t[0]:.3g} give "
+            f"|d^{j}a/dt^{j}| up to {big[j - 1]:.3g}, whose square is outside "
+            "float64; rescale the points or t") from None
     s = src.arclength(curve.t)
     length = s[-1] - s[0]
     bad = np.abs(r[:, : n - 1]) <= PIVOT_REL * dmag

@@ -14,9 +14,10 @@ apparatus. Together kt and kt_j determine a curve up to direct
 similarity, which is what similarity_test decides by aligning two
 signatures over a sigma shift. The shift search scores every lag of a
 common sigma grid with one FFT correlation (the sliding sum of squares
-|a|^2 + |b|^2 - 2 a.b, energies from cumulative sums), then refines the
-best lag on the exact signature_distance with a bounded Brent search:
-two resamplings, one FFT and about 20 distance evaluations per match.
+|a|^2 + |b|^2 - 2 a.b, energies from cumulative sums) and places the
+shift at the vertex of the parabola through the best lag's score and
+its two neighbours: two resamplings, one FFT and one signature_distance
+per match.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.optimize import minimize_scalar
 
 from .curves import (
     FrenetData,
@@ -190,15 +190,19 @@ def signature_distance(a: ShapeSignature, b: ShapeSignature,
 
 
 def _shift_scan(a: ShapeSignature, b: ShapeSignature, lo: float, hi: float):
-    """Best shift in [lo, hi] among the integer lags of a common sigma grid.
+    """Best shift in [lo, hi], read off the lags of a common sigma grid.
 
     Both signature tuples are resampled once with step h, the finer of
     their mean sample spacings. Lag L puts b's grid point m on a's grid
     point m + L, a shift of a.sigma[0] - b.sigma[0] + L h, and scores
     the mean of |a - b|^2 = |a|^2 + |b|^2 - 2 a.b over the overlap: the
     energy terms come from cumulative sums, the cross term for every lag
-    from one FFT correlation summed over the rows. Returns the best
-    shift, h and the number of lags scored.
+    from one FFT correlation summed over the rows. The best lag moves to
+    the vertex of the parabola through its score and its two neighbours'
+    (Jacovitti and Scarano, IEEE Trans. Signal Process. 41, 1993) where
+    both neighbours are scored and the parabola opens upward, so the
+    vertex stays within h/2 of it. Returns the shift, h, the number of
+    lags scored and the vertex offset in units of h.
     """
     h = min(a.span / (len(a.sigma) - 1), b.span / (len(b.sigma) - 1))
     ma = int(a.span / h) + 1
@@ -215,21 +219,25 @@ def _shift_scan(a: ShapeSignature, b: ShapeSignature, lo: float, hi: float):
     k0 = np.maximum(lags, 0)
     k1 = np.minimum(ma, lags + mb)
     score = (ea[k1] - ea[k0] + eb[k1 - lags] - eb[k0 - lags] - 2.0 * cross) / (k1 - k0)
-    return float(base + h * lags[np.argmin(score)]), h, len(lags)
+    k = int(np.argmin(score))
+    offset = 0.0
+    if 0 < k < len(lags) - 1:
+        y0, y1, y2 = score[k - 1:k + 2]
+        curv = y0 - 2.0 * y1 + y2
+        if curv > 0:
+            offset = float(0.5 * (y0 - y2) / curv)
+    return float(base + h * (lags[k] + offset)), h, len(lags), offset
 
 
 def similarity_test(curve_a: SampledCurve, curve_b: SampledCurve, i: int,
                     tol: float = DEFAULT_MATCH_TOL) -> MatchResult:
     """Decide direct-similarity equivalence through shape signatures.
 
-    Minimizes signature_distance over the sigma shift, over the shifts
-    that leave an overlap of at least 10% of the shorter signature.
-    _shift_scan scores every lag of a common grid at once (two
-    resamplings, one FFT correlation); a bounded Brent search on the
-    exact signature_distance then refines within (hi - lo)/200 of the
-    best lag, about 20 distance evaluations in all. The scanned shift
-    is kept when its exact distance is lower. Similar iff the minimum
-    is <= tol.
+    Aligns the signatures at the sigma shift that _shift_scan picks
+    among the shifts that leave an overlap of at least 10% of the
+    shorter signature (two resamplings, one FFT correlation), and
+    reports signature_distance there. Similar iff that distance is
+    <= tol.
     lambda_est is the ratio of arc lengths swept over the matched sigma
     window, which equals the similarity scale for genuinely similar
     curves.
@@ -246,18 +254,8 @@ def similarity_test(curve_a: SampledCurve, curve_b: SampledCurve, i: int,
     margin = MIN_OVERLAP_FRACTION * min(sa.span, sb.span)
     lo = sa.sigma[0] - sb.sigma[-1] + margin
     hi = sa.sigma[-1] - sb.sigma[0] - margin
-    scanned, h, n_lags = _shift_scan(sa, sb, lo, hi)
-    step = (hi - lo) / 200
-    blo, bhi = max(lo, scanned - step), min(hi, scanned + step)
-    # Brent stops within sqrt(eps) |x| of the minimum, so it searches the
-    # offset from the scanned shift rather than the shift itself
-    res = minimize_scalar(lambda u: signature_distance(sa, sb, scanned + u),
-                          bounds=(blo - scanned, bhi - scanned), method="bounded",
-                          options={"xatol": 1e-12 * max(abs(blo), abs(bhi))})
-    shift, dist = scanned + float(res.x), float(res.fun)
-    at_scan = signature_distance(sa, sb, scanned)
-    if at_scan < dist:
-        shift, dist = scanned, at_scan
+    shift, h, n_lags, offset = _shift_scan(sa, sb, lo, hi)
+    dist = signature_distance(sa, sb, shift)
 
     w_lo = max(sa.sigma[0], sb.sigma[0] + shift)
     w_hi = min(sa.sigma[-1], sb.sigma[-1] + shift)
@@ -268,8 +266,8 @@ def similarity_test(curve_a: SampledCurve, curve_b: SampledCurve, i: int,
     lam = ds_b / ds_a if ds_a > 0 else math.nan
     ok = bool(dist <= tol)
     log.debug("match: distance %.3g at shift %.3g, lambda %.6g; scan step "
-              "h=%.3g over %d lags, best scanned shift %.6g; refinement "
-              "nfev=%d", dist, shift, lam, h, n_lags, scanned, res.nfev)
+              "h=%.3g over %d lags, vertex offset %.3f h", dist, shift, lam,
+              h, n_lags, offset)
     return MatchResult(ok, float(dist), lam, float(shift))
 
 

@@ -72,7 +72,8 @@ def test_analyze_malformed_csv(data_dir, capsys):
 
 def test_analyze_noisy_csv_refused(tmp_path, capsys):
     # noise of 1e-5 of the diameter leaves no trustworthy invariant: the
-    # indicatrix arc length stops increasing, a clean exit 3
+    # resampled frame turns over (V_2 reverses between the first two
+    # samples), a clean exit 3
     t = np.linspace(0.0, 4 * np.pi, 2000)
     pts = np.column_stack([3 * np.cos(t), 3 * np.sin(t), 4 * t / (2 * np.pi)])
     diam = np.linalg.norm(np.ptp(pts, axis=0))
@@ -489,6 +490,36 @@ def test_scaled_curve_runs_or_is_refused_as_out_of_range(tmp_path, capsys):
     for e in (-150, -120, 120, 150, 155, 160, 200, 300):
         for name, rc in codes(e).items():
             assert rc in (unscaled[name], 2), (e, name, rc)
+
+
+@pytest.mark.parametrize("e, want", [(-25, 2), (-22, 2), (-20, 0), (0, 0),
+                                     (20, 0)])
+def test_small_e9_curve_is_refused_as_out_of_range(tmp_path, capsys, e, want):
+    # in arc length d^j a/ds^j grows as size^(1 - j), so below a scale of
+    # about 1e-21 the squares of this E^9 curve's highest derivatives leave
+    # float64 in the frame: a range refusal naming the extent and the order,
+    # with no RuntimeWarning on the way
+    spec = fs.SelfSimilarSpec(
+        9, 2, 0.05879554615818304,
+        (0.44724213674813557, 0.8944129198065969, 0.7007720463612888,
+         0.9222037050360933, -1.044273858044125, -1.0012522407224957,
+         1.1407660843433551, -1.1022755544280192), (0.0, 8.0), 2000)
+    cur = fs.synthesize_self_similar(spec)
+    path = tmp_path / "e9.csv"
+    fs.curve_to_csv(fs.SampledCurve(9, cur.t, cur.points * 10.0 ** e), path)
+    for argv in (["analyze", "--index", "2", "--output", str(tmp_path / "o")],
+                 ["verify", "--trials", "2"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(argv + ["--input", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == want, err
+        if rc == 2:
+            assert err.count("\n") == 1
+            assert (f"coordinates spanning 7.79e{e:+03d}" in err
+                    and "|d^9a/dt^9| up to" in err and "outside float64" in err)
+        elif argv[0] == "analyze":
+            assert json.loads(out)["kt_min"] == pytest.approx(spec.kt, rel=1e-4)
 
 
 def test_clockwise_circle(tmp_path, capsys):

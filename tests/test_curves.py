@@ -672,6 +672,9 @@ def test_too_few_samples(tmp_path):
     # raw samples are refused before a spline is fitted through them
     with pytest.raises(E.TooFewSamples, match="got 9"):
         fs.arclength_reparam(cur, 2000)
+    # a fit needs two samples
+    with pytest.raises(E.TooFewSamples, match="1 samples are too few"):
+        curves._strided_spline(t[:1], pts[:1], 1, 5)
     path = tmp_path / "short.csv"
     fs.curve_to_csv(fs.SampledCurve(3, t[:4], pts[:4]), path)
     assert cli.main(["analyze", "--input", str(path),
@@ -801,6 +804,8 @@ def test_builtin_validation():
         fs.circle(1.0, t_span=(2.0, 1.0))
     with pytest.raises(E.BadParameters):
         fs.custom_poly([])
+    with pytest.raises(E.BadParameters, match="unknown builtin curve kind"):
+        fs.BuiltinCurve("spiral", 3).jet(np.zeros(1), 1)
 
 
 def test_custom_poly_against_hand_values():

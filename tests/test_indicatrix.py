@@ -49,6 +49,41 @@ def test_degenerate_indicatrix(planar_circle_frenet):
         indicatrix(planar_circle_frenet, 3)
 
 
+def _spiky_frenet():
+    # kappa_1 = 1 at every third sample and 1e-3 between: no speed
+    # collapses, but Simpson's rule through the spikes steps sigma back
+    n = 200
+    kappa = np.where(np.arange(n) % 3 == 0, 1.0, 1e-3)[:, None]
+    return fs.FrenetData(np.linspace(0.0, 1.0, n), np.zeros((n, 2)),
+                         np.tile(np.eye(2), (n, 1, 1)), kappa)
+
+
+_SIGMA = np.linspace(0.0, 1.0, 50)
+_POLE = np.tile([1.0, 0.0, 0.0], (50, 1))
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: fs.shape_curvatures(_spiky_frenet(), 1), E.IndicatrixDegenerate,
+     "sigma_1 stops increasing at sample 5"),
+    (lambda: fs.SphericalCurve(3, _SIGMA, _POLE[:, :2]), E.BadIndex,
+     "per-sample vectors in E"),
+    (lambda: fs.SphericalCurve(3, _SIGMA[::-1], _POLE), E.DegenerateSpeed,
+     "strictly increasing"),
+    (lambda: fs.SphericalCurve(3, _SIGMA, 2.0 * _POLE), E.DegenerateSpeed,
+     "left the unit sphere"),
+    # a curve resting at the pole has no Sabban frame
+    (lambda: fs.sabban_geodesic_curvature(fs.SphericalCurve(3, _SIGMA, _POLE)),
+     E.DegenerateSpeed, "speed collapses"),
+    (lambda: fs.geodesic_closed_form(fs.ShapeSignature(
+        2, 1, _SIGMA, np.zeros(50), np.ones((1, 50)))),
+     E.NotThreeDimensional, "specific to E\\^3"),
+], ids=["sigma_stall", "gamma_shape", "sigma_order", "off_sphere",
+        "sabban_at_rest", "closed_form_in_e2"])
+def test_spherical_refusals_name_their_cause(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 def test_indicatrix_refuses_another_apparatus(helix_frenet, cubic_frenet,
                                               selfsim4_frenet, spiral_frenet):
     # the signature must come from the apparatus whose frames it reads: one

@@ -197,6 +197,8 @@ def test_spec_validation():
                            ktj=(3 / RT13, 2 / RT13), n_samples=4)
     with pytest.raises(E.BadParameters):
         fs.SelfSimilarSpec(dimension=1, index=1, kt=0.1, ktj=())
+    with pytest.raises(E.BadParameters, match="need 2 shape curvatures, got 3"):
+        fs.SelfSimilarSpec(dimension=3, index=2, kt=0.1, ktj=(0.6, 0.8, 0.5))
 
 
 def test_clockwise_spiral_round_trip():

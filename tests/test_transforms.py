@@ -59,6 +59,18 @@ def test_non_finite_similarity_names_its_field(lam, A, b, name):
         fs.SimilarityTransform(lam, A, b)
 
 
+@pytest.mark.parametrize("A, b, error, match", [
+    (np.eye(3)[:2], np.zeros(3), E.BadParameters, "A must be square"),
+    (np.eye(3), np.zeros(2), E.DimensionMismatch, "b must match"),
+    # a shear keeps det A = 1
+    (np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.zeros(3),
+     E.BadParameters, "not orthogonal"),
+], ids=["non_square", "b_shape", "non_orthogonal"])
+def test_malformed_similarity_is_refused(A, b, error, match):
+    with pytest.raises(error, match=match):
+        fs.SimilarityTransform(1.0, A, b)
+
+
 def test_apply_requires_matching_dimension(helix_curve):
     T = fs.random_similarity(0, (0.5, 2.0), 2)
     with pytest.raises(E.DimensionMismatch):
