@@ -176,8 +176,6 @@ def helix(a: float, b: float, t_span=(0.0, TAU)) -> BuiltinCurve:
     """Circular helix in E^3: (a cos t, a sin t, b t)."""
     if not a > 0:
         raise BadParameters("helix radius a must be positive")
-    if a * a + b * b <= 0:
-        raise BadParameters("helix needs a^2 + b^2 > 0")
     return BuiltinCurve("helix", 3, (float(a), float(b)), tuple(map(float, t_span)))
 
 
@@ -424,7 +422,10 @@ def _arclength_table(source, t_lo: float, t_hi: float, n_hint: int):
     increasing, so the table is read either way by cubic Hermite with
     exact slopes: v for s(t), 1/v for t(s), each with O(h^4) error.
     ZeroSpeed refuses a speed that falls to 1e-9 of its maximum at a grid
-    point or, refined by _slowest_point, between two. At debug level it
+    point or, refined by _slowest_point, between two: the pipeline's one
+    speed check. A largest speed not above sqrt(float64 tiny), about
+    1.5e-154, whose square underflows, raises FloatingPointError, which
+    the callers' float64 guards refuse as out of range. At debug level it
     logs its point count, the total length, the stall margin
     min(ds)/mean(ds) between grid points, which is <= 0 where the stall
     refusal below fires, and the knot spans of a spline source.
@@ -437,6 +438,8 @@ def _arclength_table(source, t_lo: float, t_hi: float, n_hint: int):
     tt = np.linspace(t_lo, t_hi, m)
     sp = parameter_speeds(source, tt)
     mx = sp.max()
+    if not mx > math.sqrt(np.finfo(float).tiny):
+        raise FloatingPointError("curve speed underflows float64")
     t_slow, v_slow = _slowest_point(source, tt, sp)
     if not v_slow > 1e-9 * mx:
         raise ZeroSpeed(f"curve speed vanishes at t = {t_slow:.6g}, inside the "
@@ -522,9 +525,9 @@ def arclength_reparam(curve, n_samples: int) -> SampledCurve:
     [0] of the order-n jet on the new grid (P[0] / v^0 = P[0], bit for
     bit), which the source keeps, so frenet_apparatus of the result reads
     that jet instead of evaluating t(s) and the inner source a second
-    time. A speed table, t(s) or jet that would overflow float64 is
-    refused with BadRange, naming the coordinate extent and the parameter
-    span, before any of them leaves it.
+    time. A speed table, t(s) or jet that would leave float64, a speed
+    by underflow too, is refused with BadRange, naming the coordinate
+    extent and the parameter span, before any of them leaves it.
     """
     if isinstance(curve, BuiltinCurve):
         t_lo, t_hi = curve.t_span
@@ -670,17 +673,17 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     Faa di Bruno D_t = D_s U with U upper triangular and U_jj = |a'|^j,
     so Q is the arc-length frame and R_jj = |a'|^j times its arc-length
     pivot, whence kappa_j = R_{j+1,j+1} / (R_jj R_11). The arc length
-    is the source's own. Raises ZeroSpeed for stationary samples (|D_1|
-    collapses) and FrameDegenerate when a pivot collapses, so that some
-    kappa_i is effectively zero: |R_jj| <= PIVOT_REL |D_j|, or, for
-    2 <= j < n, kappa_{j-1} L <= PIVOT_REL with L the total arc length,
-    or when some V_j, 2 <= j < n, reverses between two samples, where
-    kappa_{j-1} passes through zero. Each message names the sample and
-    the input curve's parameter t there (_input_parameter). A derivative
-    whose square leaves float64 in the norms or the sweep is refused
-    with BadRange, naming the coordinate extent and its order: in arc
-    length d^j a/ds^j grows as size^(1 - j), so a small curve in high
-    dimension gets there first.
+    is the source's own, and its arc-length table alone judges the speed
+    R_11 (ZeroSpeed, naming t). Raises FrameDegenerate when a pivot j,
+    2 <= j < n, collapses, so that kappa_{j-1} is effectively zero:
+    |R_jj| <= PIVOT_REL |D_j| or kappa_{j-1} L <= PIVOT_REL with L the
+    total arc length, or when some V_j, 2 <= j < n, reverses between two
+    samples, where kappa_{j-1} passes through zero. Each message names
+    the sample and the input curve's parameter t there (_input_parameter).
+    A derivative whose square leaves float64 in the norms, the sweep or
+    the speed table is refused with BadRange, naming the coordinate
+    extent and its order: in arc length d^j a/ds^j grows as
+    size^(1 - j), so a small curve in high dimension gets there first.
     """
     n = curve.dimension
     _require_samples(curve.n_samples, n)
@@ -693,13 +696,9 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
 
     try:
         with np.errstate(over="raise", invalid="raise"):
-            dmag = np.linalg.norm(D[:, :, : n - 1], axis=1)
-            speeds = dmag[:, 0]
-            if not speeds.min() > 1e-9 * speeds.max():
-                q = int(np.argmin(speeds))
-                raise ZeroSpeed(f"curve speed collapses at sample {q} "
-                                f"(t = {t_in(q):.6g})")
+            dmag = np.linalg.norm(D[:, :, 1 : n - 1], axis=1)
             Q, r, det = _householder_qr(D)
+            s = src.arclength(curve.t)
     except FloatingPointError:
         big = np.abs(D).max(axis=(0, 1))
         j = int(np.argmax(big)) + 1
@@ -708,20 +707,19 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
             f"a parameter span of {curve.t[-1] - curve.t[0]:.3g} give "
             f"|d^{j}a/dt^{j}| up to {big[j - 1]:.3g}, whose square is outside "
             "float64; rescale the points or t") from None
-    s = src.arclength(curve.t)
     length = s[-1] - s[0]
-    bad = np.abs(r[:, : n - 1]) <= PIVOT_REL * dmag
+    # pivots 2..n-1 (column c of bad and flat is column j = c + 1 of r)
+    bad = np.abs(r[:, 1 : n - 1]) <= PIVOT_REL * dmag
     # a pivot that is spline roundoff of a straight part passes the rule
     # above; it fails this one, kappa_{j-1} L <= PIVOT_REL for 2 <= j < n
-    flat = np.zeros_like(bad)
-    flat[:, 1:] = (np.abs(r[:, 1 : n - 1]) * length
-                   <= PIVOT_REL * np.abs(r[:, : n - 2] * r[:, :1]))
+    flat = (np.abs(r[:, 1 : n - 1]) * length
+            <= PIVOT_REL * np.abs(r[:, : n - 2] * r[:, :1]))
     if np.any(bad | flat):
-        j = int(np.argmax((bad | flat).any(axis=0)))
-        q = int(np.argmax(bad[:, j] | flat[:, j]))
-        if bad[q, j]:
+        c = int(np.argmax((bad | flat).any(axis=0)))
+        q, j = int(np.argmax(bad[:, c] | flat[:, c])), c + 1
+        if bad[q, c]:
             detail = (f"|R_jj|={abs(r[q, j]):.3g} vs "
-                      f"|d^{j + 1}a/dt^{j + 1}|={dmag[q, j]:.3g}")
+                      f"|d^{j + 1}a/dt^{j + 1}|={dmag[q, c]:.3g}")
         else:
             kappa = abs(r[q, j] / (r[q, j - 1] * r[q, 0]))
             detail = f"kappa_{j} L={kappa * length:.3g} vs {PIVOT_REL:g}"

@@ -143,6 +143,13 @@ def test_json_layout_of_float_texts_is_render():
         assert render(v) == _float_text(float(v))
 
 
+def test_render_non_float_array_and_unknown_type():
+    # an array that is not float goes out through tolist()
+    assert render(np.arange(3)) == "[0, 1, 2]"
+    with pytest.raises(TypeError, match="cannot render complex as JSON"):
+        render(1j)
+
+
 def _self_similar_e4_csv(path):
     spec = fs.SelfSimilarSpec(dimension=4, index=2, kt=0.1,
                               ktj=(0.7, math.sqrt(1 - 0.49), 0.5),

@@ -730,11 +730,37 @@ def test_zero_speed_cusp():
     cur = fs.SampledCurve(2, t, pts)
     with pytest.raises(E.ZeroSpeed):
         fs.arclength_reparam(cur, 200)
-    # (t^2, t^3) stops at t = 0, sample 100 of the grid, before any pivot
+    # (t^2, t^3) stops at t = 0: the arc-length table of the analytic
+    # source, or of the spline fitted to its samples, refuses it before
+    # any pivot is read
     cusp = fs.custom_poly([[0, 0, 1], [0, 0, 0, 1]])
     cur = fs.builtin_evaluate(cusp, np.linspace(-1, 1, 201))
-    with pytest.raises(E.ZeroSpeed, match="sample 100"):
+    with pytest.raises(E.ZeroSpeed, match="vanishes at t = 0,"):
         fs.frenet_apparatus(cur)
+    with pytest.raises(E.ZeroSpeed, match="vanishes at t = "):
+        fs.frenet_apparatus(fs.SampledCurve(2, cur.t, cur.points))
+
+
+# a warning would escape past the range refusal
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("e", [-200, -170, 200])
+def test_scaled_raw_helix_frame_is_out_of_range(e):
+    # the speeds of the 1e-170 and 1e-200 helices square to 0, which the
+    # arc-length table refuses as out of range, not as a cusp; those of
+    # the 1e200 helix overflow in the frame's norms, before the table
+    t = np.linspace(0.0, 4.0 * np.pi, 400)
+    pts = np.column_stack([3.0 * np.cos(t), 3.0 * np.sin(t), 0.6 * t])
+    with pytest.raises(E.BadRange, match=re.escape(f"spanning 7.54e{e:+04d} ")
+                       + ".*outside float64"):
+        fs.frenet_apparatus(fs.SampledCurve(3, t, pts * 10.0 ** e))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_builtin_helix_is_out_of_range():
+    # a > 0 is all the helix asks; its speed, 1.4e-170, squares to 0
+    with pytest.raises(E.BadRange, match=r"the helix curve \(1e-170, 1e-170\) "
+                                         "over a parameter span of 6.28 put"):
+        fs.arclength_reparam(fs.helix(1e-170, 1e-170), 200)
 
 
 def test_cusp_between_grid_points():

@@ -41,6 +41,17 @@ def test_vanishing_pivot_rejected(helix_frenet):
     fd = fs.focal_curvatures(helix_frenet)
     with pytest.raises(E.ZeroFocalPivot):
         fs.shape_from_focal(fd, 2)
+    # in E^4, kappa = (2 + cos s, 1, 0.5) gives f_2 = f_1' = sin s /
+    # (2 + cos s)^2, which vanishes at s = 0 and pi, so the recursion
+    # cannot divide by it to reach f_3
+    s = np.linspace(0.0, 2.0 * np.pi, 401)
+    kappas = np.column_stack([2.0 + np.cos(s), np.ones_like(s),
+                              np.full_like(s, 0.5)])
+    fr = fs.FrenetData(s, np.zeros((len(s), 4)),
+                       np.broadcast_to(np.eye(4), (len(s), 4, 4)), kappas)
+    with pytest.raises(E.ZeroFocalPivot,
+                       match="f_2 vanishes; cannot continue the recursion to f_3"):
+        fs.focal_curvatures(fr)
 
 
 def test_focal_index_bounds(spiral_frenet):
