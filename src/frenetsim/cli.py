@@ -39,7 +39,14 @@ from .indicatrix import (
     indicatrix_to_csv,
     sabban_geodesic_curvature,
 )
-from .jsonio import dump_pretty, float_texts, json_float, json_floats, json_int
+from .jsonio import (
+    MALFORMED,
+    dump_pretty,
+    float_texts,
+    json_float,
+    json_floats,
+    json_int,
+)
 from .selfsimilar import (
     SelfSimilarSpec,
     frame_ode_oracle,
@@ -172,7 +179,7 @@ def _spec_from_json(path: str) -> SelfSimilarSpec:
                                           "sigma_range").tolist()),
             n_samples=json_int(obj.get("samples", DEFAULT_SAMPLES), "samples"),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except MALFORMED as exc:
         raise BadParameters(f"malformed self-similar spec JSON: {exc}") from None
 
 

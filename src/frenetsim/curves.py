@@ -46,6 +46,7 @@ import io
 import logging
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +99,10 @@ def _require_samples(count: int, dimension: int) -> None:
         raise TooFewSamples(f"need at least {min_samples(dimension)} samples "
                             f"in E^{dimension}, got {count}")
     if count > MAX_SAMPLES:
-        raise BadRange(f"at most {MAX_SAMPLES} samples, got {count:.3g}")
+        # an int past the float range has no %g text
+        got = (f"{count:.3g}" if count <= sys.float_info.max
+               else f"more than {sys.float_info.max:.3g}")
+        raise BadRange(f"at most {MAX_SAMPLES} samples, got {got}")
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +686,10 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     the sample and the input curve's parameter t there (_input_parameter).
     A derivative whose square leaves float64 in the norms, the sweep or
     the speed table is refused with BadRange, naming the coordinate
-    extent and its order: in arc length d^j a/ds^j grows as
-    size^(1 - j), so a small curve in high dimension gets there first.
+    extent and, where the square of the largest derivative overflows,
+    its order: in arc length d^j a/ds^j grows as size^(1 - j), so a small
+    curve in high dimension gets there first. A speed that underflows in
+    the table is worded as arclength_reparam words it.
     """
     n = curve.dimension
     _require_samples(curve.n_samples, n)
@@ -702,11 +708,16 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     except FloatingPointError:
         big = np.abs(D).max(axis=(0, 1))
         j = int(np.argmax(big)) + 1
-        raise BadRange(
-            f"coordinates spanning {_coordinate_extent(curve.points):.3g} over "
-            f"a parameter span of {curve.t[-1] - curve.t[0]:.3g} give "
-            f"|d^{j}a/dt^{j}| up to {big[j - 1]:.3g}, whose square is outside "
-            "float64; rescale the points or t") from None
+        what = (f"coordinates spanning {_coordinate_extent(curve.points):.3g} "
+                f"over a parameter span of {curve.t[-1] - curve.t[0]:.3g}")
+        # an order is named only where its square overflows; otherwise a
+        # speed underflowed in the arc-length table
+        if big[j - 1] > math.sqrt(sys.float_info.max):
+            raise BadRange(
+                f"{what} give |d^{j}a/dt^{j}| up to {big[j - 1]:.3g}, whose "
+                "square is outside float64; rescale the points or t") from None
+        raise BadRange(f"{what} put the curve's speed or derivatives outside "
+                       "float64; rescale the points or t") from None
     length = s[-1] - s[0]
     # pivots 2..n-1 (column c of bad and flat is column j = c + 1 of r)
     bad = np.abs(r[:, 1 : n - 1]) <= PIVOT_REL * dmag

@@ -73,8 +73,8 @@ def shape_from_focal(fd: FocalData, i: int) -> ShapeSignature:
 
     Inverts the focal recursion: kappa_1 = 1/f_1 and
     kappa_j = S_{j-1} / (f_{j-1} f_j) for 2 <= j < n, where
-    S_j = f_1 f_1' + ... + f_j f_j'. With kappa_0 = kappa_n = 0 the
-    ladder is complete, so every index 1 <= i <= n is covered.
+    S_j = f_1 f_1' + ... + f_j f_j'. _ladder_signatures pads these with
+    kappa_0 = kappa_n = 0, so every index 1 <= i <= n is covered.
     """
     npts, ncols = fd.f.shape
     n = ncols + 1
@@ -85,10 +85,10 @@ def shape_from_focal(fd: FocalData, i: int) -> ShapeSignature:
             f"f_{col + 1} vanishes somewhere; the focal expressions for the "
             "shape curvatures are inapplicable on this curve"
         )
-    kap = np.zeros((n + 1, npts))
-    kap[1] = 1.0 / fd.f[:, 0]
+    kap = np.empty((npts, n - 1))
+    kap[:, 0] = 1.0 / fd.f[:, 0]
     # column j - 2 of S is S_{j-1}, summed left to right as in the recursion
     pivots = fd.f[:, : n - 2]
     S = np.cumsum(pivots * field_derivative(fd.s, pivots), axis=1)
-    kap[2:n] = (S / (pivots * fd.f[:, 1:])).T
+    kap[:, 1:] = S / (pivots * fd.f[:, 1:])
     return _ladder_signatures(kap, fd.s, [i])[i]

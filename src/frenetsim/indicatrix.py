@@ -4,14 +4,12 @@ The V_i-indicatrix traces the i-th frame vector on the unit sphere;
 its arc element is dsigma_i = sqrt(kappa_{i-1}^2 + kappa_i^2) ds with
 the boundary conventions kappa_0 = kappa_n = 0. sigma_i is anchored at
 0 on the first retained sample (two samples per end are trimmed as
-boundary noise) and is invariant under direct similarities. Only
-_sigma_grids, which _ladder_signatures calls, decides whether a
-V_i-indicatrix exists. It integrates the speeds of all the asked
-indices in one quadrature, then refuses, index by index, an index
-outside 1..n, a collapsing speed, a sigma_i that stops increasing, and
-a sign change of kappa_{n-1} where the speed is |kappa_{n-1}|. A
-ShapeSignature keeps that sigma_i, and indicatrix_curve reads frame
-row V_i on it, so the indicatrix needs no second quadrature.
+boundary noise) and is invariant under direct similarities.
+signatures._ladder_signatures integrates sigma_i and decides whether a
+V_i-indicatrix exists; a ShapeSignature keeps that sigma_i, and this
+module only reads it: indicatrix_curve takes frame row V_i on it, so the
+indicatrix needs no second quadrature, and the Sabban geometry, the E^3
+closed forms and the CSV writer build on that curve.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .curves import (
     TRIM,
@@ -34,71 +31,8 @@ from .errors import (
     DegenerateSpeed,
     DimensionMismatch,
     DivisionDegenerate,
-    IndicatrixDegenerate,
     NotThreeDimensional,
 )
-
-INDICATRIX_REL_TOL = 1e-8
-
-
-def _curvature_ladder(fr: FrenetData) -> np.ndarray:
-    """kappa_0..kappa_n as rows, with kappa_0 = kappa_n = 0."""
-    return np.pad(fr.kappas.T, ((1, 1), (0, 0)))
-
-
-def _sigma_grids(ladder: np.ndarray, s: np.ndarray, indices,
-                 partial: bool = False):
-    """Retained slice, trimmed speeds and sigma_i of V_i-indicatrices.
-
-    ladder holds kappa_0..kappa_n over the arc-length grid s. Two
-    samples per end are dropped as boundary noise; sigma_i is the
-    cumulative Simpson integral of the remaining speed, anchored at 0.
-    One hypot and one cumulative_simpson run over the rows of all the
-    valid indices, and each row is bit-identical to the quadrature of its
-    index alone. The indices are then checked in order: BadIndex unless
-    1 <= i <= n, and IndicatrixDegenerate when the speed collapses, when
-    sigma_i stops increasing, or when the speed is |kappa_{n-1}| (i = n,
-    or n = 2) and kappa_{n-1} changes sign. With partial, a degenerate
-    index is left out instead, and the last refusal is raised only when
-    every index is refused. Returns the slice and {i: (speed, sigma_i)}
-    in the order of indices.
-    """
-    n = len(ladder) - 1
-    sl = slice(TRIM, len(s) - TRIM)
-    rows = np.array([i for i in indices if 1 <= i <= n], dtype=int)
-    qs = np.hypot(ladder[rows - 1, sl], ladder[rows, sl])
-    sigma = cumulative_simpson(qs, x=s[sl], initial=0.0)
-    lo, hi = qs.min(axis=1), qs.max(axis=1)
-    scale = np.maximum(hi, 2.0 / (s[-1] - s[0]))
-    stalls = np.diff(sigma, axis=1) <= 0
-    last = ladder[n - 1, sl]
-    flips = np.flatnonzero(last[:-1] * last[1:] < 0)
-    grids, refusal = {}, None
-    # every index before an invalid one is valid, so r is its row
-    for r, i in enumerate(indices):
-        if not 1 <= i <= n:
-            raise BadIndex(f"indicatrix index must be in 1..{n}, got {i}")
-        stall = np.flatnonzero(stalls[r])
-        if lo[r] <= INDICATRIX_REL_TOL * scale[r]:
-            refusal = IndicatrixDegenerate(
-                f"V_{i}-indicatrix speed collapses "
-                f"(min {lo[r]:.3g} against scale {scale[r]:.3g})")
-        elif len(stall):
-            refusal = IndicatrixDegenerate(
-                f"sigma_{i} stops increasing at sample {TRIM + stall[0] + 1} "
-                f"(speed spans {lo[r]:.3g} to {hi[r]:.3g})")
-        elif (i == n or n == 2) and len(flips):
-            refusal = IndicatrixDegenerate(
-                f"kappa_{n - 1} changes sign at sample {TRIM + flips[0] + 1}, "
-                f"so the V_{i}-indicatrix speed vanishes there")
-        else:
-            grids[i] = qs[r], sigma[r]
-            continue
-        if not partial:
-            raise refusal
-    if not grids:
-        raise refusal
-    return sl, grids
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,10 @@ into both a CSV table and a JSON document gets the bytes that formatting
 it for each would give. json_int reads an integer field of a parsed
 document and refuses a fraction or a boolean; json_float and json_floats
 read a number or nested arrays of numbers and refuse a string, a
-boolean or a null, which float() and np.array would take.
+boolean or a null, which float() and np.array would take. MALFORMED
+holds what json.loads and these readers raise on a malformed document;
+each document reader (transform, signature, self-similar spec) turns it
+into BadParameters.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ import json
 import numpy as np
 
 from .errors import BadParameters
+
+# a missing key, a wrong type or value, an integer past the float range,
+# or nesting deeper than the recursion limit
+MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
 _JSON_SPELLING = {"-0": "-0.0", "nan": "NaN", "inf": "Infinity",
                   "-inf": "-Infinity"}

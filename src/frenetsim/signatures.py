@@ -29,8 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import next_fast_len
+from scipy.integrate import cumulative_simpson
 
 from .curves import (
+    TRIM,
     FrenetData,
     SampledCurve,
     field_derivative,
@@ -40,14 +42,17 @@ from .errors import (
     BadIndex,
     BadParameters,
     IncompatibleSignatures,
+    IndicatrixDegenerate,
 )
-from .indicatrix import (
-    _curvature_ladder,
-    _sigma_grids,
-    indicatrix_curve,
-    sabban_geodesic_curvature,
+from .indicatrix import indicatrix_curve, sabban_geodesic_curvature
+from .jsonio import (
+    MALFORMED,
+    FloatTexts,
+    float_texts,
+    json_floats,
+    json_int,
+    render,
 )
-from .jsonio import FloatTexts, float_texts, json_floats, json_int, render
 from .transforms import apply_similarity
 
 log = logging.getLogger("frenetsim.signatures")
@@ -55,6 +60,7 @@ log = logging.getLogger("frenetsim.signatures")
 UNIT_CIRCLE_TOL = 1e-5
 MIN_OVERLAP_FRACTION = 0.1
 DEFAULT_MATCH_TOL = 1e-2
+INDICATRIX_REL_TOL = 1e-8
 
 
 def _check_index_circle(ktj, i: int, tol: float) -> None:
@@ -117,34 +123,74 @@ class ShapeSignature:
         return float(self.sigma[-1] - self.sigma[0])
 
 
-def _ladder_signatures(ladder: np.ndarray, s: np.ndarray, indices,
+def _ladder_signatures(kappas: np.ndarray, s: np.ndarray, indices,
                        partial: bool = False) -> dict:
-    """Shape signatures of the given indices from one curvature ladder.
+    """Shape signatures of the given indices from one set of curvatures.
 
-    ladder holds kappa_0..kappa_n as rows (kappa_0 = kappa_n = 0) over
-    the arc-length grid s; the direct and the focal route both end here.
-    _sigma_grids runs one sigma quadrature for all the indices, decides
-    for each whether the V_i-indicatrix exists and raises when it does
-    not; with partial, a refused index is left out instead, and the last
-    refusal is raised only when every index is refused. Every index keeps
-    the same samples s[sl], so kt = d(1/Q_i)/ds of all the indices is one
-    field_derivative of the matrix whose columns are 1/Q_i; each column
-    gets its own stride there, so its kt does not depend on which other
-    indices are asked for. Returns {i: ShapeSignature}, in the order of
-    indices.
+    kappas holds kappa_1..kappa_{n-1} as columns over the arc-length grid
+    s, padded here to the ladder kappa_0..kappa_n with kappa_0 = kappa_n
+    = 0; the direct and the focal route both end here. Two samples per
+    end are dropped as boundary noise, and sigma_i is the cumulative
+    Simpson integral of the remaining speed Q_i, anchored at 0. One hypot
+    and one cumulative_simpson run over the rows of all the valid
+    indices, and each row is bit-identical to the quadrature of its index
+    alone. The indices are then checked in order: BadIndex unless
+    1 <= i <= n, and IndicatrixDegenerate when the speed collapses, when
+    sigma_i stops increasing, or when the speed is |kappa_{n-1}| (i = n,
+    or n = 2) and kappa_{n-1} changes sign. With partial, a degenerate
+    index is left out instead, and the last refusal is raised only when
+    every index is refused. Every index keeps the same samples s[sl], so
+    kt = d(1/Q_i)/ds of all the kept indices is one field_derivative of
+    the matrix whose columns are 1/Q_i; each column gets its own stride
+    there, so its kt does not depend on which other indices are asked
+    for. Returns {i: ShapeSignature}, in the order of indices.
     """
+    ladder = np.pad(kappas.T, ((1, 1), (0, 0)))
     n = len(ladder) - 1
-    sl, grids = _sigma_grids(ladder, s, indices, partial)
-    q = np.column_stack([qs for qs, _ in grids.values()])
+    sl = slice(TRIM, len(s) - TRIM)
+    rows = np.array([i for i in indices if 1 <= i <= n], dtype=int)
+    qs = np.hypot(ladder[rows - 1, sl], ladder[rows, sl])
+    sigma = cumulative_simpson(qs, x=s[sl], initial=0.0)
+    lo, hi = qs.min(axis=1), qs.max(axis=1)
+    scale = np.maximum(hi, 2.0 / (s[-1] - s[0]))
+    stalls = np.diff(sigma, axis=1) <= 0
+    last = ladder[n - 1, sl]
+    flips = np.flatnonzero(last[:-1] * last[1:] < 0)
+    kept, refusal = [], None
+    # every index before an invalid one is valid, so r is its row
+    for r, i in enumerate(indices):
+        if not 1 <= i <= n:
+            raise BadIndex(f"indicatrix index must be in 1..{n}, got {i}")
+        stall = np.flatnonzero(stalls[r])
+        if lo[r] <= INDICATRIX_REL_TOL * scale[r]:
+            refusal = IndicatrixDegenerate(
+                f"V_{i}-indicatrix speed collapses "
+                f"(min {lo[r]:.3g} against scale {scale[r]:.3g})")
+        elif len(stall):
+            refusal = IndicatrixDegenerate(
+                f"sigma_{i} stops increasing at sample {TRIM + stall[0] + 1} "
+                f"(speed spans {lo[r]:.3g} to {hi[r]:.3g})")
+        elif (i == n or n == 2) and len(flips):
+            refusal = IndicatrixDegenerate(
+                f"kappa_{n - 1} changes sign at sample {TRIM + flips[0] + 1}, "
+                f"so the V_{i}-indicatrix speed vanishes there")
+        else:
+            kept.append((i, r))
+            continue
+        if not partial:
+            raise refusal
+    if not kept:
+        raise refusal
+    q = np.column_stack([qs[r] for _, r in kept])
     kt = field_derivative(s[sl], 1.0 / q)
-    return {i: ShapeSignature(n, i, sigma, kt[:, c], ladder[1:n, sl] / q[:, c],
-                              s=s[sl])
-            for c, (i, (_, sigma)) in enumerate(grids.items())}
+    return {i: ShapeSignature(n, i, sigma[r], kt[:, c],
+                              ladder[1:n, sl] / q[:, c], s=s[sl])
+            for c, (i, r) in enumerate(kept)}
 
 
 def shape_curvatures(fr: FrenetData, i: int) -> ShapeSignature:
     """Shape curvatures of the V_i-indicatrix, on its sigma_i grid."""
-    return _ladder_signatures(_curvature_ladder(fr), fr.s, [i])[i]
+    return _ladder_signatures(fr.kappas, fr.s, [i])[i]
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +341,8 @@ def invariance_sweep(curve: SampledCurve, transforms) -> dict:
     out; when every index is, that IndicatrixDegenerate is raised.
     """
     fr = frenet_apparatus(curve)
-    base = _ladder_signatures(_curvature_ladder(fr), fr.s,
-                              range(1, fr.dimension + 1), partial=True)
+    base = _ladder_signatures(fr.kappas, fr.s, range(1, fr.dimension + 1),
+                              partial=True)
     dev = {"sigma_invariance": dict.fromkeys(base, 0.0),
            "shape_invariance": dict.fromkeys(base, 0.0)}
     base_kg = {}
@@ -306,7 +352,7 @@ def invariance_sweep(curve: SampledCurve, transforms) -> dict:
                    for i, sig in base.items()}
     for T in transforms:
         fri = frenet_apparatus(apply_similarity(T, curve))
-        imgs = _ladder_signatures(_curvature_ladder(fri), fri.s, base)
+        imgs = _ladder_signatures(fri.kappas, fri.s, base)
         for i, sig in base.items():
             img = imgs[i]
             now = {"sigma_invariance": np.abs(sig.sigma - img.sigma).max(),
@@ -350,5 +396,5 @@ def signature_from_json(text: str) -> ShapeSignature:
             json_floats(obj["kt"], "kt"),
             json_floats(obj["ktj"], "ktj"),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except MALFORMED as exc:
         raise BadParameters(f"malformed signature JSON: {exc}") from None

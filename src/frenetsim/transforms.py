@@ -17,7 +17,7 @@ import numpy as np
 
 from .curves import AffineImage, SampledCurve
 from .errors import BadParameters, BadRange, DimensionMismatch
-from .jsonio import json_float, json_floats, render
+from .jsonio import MALFORMED, json_float, json_floats, render
 
 ORTHO_TOL = 1e-12
 
@@ -116,5 +116,5 @@ def transform_from_json(text: str) -> SimilarityTransform:
         return SimilarityTransform(json_float(obj["lambda"], "lambda"),
                                    json_floats(obj["A"], "A"),
                                    json_floats(obj["b"], "b"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except MALFORMED as exc:
         raise BadParameters(f"malformed transform JSON: {exc}") from None

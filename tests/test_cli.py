@@ -698,6 +698,10 @@ SPEC3 = ('"dimension": 3, "index": 2, '
 TRANSFORM = ["transform", "--input", "{data}/helix.csv", "--input-b",
              "{tmp}/spec.json", "--output", "{tmp}/image.csv"]
 EYE3 = '"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]'
+# a 401-digit integer, past the float range, and nesting past the
+# recursion limit
+HUGE = "1" + "0" * 400
+DEEP = "[" * 100_000
 
 
 # every value here comes from outside the program: a flag, a spec field or
@@ -784,6 +788,29 @@ EYE3 = '"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]'
     pytest.param(["synthesize", "--input", "{tmp}/spec.json"],
                  SPEC3 + ', "kt": 0.1, "samples": 1e300',
                  id="spec_samples_unsizable"),
+    # integers that float() cannot hold, and documents json.loads cannot
+    # descend
+    pytest.param(["analyze", "--input", "{data}/helix.csv",
+                  "--samples", HUGE], None, id="analyze_samples_huge"),
+    pytest.param(["match", "--input", "{data}/helix.csv", "--input-b",
+                  "{data}/helix_double.csv", "--samples", HUGE],
+                 None, id="match_samples_huge"),
+    pytest.param(["verify", "--input", "{data}/helix.csv",
+                  "--samples", HUGE], None, id="verify_samples_huge"),
+    pytest.param(["focal", "--input", "{data}/helix.csv",
+                  "--samples", HUGE], None, id="focal_samples_huge"),
+    pytest.param(["evolute", "--input", "{data}/helix_short.csv",
+                  "--samples", HUGE], None, id="evolute_samples_huge"),
+    pytest.param(TRANSFORM, f'"lambda": {HUGE}, {EYE3}, "b": [0, 0, 0]',
+                 id="transform_lambda_huge"),
+    pytest.param(TRANSFORM, f'"lambda": 1, "A": [[{HUGE}, 0, 0], [0, 1, 0], '
+                 '[0, 0, 1]], "b": [0, 0, 0]', id="transform_A_huge"),
+    pytest.param(TRANSFORM, f'"lambda": 1, {EYE3}, "b": [0, {HUGE}, 0]',
+                 id="transform_b_huge"),
+    pytest.param(TRANSFORM, f'"lambda": 1, "A": {DEEP}',
+                 id="transform_nested_deep"),
+    pytest.param(["synthesize", "--input", "{tmp}/spec.json"],
+                 f'"dimension": {DEEP}', id="spec_nested_deep"),
 ])
 def test_out_of_range_value_exits_usage(data_dir, tmp_path, capsys, argv, spec):
     if spec is not None:

@@ -751,8 +751,10 @@ def test_scaled_raw_helix_frame_is_out_of_range(e):
     t = np.linspace(0.0, 4.0 * np.pi, 400)
     pts = np.column_stack([3.0 * np.cos(t), 3.0 * np.sin(t), 0.6 * t])
     with pytest.raises(E.BadRange, match=re.escape(f"spanning 7.54e{e:+04d} ")
-                       + ".*outside float64"):
+                       + ".*outside float64") as info:
         fs.frenet_apparatus(fs.SampledCurve(3, t, pts * 10.0 ** e))
+    # an underflowing speed names no derivative order; an overflow does
+    assert ("|d^" in str(info.value)) == (e > 0), info.value
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -799,6 +801,15 @@ def test_sampled_curve_validation():
         fs.SampledCurve(2, t, pts)
     with pytest.raises(E.DimensionMismatch):
         fs.SampledCurve(3, np.array([0.0, 1.0]), np.zeros((2, 2)))
+    with pytest.raises(E.BadParameters, match="n >= 2"):
+        fs.SampledCurve(1, np.array([0.0, 1.0]), np.zeros((2, 1)))
+    with pytest.raises(E.BadParameters, match="not a curve: ndarray"):
+        fs.arclength_reparam(pts, 200)
+    s, frames = np.linspace(0.0, 1.0, 4), np.tile(np.eye(3), (4, 1, 1))
+    with pytest.raises(E.DimensionMismatch, match="frames"):
+        fs.FrenetData(s, np.zeros((4, 3)), frames[:3], np.zeros((4, 2)))
+    with pytest.raises(E.DimensionMismatch, match="kappas"):
+        fs.FrenetData(s, np.zeros((4, 3)), frames, np.zeros((4, 3)))
 
 
 def test_frozen_values_leave_the_callers_arrays_writable():
@@ -830,6 +841,10 @@ def test_builtin_validation():
         fs.circle(1.0, t_span=(2.0, 1.0))
     with pytest.raises(E.BadParameters):
         fs.custom_poly([])
+    with pytest.raises(E.BadParameters, match="dimension >= 2"):
+        fs.line(1)
+    with pytest.raises(E.BadParameters, match="strictly increasing"):
+        fs.builtin_evaluate(fs.circle(1.0), [0.0, 1.0, 1.0])
     with pytest.raises(E.BadParameters, match="unknown builtin curve kind"):
         fs.BuiltinCurve("spiral", 3).jet(np.zeros(1), 1)
 

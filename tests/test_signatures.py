@@ -8,10 +8,9 @@ from scipy.integrate import cumulative_simpson
 
 import frenetsim as fs
 from frenetsim import errors as E
-from frenetsim import indicatrix
+from frenetsim import signatures
 from frenetsim.cli import main
 from frenetsim.curves import TRIM
-from frenetsim.indicatrix import _curvature_ladder
 from frenetsim.signatures import _ladder_signatures
 
 
@@ -66,10 +65,10 @@ def test_ladder_signatures_match_one_index_at_a_time(selfsim9_frenet):
     # indicatrix frame row V_i on that same row, and a refused index is
     # left out only when asked to
     fr = selfsim9_frenet
-    ladder = _curvature_ladder(fr)
+    ladder = np.pad(fr.kappas.T, ((1, 1), (0, 0)))
     sl = slice(TRIM, len(fr.s) - TRIM)
     every = range(1, fr.dimension + 1)
-    sigs = _ladder_signatures(ladder, fr.s, every, partial=True)
+    sigs = _ladder_signatures(fr.kappas, fr.s, every, partial=True)
     assert list(sigs) == list(range(1, 9))
     for i, sig in sigs.items():
         alone = cumulative_simpson(np.hypot(ladder[i - 1, sl], ladder[i, sl]),
@@ -82,15 +81,15 @@ def test_ladder_signatures_match_one_index_at_a_time(selfsim9_frenet):
         assert np.array_equal(sc.sigma, sig.sigma)
         assert np.array_equal(sc.gamma, fr.frames[sl, i - 1])
     with pytest.raises(E.IndicatrixDegenerate, match="kappa_8 changes sign"):
-        _ladder_signatures(ladder, fr.s, every)
+        _ladder_signatures(fr.kappas, fr.s, every)
     with pytest.raises(E.IndicatrixDegenerate, match="kappa_8 changes sign"):
-        _ladder_signatures(ladder, fr.s, [9], partial=True)
+        _ladder_signatures(fr.kappas, fr.s, [9], partial=True)
     # refusals come in index order: a degenerate index before a bad one
     # raises first unless it may be left out
     with pytest.raises(E.IndicatrixDegenerate, match="kappa_8 changes sign"):
-        _ladder_signatures(ladder, fr.s, [9, 10])
+        _ladder_signatures(fr.kappas, fr.s, [9, 10])
     with pytest.raises(E.BadIndex, match="got 10"):
-        _ladder_signatures(ladder, fr.s, [9, 10], partial=True)
+        _ladder_signatures(fr.kappas, fr.s, [9, 10], partial=True)
 
 
 def test_ladder_signatures_run_one_sigma_quadrature(selfsim9_frenet,
@@ -106,12 +105,11 @@ def test_ladder_signatures_run_one_sigma_quadrature(selfsim9_frenet,
         calls.append(1)
         return cumulative_simpson(*args, **kwargs)
 
-    monkeypatch.setattr(indicatrix, "cumulative_simpson", counted)
+    monkeypatch.setattr(signatures, "cumulative_simpson", counted)
     fr = selfsim9_frenet
-    ladder = _curvature_ladder(fr)
     for indices in ([3], range(1, 9), range(1, 10)):
         calls.clear()
-        _ladder_signatures(ladder, fr.s, indices, partial=True)
+        _ladder_signatures(fr.kappas, fr.s, indices, partial=True)
         assert len(calls) == 1
     calls.clear()
     assert main(["analyze", "--input", str(data_dir / "helix.csv"),
