@@ -9,9 +9,6 @@ focal curvatures, and evolutes in E^3.
 from . import errors
 from . import series  # unused by the library; loaded so perfbench's tracer wraps it
 from .curves import (
-    AffineImage,
-    BuiltinCurve,
-    FrenetData,
     SampledCurve,
     arclength_reparam,
     builtin_evaluate,
@@ -19,44 +16,34 @@ from .curves import (
     curve_from_csv,
     curve_to_csv,
     custom_poly,
-    field_derivative,
     frenet_apparatus,
-    frenet_residual_supnorm,
     helix,
     line,
     log_spiral,
-    parameter_speeds,
-    structure_skew,
 )
-from .evolute import EvoluteData, EvoluteReport, evolute_e3, evolute_invariant_report
-from .focal import FocalData, focal_curvatures, shape_from_focal
+from .evolute import evolute_e3, evolute_invariant_report
+from .focal import focal_curvatures, shape_from_focal
 from .indicatrix import (
-    SabbanData,
-    SphericalCurve,
     geodesic_closed_form,
     indicatrix_curve,
     indicatrix_to_csv,
     sabban_geodesic_curvature,
 )
 from .selfsimilar import (
-    SelfSimilarSolution,
     SelfSimilarSpec,
     frame_ode_oracle,
     solve_self_similar,
     synthesize_self_similar,
 )
 from .signatures import (
-    MatchResult,
     ShapeSignature,
     invariance_sweep,
     shape_curvatures,
-    signature_distance,
     signature_from_json,
     signature_to_json,
     similarity_test,
 )
 from .transforms import (
-    SimilarityTransform,
     apply_similarity,
     random_similarity,
     transform_from_json,
@@ -66,20 +53,9 @@ from .transforms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineImage",
-    "BuiltinCurve",
-    "EvoluteData",
-    "EvoluteReport",
-    "FocalData",
-    "FrenetData",
-    "MatchResult",
-    "SabbanData",
     "SampledCurve",
-    "SelfSimilarSolution",
     "SelfSimilarSpec",
     "ShapeSignature",
-    "SimilarityTransform",
-    "SphericalCurve",
     "apply_similarity",
     "arclength_reparam",
     "builtin_evaluate",
@@ -90,11 +66,9 @@ __all__ = [
     "errors",
     "evolute_e3",
     "evolute_invariant_report",
-    "field_derivative",
     "focal_curvatures",
     "frame_ode_oracle",
     "frenet_apparatus",
-    "frenet_residual_supnorm",
     "geodesic_closed_form",
     "helix",
     "indicatrix_curve",
@@ -102,17 +76,16 @@ __all__ = [
     "invariance_sweep",
     "line",
     "log_spiral",
-    "parameter_speeds",
     "random_similarity",
     "sabban_geodesic_curvature",
     "shape_curvatures",
     "shape_from_focal",
-    "signature_distance",
     "signature_from_json",
     "signature_to_json",
     "similarity_test",
     "solve_self_similar",
-    "structure_skew",
     "synthesize_self_similar",
+    "transform_from_json",
+    "transform_to_json",
     "__version__",
 ]

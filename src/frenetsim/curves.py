@@ -773,20 +773,6 @@ def structure_skew(ktj) -> np.ndarray:
     return K
 
 
-def frenet_residual_supnorm(fr: FrenetData) -> float:
-    """Sup-norm residual of the frame structure equations.
-
-    Central-differences dV_i/ds at interior samples against the
-    skew-tridiagonal reconstruction -kappa_{i-1} V_{i-1} + kappa_i V_{i+1}.
-    Converges to 0 at second order on smooth curves.
-    """
-    V = fr.frames
-    ds = (fr.s[2:] - fr.s[:-2])[:, None, None]
-    dV = (V[2:] - V[:-2]) / ds
-    recon = structure_skew(fr.kappas[1:-1]) @ V[1:-1]
-    return float(np.linalg.norm(dV - recon, axis=2).max())
-
-
 # ---------------------------------------------------------------------------
 # derived-field differentiation
 

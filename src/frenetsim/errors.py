@@ -83,12 +83,8 @@ class ZeroFocalPivot(GeometryError):
     """A focal curvature needed as a pivot/denominator vanishes."""
 
 
-class PlanarCurve(GeometryError):
-    """kappa_2 == 0 with a phase that makes the evolute cot() degenerate."""
-
-
 class CotSingularity(GeometryError):
-    """The evolute phase integral crosses a multiple of pi."""
+    """The evolute phase reaches or crosses a multiple of pi."""
 
 
 class NoRealSolution(GeometryError):

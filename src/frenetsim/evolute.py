@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .curves import TRIM, FrenetData, field_derivative
-from .errors import BadRange, CotSingularity, NotThreeDimensional, PlanarCurve
+from .errors import BadRange, CotSingularity, NotThreeDimensional
 from .signatures import shape_curvatures
 
 SIN_FLOOR = 1e-6
@@ -55,24 +55,18 @@ def evolute_e3(fr: FrenetData, phi0: float = math.pi / 2) -> EvoluteData:
         )
     if not math.isfinite(phi0):
         raise BadRange(f"phi0 must be finite, got {phi0}")
-    kap1 = fr.kappas[:, 0]
-    kap2 = fr.kappas[:, 1]
-    span = fr.s[-1] - fr.s[0]
-    total_torsion = np.abs(kap2).max() * span
-    if total_torsion <= 1e-8 and abs(math.sin(phi0)) <= SIN_FLOOR:
-        raise PlanarCurve(
-            "kappa_2 vanishes identically and sin(phi0) = 0; the planar "
-            "evolute family degenerates at this phi0"
-        )
-    integral = cumulative_simpson(kap2, x=fr.s, initial=0.0)
+    integral = cumulative_simpson(fr.kappas[:, 1], x=fr.s, initial=0.0)
     phi = phi0 + integral - integral[TRIM]
     sphi = np.sin(phi)
-    if np.abs(sphi).min() <= SIN_FLOOR or sphi.max() * sphi.min() < 0:
+    pole = (np.abs(sphi) <= SIN_FLOOR) | (sphi * sphi[0] < 0)
+    if pole.any():
+        q = int(np.argmax(pole))
         raise CotSingularity(
-            "phi0 + integral(kappa_2) crosses a multiple of pi inside the "
-            "sample range; choose a different phi0 or a shorter arc"
+            "phi0 + integral(kappa_2) reaches or crosses a multiple of pi at "
+            f"sample {q}, s = {fr.s[q]:.6g}; choose a different phi0 or a "
+            "shorter arc"
         )
-    m1 = 1.0 / kap1
+    m1 = 1.0 / fr.kappas[:, 0]
     m2 = m1 * np.cos(phi) / sphi
     beta = fr.points + m1[:, None] * fr.frames[:, 1, :] \
         + m2[:, None] * fr.frames[:, 2, :]

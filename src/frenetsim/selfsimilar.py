@@ -122,9 +122,11 @@ def solve_self_similar(spec: SelfSimilarSpec) -> SelfSimilarSolution:
     are the plane's two frame columns, and for odd n the real null
     vector is the axial column. Raises RepeatedEigenvalue if two
     frequencies coincide or one vanishes, and NoRealSolution if an
-    eigenvector's first entry is 0. Neither can happen for nonzero kt_j
-    (iK is then an unreduced tridiagonal with simple spectrum); both
-    are kept as guards.
+    eigenvector's first entry is 0. For nonzero kt_j neither happens in
+    exact arithmetic (iK is then an unreduced tridiagonal with simple
+    spectrum), but both tests are relative to the largest frequency: in
+    E^4, ktj = (1, 0.5, 1e-7) gives a frequency below 1e-6 of it and
+    (1, 1e-160, 1) two equal ones in float64, and both are refused.
     """
     n = spec.dimension
     m = n // 2

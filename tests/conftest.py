@@ -4,8 +4,26 @@ import numpy as np
 import pytest
 
 import frenetsim as fs
+from frenetsim.curves import structure_skew
 
 RT13 = math.sqrt(13.0)
+
+
+@pytest.fixture(scope="session")
+def frenet_residual_supnorm():
+    """Sup-norm residual of the frame structure equations of a FrenetData.
+
+    Central-differences dV_i/ds at interior samples against the
+    skew-tridiagonal reconstruction -kappa_{i-1} V_{i-1} + kappa_i V_{i+1}.
+    Converges to 0 at second order on smooth curves.
+    """
+    def residual(fr):
+        V = fr.frames
+        ds = (fr.s[2:] - fr.s[:-2])[:, None, None]
+        dV = (V[2:] - V[:-2]) / ds
+        recon = structure_skew(fr.kappas[1:-1]) @ V[1:-1]
+        return float(np.linalg.norm(dV - recon, axis=2).max())
+    return residual
 
 
 @pytest.fixture(scope="session")

@@ -201,6 +201,16 @@ def test_synthesize_clockwise_spiral(tmp_path, capsys):
     assert rc == 0 and json.loads(out)["ktj"] == [-1.0]
 
 
+def test_synthesize_repeated_frequency_exits_degenerate(tmp_path, capsys):
+    spec = tmp_path / "repeated.json"
+    spec.write_text('{"dimension": 4, "index": 1, "kt": 0.0, '
+                    '"ktj": [1.0, 1e-160, 1.0]}\n')
+    rc = main(["synthesize", "--input", str(spec)])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and "Traceback" not in err
+    assert "(RepeatedEigenvalue): rotation frequencies are not distinct" in err
+
+
 def test_synthesize_rejects_bad_spec(data_dir, capsys):
     rc, _ = run(capsys, "synthesize", "--input", str(data_dir / "bad_spec.json"))
     assert rc == 2
@@ -622,6 +632,16 @@ def test_edge_input_exit_codes(edge_csvs, capsys, name):
         err = capsys.readouterr().err
         assert rc == want, (command, err)
         assert err.count("\n") == (rc != 0) and "Traceback" not in err
+
+
+def test_planar_evolute_phase_zero_exits_degenerate(edge_csvs, capsys):
+    # zero torsion freezes the evolute phase at phi0 = 0, a pole of cot
+    rc = main(["evolute", "--phi0", "0", "--samples", "800", "--input",
+               str(edge_csvs / "planar_circle_e3.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and "Traceback" not in err
+    assert ("(CotSingularity): phi0 + integral(kappa_2) reaches or crosses "
+            "a multiple of pi at sample 0, s = 0;") in err
 
 
 @pytest.mark.parametrize("n", (51, 201, 2001))

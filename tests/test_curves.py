@@ -12,7 +12,19 @@ from scipy.interpolate import CubicHermiteSpline
 import frenetsim as fs
 from frenetsim import errors as E
 from frenetsim import cli, curves
-from frenetsim.curves import TRIM, _engine, _field_strides, min_samples
+from frenetsim.curves import (
+    TRIM,
+    AffineImage,
+    BuiltinCurve,
+    FrenetData,
+    _engine,
+    _field_strides,
+    field_derivative,
+    min_samples,
+    parameter_speeds,
+)
+from frenetsim.indicatrix import SphericalCurve
+from frenetsim.transforms import SimilarityTransform
 
 TAU = 2 * math.pi
 
@@ -154,7 +166,7 @@ def test_reparam_is_unit_speed(helix_curve):
 
 def test_parameter_speeds_of_builtin():
     h = fs.helix(3.0, 4.0, t_span=(0.0, 5.0))
-    sp = fs.parameter_speeds(h, np.linspace(0.5, 4.5, 7))
+    sp = parameter_speeds(h, np.linspace(0.5, 4.5, 7))
     assert np.allclose(sp, 5.0, atol=1e-12)
 
 
@@ -167,11 +179,11 @@ def test_velocity_is_the_jets_first_entry(helix_curve):
     T = fs.random_similarity(4, (0.5, 2.0), 3)
     tq = np.linspace(0.1, 24.9, 301)
     for src in (fs.helix(3.0, 4.0), spline, rep,
-                fs.AffineImage(spline, T.lam, T.A, T.b),
-                fs.AffineImage(rep, T.lam, T.A, T.b)):
+                AffineImage(spline, T.lam, T.A, T.b),
+                AffineImage(rep, T.lam, T.A, T.b)):
         v = src.velocity(tq)
         assert np.array_equal(v, src.jet(tq, 4)[1])
-        assert np.array_equal(fs.parameter_speeds(src, tq),
+        assert np.array_equal(parameter_speeds(src, tq),
                               np.linalg.norm(v, axis=1))
 
 
@@ -193,13 +205,13 @@ def test_frames_orthonormal_and_oriented(helix_frenet):
     assert np.abs(dets - 1.0).max() < 1e-9
 
 
-def test_structure_residual_converges():
+def test_structure_residual_converges(frenet_residual_supnorm):
     # frame derivatives vs the curvature reconstruction: second order in
     # the step, so quadrupling samples should cut the residual ~4x
     devs = {}
     for n in (400, 800):
         cur = fs.arclength_reparam(fs.helix(3.0, 4.0, t_span=(0.0, 5.0)), n)
-        devs[n] = fs.frenet_residual_supnorm(fs.frenet_apparatus(cur))
+        devs[n] = frenet_residual_supnorm(fs.frenet_apparatus(cur))
     assert devs[400] / devs[800] > 2.5
     assert devs[800] < 1e-4
 
@@ -211,13 +223,25 @@ def test_line_is_degenerate():
         fs.frenet_apparatus(cur)
 
 
+def test_relative_pivot_rule_refuses_first():
+    # the y and z terms of (t^4, 1e-9 t^2, 1e-12 t^3) are tiny beside
+    # d^2a/dt^2 at once, but kappa_1 L stays above PIVOT_REL until sample
+    # 67, so only the rule relative to |d^2a/dt^2| names sample 0
+    poly = fs.custom_poly([[0, 0, 0, 0, 1], [0, 0, 1e-9], [0, 0, 0, 1e-12]],
+                          (1.0, 10.0))
+    cur = fs.builtin_evaluate(poly, np.linspace(1.0, 10.0, 400))
+    with pytest.raises(E.FrameDegenerate, match=re.escape(
+            "QR pivot 2 collapsed at sample 0 (|R_jj|=")):
+        fs.frenet_apparatus(cur)
+
+
 def test_reparam_jet_has_unit_speed(helix_curve):
     rep = _engine(helix_curve)
     tangent = rep.jet(helix_curve.t, 1)[1]
     assert np.abs(np.linalg.norm(tangent, axis=1) - 1.0).max() < 1e-12
     T = fs.random_similarity(4, (0.5, 2.0), 3)
-    img = fs.AffineImage(rep, T.lam, T.A, T.b)
-    assert np.abs(fs.parameter_speeds(img, helix_curve.t) - T.lam).max() < 1e-12
+    img = AffineImage(rep, T.lam, T.A, T.b)
+    assert np.abs(parameter_speeds(img, helix_curve.t) - T.lam).max() < 1e-12
     s = T.lam * (helix_curve.t - helix_curve.t[0])
     assert np.abs(img.arclength(helix_curve.t) - s).max() < 1e-12
 
@@ -318,7 +342,7 @@ def test_jets_are_derivatives(source, want, tol):
 
 def test_affine_image_jet(helix_curve):
     T = fs.random_similarity(4, (0.5, 2.0), 3)
-    img = fs.AffineImage(helix_curve.source, T.lam, T.A, T.b)
+    img = AffineImage(helix_curve.source, T.lam, T.A, T.b)
     tq = helix_curve.t[10:20]
     want = T.lam * np.einsum("ij,kqj->kqi", T.A, helix_curve.source.jet(tq, 4))
     want[0] += T.b
@@ -807,9 +831,9 @@ def test_sampled_curve_validation():
         fs.arclength_reparam(pts, 200)
     s, frames = np.linspace(0.0, 1.0, 4), np.tile(np.eye(3), (4, 1, 1))
     with pytest.raises(E.DimensionMismatch, match="frames"):
-        fs.FrenetData(s, np.zeros((4, 3)), frames[:3], np.zeros((4, 2)))
+        FrenetData(s, np.zeros((4, 3)), frames[:3], np.zeros((4, 2)))
     with pytest.raises(E.DimensionMismatch, match="kappas"):
-        fs.FrenetData(s, np.zeros((4, 3)), frames, np.zeros((4, 3)))
+        FrenetData(s, np.zeros((4, 3)), frames, np.zeros((4, 3)))
 
 
 def test_frozen_values_leave_the_callers_arrays_writable():
@@ -821,8 +845,8 @@ def test_frozen_values_leave_the_callers_arrays_writable():
     kt, ktj, A, b = np.zeros(50), np.ones((1, 50)), np.eye(3), np.ones(3)
     made = [(fs.SampledCurve(2, t, plane), ("t", "points")),
             (fs.ShapeSignature(2, 1, t, kt, ktj), ("sigma", "kt", "ktj")),
-            (fs.SphericalCurve(3, t, sphere), ("sigma", "gamma")),
-            (fs.SimilarityTransform(2.0, A, b), ("A", "b"))]
+            (SphericalCurve(3, t, sphere), ("sigma", "gamma")),
+            (SimilarityTransform(2.0, A, b), ("A", "b"))]
     kept = [[getattr(obj, name).copy() for name in names] for obj, names in made]
     for arr in (t, plane, sphere, kt, ktj, A, b):
         arr[...] = 7.0
@@ -846,7 +870,7 @@ def test_builtin_validation():
     with pytest.raises(E.BadParameters, match="strictly increasing"):
         fs.builtin_evaluate(fs.circle(1.0), [0.0, 1.0, 1.0])
     with pytest.raises(E.BadParameters, match="unknown builtin curve kind"):
-        fs.BuiltinCurve("spiral", 3).jet(np.zeros(1), 1)
+        BuiltinCurve("spiral", 3).jet(np.zeros(1), 1)
 
 
 def test_custom_poly_against_hand_values():
@@ -860,7 +884,7 @@ def test_custom_poly_against_hand_values():
 def test_field_derivative_polynomial():
     x = np.linspace(0.0, 2.0, 400)
     y = x ** 3 - x
-    d = fs.field_derivative(x, y)
+    d = field_derivative(x, y)
     assert np.abs(d - (3 * x ** 2 - 1)).max() < 1e-7
 
 
@@ -876,9 +900,9 @@ def test_field_derivative_columns_are_their_own_calls(selfsim9_frenet):
     # does not give
     x, y = _radii(selfsim9_frenet)
     assert len(set(_field_strides(x, y.T[None]))) >= 3
-    d = fs.field_derivative(x, y)
+    d = field_derivative(x, y)
     for c, col in enumerate(y.T):
-        assert np.array_equal(d[:, c], fs.field_derivative(x, col))
+        assert np.array_equal(d[:, c], field_derivative(x, col))
     stride = _field_strides(x, y.T[:, None])[0]
     joint = curves._strided_spline(x, y, stride, 5)(x, 1)
     assert not np.array_equal(d, joint)

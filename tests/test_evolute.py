@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,15 +66,25 @@ def test_planar_circle_evolute(planar_circle_frenet):
 
 
 def test_planar_initial_phase_rejected(planar_circle_frenet):
-    with pytest.raises(E.PlanarCurve):
-        fs.evolute_e3(planar_circle_frenet, phi0=0.0)
+    # zero torsion freezes the phase at phi0, so a phi0 within SIN_FLOOR
+    # of a multiple of pi puts the cotangent's pole on every sample
+    for phi0 in (0.0, math.pi, 1e-7, -2 * math.pi):
+        with pytest.raises(E.CotSingularity, match="reaches or crosses a "
+                           "multiple of pi at sample 0, s = 0;"):
+            fs.evolute_e3(planar_circle_frenet, phi0=phi0)
+    assert np.isfinite(fs.evolute_e3(planar_circle_frenet, phi0=1e-5).m2).all()
 
 
 def test_phase_pole_rejected(helix_frenet):
     # the accumulated torsion integral of the long helix sweeps the
-    # phase through pi where the cotangent blows up
-    with pytest.raises(E.CotSingularity):
+    # phase through pi where the cotangent blows up; the first sample
+    # past the pole is named
+    with pytest.raises(E.CotSingularity, match="reaches or crosses") as info:
         fs.evolute_e3(helix_frenet)
+    q = int(re.search(r"at sample (\d+), s = ", str(info.value))[1])
+    phi = math.pi / 2 + helix_frenet.kappas[0, 1] * (
+        helix_frenet.s - helix_frenet.s[TRIM])
+    assert phi[q - 1] < math.pi <= phi[q]
 
 
 def test_dimension_guard(circle_frenet):

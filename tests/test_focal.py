@@ -3,7 +3,7 @@ import pytest
 
 import frenetsim as fs
 from frenetsim import errors as E
-from frenetsim.curves import TRIM
+from frenetsim.curves import TRIM, FrenetData
 
 
 def test_circle_focal_center(circle_frenet):
@@ -47,8 +47,8 @@ def test_vanishing_pivot_rejected(helix_frenet):
     s = np.linspace(0.0, 2.0 * np.pi, 401)
     kappas = np.column_stack([2.0 + np.cos(s), np.ones_like(s),
                               np.full_like(s, 0.5)])
-    fr = fs.FrenetData(s, np.zeros((len(s), 4)),
-                       np.broadcast_to(np.eye(4), (len(s), 4, 4)), kappas)
+    fr = FrenetData(s, np.zeros((len(s), 4)),
+                    np.broadcast_to(np.eye(4), (len(s), 4, 4)), kappas)
     with pytest.raises(E.ZeroFocalPivot,
                        match="f_2 vanishes; cannot continue the recursion to f_3"):
         fs.focal_curvatures(fr)

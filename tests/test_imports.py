@@ -3,14 +3,17 @@
 The check walks the syntax tree of each file, so it needs no linter: a
 name bound by an import statement must appear as a name somewhere in
 the module. The package's __init__ is left out, since it imports names
-to re-export them.
+to re-export them; its own check is that it exports only what the
+command line, the scripts, the benchmark and the acceptance tests use.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(p for p in (ROOT / "src" / "frenetsim").glob("*.py")
+PACKAGE = ROOT / "src" / "frenetsim"
+MODULES = sorted(p for p in PACKAGE.glob("*.py")
                  if p.name != "__init__.py") + sorted((ROOT / "scripts").glob("*.py"))
 
 
@@ -101,3 +104,35 @@ def test_no_dead_definitions():
         {str(p.relative_to(ROOT)): ast.parse(p.read_text(encoding="utf-8"))
          for p in files})]
     assert dead == [], "\n".join(dead)
+
+
+# exported though nothing above reads them as fs.<name>: the version,
+# the exception module, and the reader of the signature JSON that
+# `analyze` writes
+EXPORT_EXEMPT = {"__version__", "errors", "signature_from_json"}
+
+
+def test_exports_are_what_the_commands_scripts_and_acceptance_use():
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = next(ast.literal_eval(node.value) for node in init.body
+                    if isinstance(node, ast.Assign)
+                    and node.targets[0].id == "__all__")
+    imported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(set(exported)) == len(exported)
+    # series is loaded only so that perfbench's tracer wraps it
+    assert set(exported) == imported - {"series"} | {"__version__"}
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    used = {alias.name for node in ast.walk(cli)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    readers = [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py",
+               ROOT / "tests" / "conftest.py", *(ROOT / "scripts").glob("*.py"),
+               *(ROOT / "perfbench").rglob("*.py")]
+    assert len(readers) > 8
+    read = {name for path in readers for name in
+            re.findall(r"\bfs\.(\w+)", path.read_text(encoding="utf-8"))}
+    assert sorted(set(exported) - used - read - EXPORT_EXEMPT) == []
+    # and every fs.<name> read is exported, apart from the modules
+    # (fs.curves, fs.series) that perfbench reaches through
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    assert sorted(read - set(exported) - modules) == []

@@ -4,7 +4,9 @@ import pytest
 import frenetsim as fs
 from frenetsim import curves
 from frenetsim import errors as E
-from frenetsim.curves import TRIM
+from frenetsim.curves import TRIM, FrenetData
+from frenetsim.indicatrix import SphericalCurve
+from frenetsim.transforms import SimilarityTransform
 
 
 def trimmed_span(fr):
@@ -54,8 +56,8 @@ def _spiky_frenet():
     # collapses, but Simpson's rule through the spikes steps sigma back
     n = 200
     kappa = np.where(np.arange(n) % 3 == 0, 1.0, 1e-3)[:, None]
-    return fs.FrenetData(np.linspace(0.0, 1.0, n), np.zeros((n, 2)),
-                         np.tile(np.eye(2), (n, 1, 1)), kappa)
+    return FrenetData(np.linspace(0.0, 1.0, n), np.zeros((n, 2)),
+                      np.tile(np.eye(2), (n, 1, 1)), kappa)
 
 
 _SIGMA = np.linspace(0.0, 1.0, 50)
@@ -65,20 +67,25 @@ _POLE = np.tile([1.0, 0.0, 0.0], (50, 1))
 @pytest.mark.parametrize("build, error, match", [
     (lambda: fs.shape_curvatures(_spiky_frenet(), 1), E.IndicatrixDegenerate,
      "sigma_1 stops increasing at sample 5"),
-    (lambda: fs.SphericalCurve(3, _SIGMA, _POLE[:, :2]), E.BadIndex,
+    (lambda: SphericalCurve(3, _SIGMA, _POLE[:, :2]), E.BadIndex,
      "per-sample vectors in E"),
-    (lambda: fs.SphericalCurve(3, _SIGMA[::-1], _POLE), E.DegenerateSpeed,
+    (lambda: SphericalCurve(3, _SIGMA[::-1], _POLE), E.DegenerateSpeed,
      "strictly increasing"),
-    (lambda: fs.SphericalCurve(3, _SIGMA, 2.0 * _POLE), E.DegenerateSpeed,
+    (lambda: SphericalCurve(3, _SIGMA, 2.0 * _POLE), E.DegenerateSpeed,
      "left the unit sphere"),
     # a curve resting at the pole has no Sabban frame
-    (lambda: fs.sabban_geodesic_curvature(fs.SphericalCurve(3, _SIGMA, _POLE)),
+    (lambda: fs.sabban_geodesic_curvature(SphericalCurve(3, _SIGMA, _POLE)),
      E.DegenerateSpeed, "speed collapses"),
     (lambda: fs.geodesic_closed_form(fs.ShapeSignature(
         2, 1, _SIGMA, np.zeros(50), np.ones((1, 50)))),
      E.NotThreeDimensional, "specific to E\\^3"),
+    # kappa_2 of a helix of pitch 1e-9 is about 1e-10, so the V_3 speed
+    # |kappa_2| collapses against kappa_1
+    (lambda: fs.shape_curvatures(fs.frenet_apparatus(fs.arclength_reparam(
+        fs.helix(3.0, 1e-9, t_span=(0.0, 4 * np.pi)), 2000)), 3),
+     E.IndicatrixDegenerate, "V_3-indicatrix speed collapses \\(min 1.11e-10 "),
 ], ids=["sigma_stall", "gamma_shape", "sigma_order", "off_sphere",
-        "sabban_at_rest", "closed_form_in_e2"])
+        "sabban_at_rest", "closed_form_in_e2", "v3_speed_collapse"])
 def test_spherical_refusals_name_their_cause(build, error, match):
     with pytest.raises(error, match=match):
         build()
@@ -107,9 +114,9 @@ def test_sigma_invariance_random(helix_curve):
 
 
 def test_sigma_invariance_identity_and_pure_scale(helix_curve):
-    ident = fs.SimilarityTransform(1.0, np.eye(3), np.zeros(3))
+    ident = SimilarityTransform(1.0, np.eye(3), np.zeros(3))
     assert fs.invariance_sweep(helix_curve, [ident])["sigma_invariance"][2] < 1e-12
-    scale5 = fs.SimilarityTransform(5.0, np.eye(3), np.zeros(3))
+    scale5 = SimilarityTransform(5.0, np.eye(3), np.zeros(3))
     assert fs.invariance_sweep(helix_curve, [scale5])["sigma_invariance"][2] < 1e-9
 
 
@@ -128,9 +135,10 @@ def test_indicatrix_refuses_cusp(coeffs, i):
         indicatrix(fr, i)
 
 
-def test_frame_equations_residual(helix_frenet, cubic_frenet):
-    assert fs.frenet_residual_supnorm(helix_frenet) < 1e-5
-    assert fs.frenet_residual_supnorm(cubic_frenet) < 1e-3
+def test_frame_equations_residual(helix_frenet, cubic_frenet,
+                                  frenet_residual_supnorm):
+    assert frenet_residual_supnorm(helix_frenet) < 1e-5
+    assert frenet_residual_supnorm(cubic_frenet) < 1e-3
 
 
 def test_great_circle_geodesic_curvature(planar_circle_frenet):

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 import frenetsim as fs
 from frenetsim import errors as E
-from frenetsim.curves import TRIM
+from frenetsim.curves import TRIM, structure_skew
 
 RT13 = math.sqrt(13.0)
 
@@ -160,16 +160,26 @@ def test_overflowing_spec_refused(kt, sigma_range):
             build(spec)
 
 
+@pytest.mark.parametrize("ktj", [(1.0, 0.5, 1e-7), (1.0, 1e-160, 1.0)],
+                         ids=["vanishing_frequency", "repeated_frequency"])
+def test_indistinct_frequencies_refused(ktj):
+    # nonzero kt_j give distinct nonzero frequencies in exact arithmetic;
+    # these two, in E^4, give one below 1e-6 of the other and two equal ones
+    spec = fs.SelfSimilarSpec(dimension=4, index=1, kt=0.0, ktj=ktj)
+    with pytest.raises(E.RepeatedEigenvalue, match="not distinct and nonzero"):
+        fs.solve_self_similar(spec)
+
+
 def test_structure_skew_layout():
-    K = fs.structure_skew((0.6, 0.8))
+    K = structure_skew((0.6, 0.8))
     want = np.array([[0.0, 0.6, 0.0], [-0.6, 0.0, 0.8], [0.0, -0.8, 0.0]])
     assert np.array_equal(K, want)
 
 
 def test_structure_skew_batched():
     ktj = np.random.default_rng(7).normal(size=(4, 3))
-    want = np.stack([fs.structure_skew(row) for row in ktj])
-    assert np.array_equal(fs.structure_skew(ktj), want)
+    want = np.stack([structure_skew(row) for row in ktj])
+    assert np.array_equal(structure_skew(ktj), want)
 
 
 def test_spec_validation():
@@ -249,7 +259,7 @@ def test_normal_form(spec):
     for p in range(m):
         w = sol.plane_spin[p] * sol.lambdas[p]
         J[2 * p, 2 * p + 1], J[2 * p + 1, 2 * p] = w, -w
-    assert np.abs(fs.structure_skew(spec.ktj) @ F - F @ J).max() < 1e-13
+    assert np.abs(structure_skew(spec.ktj) @ F - F @ J).max() < 1e-13
     for p in range(m):
         assert abs(F[0, 2 * p + 1]) < 1e-13
         assert sol.amps[p] > 0 and abs(F[0, 2 * p] - sol.amps[p]) < 1e-13
@@ -266,6 +276,6 @@ def test_oracle_matches_closed_form_pointwise(spec, sigma0):
     sol = fs.solve_self_similar(spec)
     synth = fs.synthesize_self_similar(spec).points
     orc = fs.frame_ode_oracle(spec).points
-    rot = expm(fs.structure_skew(spec.ktj) * sigma0) @ sol.frame0
+    rot = expm(structure_skew(spec.ktj) * sigma0) @ sol.frame0
     want = synth - synth[0]
     assert np.abs(orc @ rot - want).max() < 1e-12 * np.abs(want).max()

@@ -10,8 +10,9 @@ import frenetsim as fs
 from frenetsim import errors as E
 from frenetsim import signatures
 from frenetsim.cli import main
-from frenetsim.curves import TRIM
-from frenetsim.signatures import _ladder_signatures
+from frenetsim.curves import TRIM, field_derivative
+from frenetsim.signatures import _ladder_signatures, signature_distance
+from frenetsim.transforms import SimilarityTransform
 
 
 def test_helix_signature_constants(helix_frenet):
@@ -51,9 +52,9 @@ def test_kt_is_arclength_derivative_of_radius(helix_frenet, cubic_frenet,
         for i in range(1, fr.dimension + 1):
             q = np.hypot(k[sl, i - 1], k[sl, i])
             sig = fs.shape_curvatures(fr, i)
-            assert np.array_equal(sig.kt, fs.field_derivative(fr.s[sl], 1.0 / q))
+            assert np.array_equal(sig.kt, field_derivative(fr.s[sl], 1.0 / q))
             # the paper's form, differentiated along sigma_i instead
-            kt_sigma = q * fs.field_derivative(sig.sigma, 1.0 / q)
+            kt_sigma = q * field_derivative(sig.sigma, 1.0 / q)
             scale = max(1.0, np.abs(sig.kt).max())
             assert np.abs(sig.kt - kt_sigma).max() < 1e-4 * scale
 
@@ -174,8 +175,8 @@ def test_subarc_match_recovers_scale():
     # a similarity image of a sub-arc matches at a non-trivial sigma shift
     cubic = fs.custom_poly([[0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.9]],
                            t_span=(-1.0, 1.0))
-    T = fs.SimilarityTransform(1.0198, fs.random_similarity(3, (1.0, 2.0), 3).A,
-                               np.array([0.3, -1.2, 2.0]))
+    T = SimilarityTransform(1.0198, fs.random_similarity(3, (1.0, 2.0), 3).A,
+                            np.array([0.3, -1.2, 2.0]))
     ta, tb = np.linspace(-1.0, 1.0, 2000), np.linspace(-0.8, 0.9, 1700)
     a = fs.SampledCurve(3, ta, fs.builtin_evaluate(cubic, ta).points)
     b = fs.SampledCurve(3, tb, T(fs.builtin_evaluate(cubic, tb).points))
@@ -321,17 +322,17 @@ def test_signature_distance_incompatible(helix_frenet, selfsim4_frenet):
     a = fs.shape_curvatures(helix_frenet, 1)
     c = fs.shape_curvatures(selfsim4_frenet, 1)
     with pytest.raises(E.IncompatibleSignatures):
-        fs.signature_distance(a, c)
+        signature_distance(a, c)
     b = fs.shape_curvatures(helix_frenet, 2)
     with pytest.raises(E.IncompatibleSignatures):
-        fs.signature_distance(a, b)
+        signature_distance(a, b)
 
 
 def test_signature_distance_no_overlap(helix_frenet):
     a = fs.shape_curvatures(helix_frenet, 2)
-    assert fs.signature_distance(a, a, shift=1e6) == math.inf
+    assert signature_distance(a, a, shift=1e6) == math.inf
     # an overlap of 5% of the span is too short to score a distance
-    assert fs.signature_distance(a, a, shift=0.95 * a.span) == math.inf
+    assert signature_distance(a, a, shift=0.95 * a.span) == math.inf
 
 
 def test_signature_json_round_trip(cubic_frenet):
