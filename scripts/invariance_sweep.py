@@ -49,6 +49,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--csv", help="also write the table to this CSV path")
     args = ap.parse_args(argv)
+    if args.trials < 1:
+        # no trial would leave every deviation at zero
+        ap.error("--trials must be a positive integer")
 
     cur = fs.arclength_reparam(BASES[args.curve](), args.samples)
     n = cur.dimension

@@ -47,6 +47,7 @@ import logging
 import math
 import re
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -818,12 +819,14 @@ def field_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # block is written, or the texts of a column formatted before: a caller
 # that writes a column into several artifacts formats it once
 # (jsonio.float_texts) and hands each writer the same texts. A table is
-# read back by np.loadtxt. The csv module reads only the bodies loadtxt
-# refuses (quoted cells, digit separators, digits outside ASCII, malformed
-# rows), cell by cell with float(), so it alone words the BadParameters
-# messages.
+# read back from the file's bytes, decoded a block at a time as they are
+# read, so no copy of the whole text is made: the csv module reads the
+# header, and one np.loadtxt pass, with '"' as its quote character, the
+# body. The csv module re-reads only the bodies loadtxt refuses (digit
+# separators, digits outside ASCII, malformed rows) and those with a
+# quoted cell that may pass its field limit, cell by cell with float(),
+# so it alone words the BadParameters messages.
 
-_NON_BLANK = re.compile(r"\S")
 # rows per %-format and write: the texts of one block are all that is
 # held at a time beside the columns themselves
 _ROW_BLOCK = 4096
@@ -871,32 +874,55 @@ def curve_to_csv(curve: SampledCurve, path) -> None:
                  [curve.t, curve.points])
 
 
-def _read_text(path) -> str:
-    """Text of a UTF-8 input file, without a leading byte-order mark.
+def _read_utf8(path) -> bytes:
+    """Bytes of a UTF-8 input file, a leading byte-order mark included.
 
     BadParameters names a file that is not UTF-8, with the byte offset of
     the first invalid byte counted from the start of the file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        return data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise BadParameters(f"{path}: not UTF-8 text ({exc.reason} "
-                            f"at byte {exc.start})") from None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BadParameters(f"{path}: not UTF-8 text ({exc.reason} "
+                                f"at byte {exc.start})") from None
+    return data
+
+
+def _read_text(path) -> str:
+    """Text of a UTF-8 input file, without a leading byte-order mark."""
+    return _read_utf8(path).decode("utf-8-sig")
+
+
+def _csv_lines(data: bytes):
+    """The lines of a CSV file's bytes, decoded as they are read.
+
+    A leading byte-order mark is dropped. Lines end at CR, LF or CRLF and
+    keep their endings, as io.StringIO(newline="") splits them.
+    """
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig",
+                            newline="")
 
 
 def curve_from_csv(path) -> SampledCurve:
     """Read a `t,x1,...,xn` CSV; dimension inferred from the header.
 
-    The body goes to np.loadtxt first and is kept when every row holds
-    n + 1 numbers. Otherwise the csv module re-reads it, and each cell is
-    float() of its csv field; blank lines are skipped either way. Text the
-    csv module cannot split, a non-number and a ragged row: BadParameters.
+    The csv module reads the header. The body goes to one np.loadtxt pass
+    over the lines that follow it, with '"' as the quote character, and is
+    kept when every row holds n + 1 numbers. Otherwise the csv module
+    re-reads it, and each cell is float() of its csv field; blank lines
+    are skipped either way. Text the csv module cannot split, a non-number
+    and a ragged row: BadParameters. A file that holds a '"' anywhere and
+    a run of more non-comma bytes than the csv module's field limit goes
+    to the csv module alone, which refuses the run as too long a field; in
+    a file without a '"', an unquoted number cell that long is still read
+    by loadtxt and accepted.
     """
-    text = _read_text(path)
-    stream = io.StringIO(text, newline="")
-    rows = csv.reader(stream)
+    data = _read_utf8(path)
+    lines = _csv_lines(data)
+    rows = csv.reader(lines)
     try:
         header = next(rows, None)
     except csv.Error as exc:
@@ -911,16 +937,25 @@ def curve_from_csv(path) -> SampledCurve:
             f"{path}: header must be t,x1,...,xn with n >= 2, got {header!r}"
         )
     dim = len(header) - 1
-    body = stream.tell()
-    data = None
-    # loadtxt warns on a body without a row and reads nothing from it
-    if _NON_BLANK.search(text, body):
+    table = None
+    # loadtxt takes a quoted cell of any length, the csv module none
+    # longer than its field limit: a file that may hold one is left to
+    # the csv module
+    if b'"' not in data or not re.search(
+            b",[^,]{%d}" % (csv.field_size_limit() + 1), data):
+        # the csv module has taken the header's lines from `lines` and no
+        # more, so loadtxt starts at the body
         try:
-            data = np.loadtxt(stream, delimiter=",", comments=None, ndmin=2)
+            # loadtxt warns on a body without a row and reads nothing from it
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(lines, delimiter=",", comments=None,
+                                   quotechar='"', ndmin=2)
         except ValueError:
             pass
-    if data is None or data.shape[1] != dim + 1:
-        stream.seek(body)
+    if table is None or table.shape[1] != dim + 1:
+        rows = csv.reader(_csv_lines(data))
+        next(rows)
         try:
             cells = [[float(c) for c in row] for row in rows if row]
         except ValueError as exc:
@@ -931,5 +966,5 @@ def curve_from_csv(path) -> SampledCurve:
             raise BadParameters(f"{path}: no data rows")
         if any(len(row) != dim + 1 for row in cells):
             raise BadParameters(f"{path}: ragged rows")
-        data = np.array(cells)
-    return SampledCurve(dim, data[:, 0], data[:, 1:])
+        table = np.array(cells)
+    return SampledCurve(dim, table[:, 0], table[:, 1:])

@@ -102,17 +102,30 @@ def test_analyze_non_utf8_csv(tmp_path, capsys):
 
 
 def test_utf8_bom_accepted(data_dir, tmp_path, capsys):
-    # spreadsheet programs export text with a UTF-8 byte-order mark
+    # spreadsheet programs export text with a UTF-8 byte-order mark, CRLF
+    # or lone-CR line ends, or every cell quoted
     bom = b"\xef\xbb\xbf"
-    bom_csv = tmp_path / "bom.csv"
-    bom_csv.write_bytes(bom + (data_dir / "helix.csv").read_bytes())
-    for name, path in (("plain", data_dir / "helix.csv"), ("bom", bom_csv)):
+    plain = (data_dir / "helix.csv").read_bytes()
+    lines = plain.split(b"\n")
+    variants = {
+        "bom": bom + plain,
+        "crlf": plain.replace(b"\n", b"\r\n"),
+        "cr": plain.replace(b"\n", b"\r"),
+        "quoted": b"\n".join(b",".join(b'"%s"' % c for c in line.split(b","))
+                             if line else line for line in lines),
+    }
+    for name, body in variants.items():
+        (tmp_path / f"{name}.csv").write_bytes(body)
+    inputs = [("plain", data_dir / "helix.csv")] + [
+        (name, tmp_path / f"{name}.csv") for name in variants]
+    for name, path in inputs:
         rc, _ = run(capsys, "analyze", "--input", str(path), "--index", "2",
                     "--samples", "800", "--output", str(tmp_path / name))
         assert rc == 0
-    for suffix in ("signature.json", "samples.csv", "indicatrix.csv"):
-        assert (tmp_path / f"bom.{suffix}").read_bytes() \
-            == (tmp_path / f"plain.{suffix}").read_bytes()
+    for name in variants:
+        for suffix in ("signature.json", "samples.csv", "indicatrix.csv"):
+            assert (tmp_path / f"{name}.{suffix}").read_bytes() \
+                == (tmp_path / f"plain.{suffix}").read_bytes()
     bom_spec = tmp_path / "spec3.json"
     bom_spec.write_bytes(bom + (data_dir / "spec3.json").read_bytes())
     outs = []

@@ -3,6 +3,7 @@ import io
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -638,6 +639,10 @@ MALFORMED_CSV = [
      "malformed CSV (field larger than field limit (131072))"),
     ('"' + "t" * 200000 + '",x1,x2\n0,1,2\n',
      "malformed CSV (field larger than field limit (131072))"),
+    # a '"' anywhere in the file sends an over-long unquoted cell to the
+    # csv module too
+    ('"t","x1","x2"\n0.' + "0" * 200000 + "1,1,2\n1,2,3\n",
+     "malformed CSV (field larger than field limit (131072))"),
     ("t,x1,x2\n", "no data rows"),
     ("t,x1,x2\r\n\r\n\n", "no data rows"),
 ]
@@ -685,6 +690,75 @@ def test_csv_parses_like_csv_module(tmp_path, body):
     assert cur.dimension == data.shape[1] - 1
     assert cur.t.tobytes() == data[:, 0].tobytes()
     assert cur.points.tobytes() == np.ascontiguousarray(data[:, 1:]).tobytes()
+
+
+@pytest.fixture(scope="module")
+def long_body():
+    """A t,x1,x2,x3 CSV text of 20000 LF-ended rows, 17 digits a cell.
+
+    Every other row has a minus sign more, so each two rows hold an odd
+    count of bytes with any line end: the ends of the 10000 row pairs
+    fall on every residue modulo 8192, and some CR ends, or some CRLF
+    straddles, the end of a block of a read in blocks of a power of two
+    up to 8192 bytes.
+    """
+    rows = 20000
+    cells = 1.0 + np.random.default_rng(7).random((rows, 4))
+    cells[:, 0] = 1.0 + np.arange(rows) / rows
+    cells[1::2, 1] *= -1.0
+    return "t,x1,x2,x3\n" + "".join(
+        ",".join("%.17e" % v for v in row) + "\n" for row in cells.tolist())
+
+
+LONG_BODY_VARIANTS = {
+    "lf": lambda s: s,
+    "crlf": lambda s: s.replace("\n", "\r\n"),
+    "lone-cr": lambda s: s.replace("\n", "\r"),
+    "bom": lambda s: "\ufeff" + s,
+    "quoted": lambda s: re.sub(r"[^,\n]+", r'"\g<0>"', s),
+}
+
+
+@pytest.mark.parametrize("variant", LONG_BODY_VARIANTS)
+def test_csv_long_body_parses_like_csv_module(tmp_path, long_body, variant):
+    # the file is read in blocks: a line, a CRLF or a quoted cell split
+    # between two blocks is read as the csv module reads it whole
+    text = LONG_BODY_VARIANTS[variant](long_body)
+    raw = text.encode()
+    block = io.DEFAULT_BUFFER_SIZE
+    if variant == "crlf":
+        assert any(raw[k - 1:k + 1] == b"\r\n"
+                   for k in range(block, len(raw), block))
+    p = tmp_path / "c.csv"
+    p.write_bytes(raw)
+    data = _csv_module_rows(text)
+    cur = fs.curve_from_csv(p)
+    assert cur.dimension == 3 and len(cur.t) == 20000
+    assert cur.t.tobytes() == data[:, 0].tobytes()
+    assert cur.points.tobytes() == np.ascontiguousarray(data[:, 1:]).tobytes()
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_csv_read_memory_bound(tmp_path, quoted):
+    # the reader holds the file's bytes and the table, and decodes the
+    # text as loadtxt reads it: no copy of the whole text (io.StringIO
+    # holds four bytes a character) exists, and quoted cells go through
+    # loadtxt too, not into lists of floats
+    rng = np.random.default_rng(3)
+    t = np.arange(20000) / 20000
+    p = tmp_path / "c.csv"
+    fs.curve_to_csv(fs.SampledCurve(4, t, rng.normal(size=(20000, 4))), p)
+    if quoted:
+        p.write_bytes(re.sub(rb"[^,\n]+", rb'"\g<0>"', p.read_bytes()))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fs.curve_from_csv(p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * p.stat().st_size
 
 
 def test_too_few_samples(tmp_path):

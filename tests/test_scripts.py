@@ -3,6 +3,7 @@
 import importlib.util
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -52,3 +53,26 @@ def test_selfsimilar_gallery_oracle(capsys):
     assert rc == 0
     devs = deviations(capsys.readouterr().out)
     assert len(devs) == 3 * 12 + 1 and max(devs) < 1e-3
+
+
+def test_selfsimilar_gallery_oracle_mismatch(monkeypatch, capsys):
+    # a curve that misses its oracle fails the run, also under python -O
+    gallery = load("selfsimilar_gallery")
+    monkeypatch.setattr(gallery.fs, "similarity_test",
+                        lambda *a, **k: SimpleNamespace(is_similar=False,
+                                                        distance=0.5))
+    assert gallery.main(["--samples", "300", "--oracle"]) == 1
+    err = capsys.readouterr().err
+    assert err == "oracle mismatch: n=2 i=1 kt=-0.2 ktj=(1.0,) " \
+                  "(distance 5.000e-01)\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_invariance_sweep_refuses_no_trials(trials, capsys):
+    # no trial would print a table of zero deviations
+    with pytest.raises(SystemExit) as info:
+        load("invariance_sweep").main(["--trials", trials])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials must be a positive integer" in captured.err
