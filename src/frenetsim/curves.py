@@ -28,18 +28,17 @@ so that no launch imports scipy's integrate package.
 
 A SampledCurve carries its source, or gets a spline fitted to its
 samples, so no finite differencing of positions ever happens. One rule,
-_auto_stride, sets the knot stride of every strided spline: the position
-fit reads it off the sample polyline, and the fits of computed fields
-(field_derivative, the Sabban fit of an indicatrix) off their graphs
-through _field_strides. Frame and curvatures do not depend on the
-parameter: the QR of the parameter derivatives [d^j a/dt^j] gives the
-Frenet frame in any regular parameter, and the pivots give kappa_j =
-R_{j+1,j+1}/(R_jj R_11), the last one signed by the projection of the
-n-th derivative on V_n. The QR of all samples is one Householder sweep
-(_householder_qr) that runs once per column, vectorized over the sample
-axis; since every reflection has determinant -1, the count of
-reflections it applies at a sample gives the orientation of that
-sample's Q.
+_knot_sites, places the knots of every spline: the position fit reads
+them off the sample polyline, and field_fits, which fits computed fields
+(field_derivative, the Sabban fit of an indicatrix), off their graphs.
+Frame and curvatures do not depend on the parameter: the QR of the
+parameter derivatives [d^j a/dt^j] gives the Frenet frame in any regular
+parameter, and the pivots give kappa_j = R_{j+1,j+1}/(R_jj R_11), the
+last one signed by the projection of the n-th derivative on V_n. The QR
+of all samples is one Householder sweep (_householder_qr) that runs once
+per column, vectorized over the sample axis; since every reflection has
+determinant -1, the count of reflections it applies at a sample gives
+the orientation of that sample's Q.
 """
 
 from __future__ import annotations
@@ -72,9 +71,10 @@ log = logging.getLogger("frenetsim.curves")
 TRIM = 2
 # QR pivot threshold on |R_jj| / |D_j| and on kappa_{j-1} times arc length
 PIVOT_REL = 1e-8
-# relative data noise assumed by the knot-stride rule
+# relative data noise assumed by the knot-site rule
 POSITION_NOISE = 1e-16
 FIELD_NOISE = 1e-9
+FIELD_DEGREE = 5  # the spline degree of the fits of computed fields
 # knot spacing constant (calibrated on self-similar round trips)
 STRIDE_C = 1.5
 # largest admissible sample count, the last integer a float64 holds
@@ -283,20 +283,20 @@ def builtin_evaluate(curve: BuiltinCurve, t_values) -> SampledCurve:
 
 
 # ---------------------------------------------------------------------------
-# strided splines
+# knot sites
 
 
-def _auto_stride(coords, k: int, noise: float):
-    """Knot stride balancing spline truncation against roundoff blowup.
+def _knot_sites(graph, k: int, noise: float) -> np.ndarray:
+    """Knot sites balancing spline truncation against roundoff blowup.
 
-    coords is a sequence of coordinate arrays with the samples on the
-    last axis; they may broadcast to a stack of polylines, and then one
-    stride per polyline comes back. Target knot spacing ~ rho *
-    noise^(1/(k+1)) where rho is the polyline's length per radian of
-    turning, a cheap feature-scale estimate. Fully straight data gets the
-    widest admissible stride.
+    graph is a sequence of coordinate arrays with the samples on the last
+    axis; they may broadcast to a stack of polylines, and then one
+    boolean mask over the samples per polyline comes back: every
+    stride-th sample and the last. The stride targets a spacing ~ rho *
+    noise^(1/(k+1)), rho the polyline's length per radian of turning, a
+    cheap feature-scale estimate, clipped to [1, chords // (3(k + 1))].
     """
-    ch = [np.diff(c, axis=-1) for c in coords]
+    ch = [np.diff(c, axis=-1) for c in graph]
     cl = np.sqrt(sum(c * c for c in ch))
     unit = [c / np.maximum(cl, 1e-300) for c in ch]
     cosang = sum(c[..., :-1] * c[..., 1:] for c in unit)
@@ -304,30 +304,15 @@ def _auto_stride(coords, k: int, noise: float):
     rho = cl.sum(axis=-1) / np.maximum(turning, 1e-12)
     target = STRIDE_C * rho * noise ** (1.0 / (k + 1))
     stride = np.rint(target / np.maximum(np.median(cl, axis=-1), 1e-300))
-    return np.clip(stride, 1, max(1, cl.shape[-1] // (3 * (k + 1)))).astype(int)
-
-
-def _strided_spline(x: np.ndarray, y: np.ndarray, stride: int, k: int):
-    """Interpolating spline of y(x) through every stride-th sample and the last.
-
-    The stride comes from _auto_stride; the degree is k, lowered to an
-    odd number below the knot count.
-    """
-    idx = np.arange(0, len(x), stride)
-    if idx[-1] != len(x) - 1:
-        idx = np.append(idx, len(x) - 1)
-    k = min(k, len(idx) - 1)
-    if k % 2 == 0:
-        k -= 1
-    if k < 1:
-        raise TooFewSamples(f"{len(x)} samples are too few to fit a spline")
-    log.debug("spline fit: degree %d, stride %d, %d knots", k, stride, len(idx))
-    return make_interp_spline(x[idx], y[idx], k=k)
+    stride = np.clip(stride, 1, max(1, cl.shape[-1] // (3 * (k + 1)))).astype(int)
+    sites = np.arange(cl.shape[-1] + 1) % stride[..., None] == 0
+    sites[..., -1] = True
+    return sites
 
 
 @dataclass(frozen=True)
 class _SplineSource:
-    """Strided B-spline interpolant of raw samples, exposing its derivatives."""
+    """B-spline interpolant of raw samples, exposing its derivatives."""
 
     spline: object
 
@@ -359,11 +344,15 @@ def _fit_spline_source(curve: SampledCurve) -> _SplineSource:
     k = n + 4
     if k % 2 == 0:
         k += 1
-    # the stride rule squares chords: on the polyline scaled by a power of
-    # two they stay in float64, and the stride is that of the unscaled one
+    # the site rule squares chords: on the polyline scaled by a power of
+    # two they stay in float64, and the sites are those of the unscaled one
     big = np.frexp(np.abs(curve.points).max())[1]
-    stride = _auto_stride(np.ldexp(curve.points.T, -big), k, POSITION_NOISE)
-    return _SplineSource(_strided_spline(curve.t, curve.points, stride, k))
+    sites = _knot_sites(np.ldexp(curve.points.T, -big), k, POSITION_NOISE)
+    # k stays: the sites are all >= 2(n + 2) > k samples, or >= 3(k + 1)
+    gaps = np.diff(np.flatnonzero(sites))
+    log.debug("spline fit: degree %d, %d knots of %d samples, gaps %d to %d",
+              k, len(gaps) + 1, len(sites), gaps.min(), gaps.max())
+    return _SplineSource(make_interp_spline(curve.t[sites], curve.points[sites], k=k))
 
 
 def _engine(curve: SampledCurve) -> object:
@@ -832,35 +821,47 @@ def structure_skew(ktj) -> np.ndarray:
 # derived-field differentiation
 
 
-def _field_strides(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Knot strides of m graphs of d coordinates each, y of shape (d, m, N).
+def field_fits(x: np.ndarray, y: np.ndarray) -> list:
+    """Interpolating splines of m graphs of d coordinates each, y (N, m, d).
 
-    Graph g is the polyline [x / range, y[:, g] / max|y[:, g]|]; its
-    stride is _auto_stride of it at degree 5 and the field noise floor.
+    Graph g is the polyline [x / range, y[:, g] / max|y[:, g]|], with the
+    knot sites of _knot_sites at FIELD_DEGREE and the field noise floor.
+    The graphs on equal sites share one fit, of degree FIELD_DEGREE lowered
+    to an odd number below the site count, which gives each graph the
+    values of a fit of it alone. Returns [(graphs, spline)], graphs a
+    boolean mask over m and spline the fit of y[:, graphs].
     """
+    if len(x) < 2:
+        raise TooFewSamples(f"{len(x)} samples are too few to fit a spline")
     u = np.asarray(x) / max(x[-1] - x[0], 1e-300)
-    y = np.ascontiguousarray(y)  # the chords' median runs along the samples
-    scale = np.maximum(np.abs(y).max(axis=(0, 2)), 1e-300)[:, None]
-    return _auto_stride([u, *(c / scale for c in y)], 5, FIELD_NOISE)
+    # (d, m, N): the chords' median runs along the samples
+    coords = np.ascontiguousarray(np.transpose(y, (2, 1, 0)))
+    scale = np.maximum(np.abs(coords).max(axis=(0, 2)), 1e-300)[:, None]
+    sites = _knot_sites([u, *(c / scale for c in coords)], FIELD_DEGREE, FIELD_NOISE)
+    fits = []
+    for row in {r.tobytes(): r for r in sites}.values():  # each distinct row
+        k = min(FIELD_DEGREE, (np.count_nonzero(row) - 2) | 1)
+        gaps = np.diff(np.flatnonzero(row))
+        log.debug("spline fit: degree %d, %d knots of %d samples, gaps %d to %d",
+                  k, len(gaps) + 1, len(row), gaps.min(), gaps.max())
+        graphs = (sites == row).all(axis=1)
+        fits.append((graphs, make_interp_spline(x[row], y[row][:, graphs], k=k)))
+    return fits
 
 
 def field_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """First derivative of a sampled smooth field y(x) at the sample points.
 
-    Same strided-knot strategy as the position spline, with a quintic
-    and a noise floor matched to fields we computed ourselves (~1e-9
-    relative). y is 1-d, read as one column, or (N, m). Every column
-    gets the stride of its own graph (_field_strides), so its derivative
-    is bit-identical to that of a 1-d call on it; the columns that share
-    a stride share one fit.
+    y is 1-d, read as one column, or (N, m). Each column is a graph of its
+    own in field_fits, a quintic fit with a noise floor matched to fields
+    we computed ourselves (~1e-9 relative), so its derivative is
+    bit-identical to that of a 1-d call on it.
     """
     y = np.asarray(y, dtype=float)
-    cols = y.reshape(len(x), -1)
-    strides = _field_strides(x, cols.T[None])
+    cols = y.reshape(len(x), -1, 1)
     out = np.empty_like(cols)
-    for stride in np.unique(strides):
-        group = strides == stride
-        out[:, group] = _strided_spline(x, cols[:, group], stride, 5)(x, 1)
+    for graphs, fit in field_fits(x, cols):
+        out[:, graphs] = fit(x, 1)
     return out.reshape(y.shape)
 
 

@@ -21,10 +21,9 @@ import numpy as np
 from .curves import (
     TRIM,
     FrenetData,
-    _field_strides,
-    _strided_spline,
     _write_table,
     field_derivative,
+    field_fits,
 )
 from .errors import (
     BadIndex,
@@ -93,10 +92,10 @@ class SabbanData:
 def sabban_geodesic_curvature(sc: SphericalCurve) -> SabbanData:
     """Numeric geodesic curvature of a spherical curve in E^3.
 
-    Fits gamma(sigma) once by the quintic strided spline of
-    field_derivative, at one stride for all three coordinates read from
-    the joint graph [sigma / range, gamma / max|gamma|] (_field_strides
-    of gamma as one graph), differentiates that fit twice and evaluates
+    Fits gamma(sigma) once by field_fits, the fit of field_derivative, as
+    one graph of three coordinates, so that the knot sites are those of
+    the joint graph [sigma / range, gamma / max|gamma|]; differentiates
+    that fit twice and evaluates
     kappa_g = det(gamma, gamma', gamma'') / |gamma'|^3, which equals
     the Sabban-frame geodesic curvature when sigma is arc length.
     """
@@ -104,9 +103,8 @@ def sabban_geodesic_curvature(sc: SphericalCurve) -> SabbanData:
         raise NotThreeDimensional(
             f"Sabban frame is defined in E^3, curve lives in E^{sc.dimension}"
         )
-    stride = _field_strides(sc.sigma, sc.gamma.T[:, None])[0]
-    fit = _strided_spline(sc.sigma, sc.gamma, stride, 5)
-    d1, d2 = fit(sc.sigma, 1), fit(sc.sigma, 2)
+    [(_, fit)] = field_fits(sc.sigma, sc.gamma[:, None])
+    d1, d2 = fit(sc.sigma, 1)[:, 0], fit(sc.sigma, 2)[:, 0]
     speed = np.linalg.norm(d1, axis=1)
     if speed.min() <= 1e-8 * max(speed.max(), 1e-300):
         raise DegenerateSpeed("spherical curve speed collapses")

@@ -142,9 +142,9 @@ def _ladder_signatures(kappas: np.ndarray, s: np.ndarray, indices,
     index is left out instead, and the last refusal is raised only when
     every index is refused. Every index keeps the same samples s[sl], so
     kt = d(1/Q_i)/ds of all the kept indices is one field_derivative of
-    the matrix whose columns are 1/Q_i; each column gets its own stride
-    there, so its kt does not depend on which other indices are asked
-    for. Returns {i: ShapeSignature}, in the order of indices.
+    the matrix whose columns are 1/Q_i; each column gets its own knot
+    sites there, so its kt does not depend on which other indices are
+    asked for. Returns {i: ShapeSignature}, in the order of indices.
     """
     ladder = np.pad(kappas.T, ((1, 1), (0, 0)))
     n = len(ladder) - 1

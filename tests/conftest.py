@@ -92,8 +92,9 @@ def selfsim4_frenet(selfsim4_spec):
 
 @pytest.fixture(scope="session")
 def selfsim9_curve():
-    # kappa_8 sits near zero, so the columns 1/Q_i choose strides from 1
-    # to 110 and the V_9-indicatrix is refused (kappa_8 changes sign)
+    # kappa_8 sits near zero, so the columns 1/Q_i get knot sites at
+    # strides from 1 to 110 and the V_9-indicatrix is refused (kappa_8
+    # changes sign)
     th = 0.95
     spec = fs.SelfSimilarSpec(dimension=9, index=2, kt=-0.025,
                               ktj=(math.cos(th), math.sin(th), -0.7, -1.1,

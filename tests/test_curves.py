@@ -14,13 +14,16 @@ import frenetsim as fs
 from frenetsim import errors as E
 from frenetsim import cli, curves
 from frenetsim.curves import (
+    FIELD_NOISE,
+    POSITION_NOISE,
     TRIM,
     AffineImage,
     BuiltinCurve,
     FrenetData,
     _engine,
-    _field_strides,
+    _knot_sites,
     field_derivative,
+    field_fits,
     min_samples,
     parameter_speeds,
 )
@@ -795,9 +798,10 @@ def test_too_few_samples(tmp_path):
     # raw samples are refused before a spline is fitted through them
     with pytest.raises(E.TooFewSamples, match="got 9"):
         fs.arclength_reparam(cur, 2000)
-    # a fit needs two samples
+    # a field fit needs two samples, and two give a line
     with pytest.raises(E.TooFewSamples, match="1 samples are too few"):
-        curves._strided_spline(t[:1], pts[:1], 1, 5)
+        field_derivative(t[:1], pts[:1, 2])
+    assert np.array_equal(field_derivative(t[:2], pts[:2, 2]), [1.0, 1.0])
     path = tmp_path / "short.csv"
     fs.curve_to_csv(fs.SampledCurve(3, t[:4], pts[:4]), path)
     assert cli.main(["analyze", "--input", str(path),
@@ -994,27 +998,28 @@ def _radii(fr):
 
 
 def test_field_derivative_columns_are_their_own_calls(selfsim9_frenet):
-    # the radii 1/Q_i of an E^9 ladder choose several strides: each
-    # column must come out as its own 1-d call, which one shared stride
-    # does not give
+    # the radii 1/Q_i of an E^9 ladder choose several knot sites: each
+    # column must come out as its own 1-d call, which one fit of all the
+    # columns on the sites of their joint graph does not give
     x, y = _radii(selfsim9_frenet)
-    assert len(set(_field_strides(x, y.T[None]))) >= 3
+    assert len(field_fits(x, y[:, :, None])) >= 3
     d = field_derivative(x, y)
     for c, col in enumerate(y.T):
         assert np.array_equal(d[:, c], field_derivative(x, col))
-    stride = _field_strides(x, y.T[:, None])[0]
-    joint = curves._strided_spline(x, y, stride, 5)(x, 1)
-    assert not np.array_equal(d, joint)
+    [(_, joint)] = field_fits(x, y[:, None])
+    assert not np.array_equal(d, joint(x, 1)[:, 0])
 
 
 def test_a_stack_of_graphs_gets_each_graphs_own_stride(selfsim9_frenet):
-    # a stack of graphs gets each graph's own stride: field_derivative
-    # picks the strides of all its columns in one _field_strides call
-    def own(x, y):
-        return [_field_strides(x, c[None, None])[0] for c in y.T]
+    # a stack of graphs gets each graph's own knot sites: field_fits
+    # picks the sites of all its graphs in one _knot_sites call
+    def check(x, y):
+        for graphs, fit in field_fits(x, y[:, :, None]):
+            for c in np.flatnonzero(graphs):
+                [(_, own)] = field_fits(x, y[:, c, None, None])
+                assert np.array_equal(own.t, fit.t)
 
-    x, y = _radii(selfsim9_frenet)
-    assert list(_field_strides(x, y.T[None])) == own(x, y)
+    check(*_radii(selfsim9_frenet))
     rng = np.random.default_rng(5)
     for trial in range(60):
         N, m = int(rng.integers(20, 2500)), int(rng.integers(1, 6))
@@ -1022,7 +1027,113 @@ def test_a_stack_of_graphs_gets_each_graphs_own_stride(selfsim9_frenet):
         y = (rng.standard_normal((N, m)).cumsum(axis=0) if trial % 2 else
              np.sin(np.outer(x / x[-1], rng.uniform(0.1, 30.0, m)))
              * rng.uniform(1e-3, 1e3, m))
-        assert list(_field_strides(x, y.T[None])) == own(x, y)
+        check(x, y)
+
+
+def _reference_stride(coords, k, noise):
+    """Knot stride of the site rule, one per polyline, kept as a reference.
+
+    The rule's own form before it returned sites: target knot spacing
+    ~ rho * noise^(1/(k+1)), rho the polyline's length per radian of
+    turning, clipped to [1, chords // (3(k + 1))].
+    """
+    ch = [np.diff(c, axis=-1) for c in coords]
+    cl = np.sqrt(sum(c * c for c in ch))
+    unit = [c / np.maximum(cl, 1e-300) for c in ch]
+    cosang = sum(c[..., :-1] * c[..., 1:] for c in unit)
+    turning = np.arccos(np.clip(cosang, -1.0, 1.0)).sum(axis=-1)
+    rho = cl.sum(axis=-1) / np.maximum(turning, 1e-12)
+    target = curves.STRIDE_C * rho * noise ** (1.0 / (k + 1))
+    stride = np.rint(target / np.maximum(np.median(cl, axis=-1), 1e-300))
+    return np.clip(stride, 1, max(1, cl.shape[-1] // (3 * (k + 1)))).astype(int)
+
+
+def _reference_sites(coords, k, noise):
+    """Every stride-th sample and the last, as a mask per polyline."""
+    stride = _reference_stride(coords, k, noise)
+    n = np.broadcast_shapes(*(np.shape(c) for c in coords))[-1]
+    rows = []
+    for st in stride.ravel():
+        idx = np.arange(0, n, st)
+        if idx[-1] != n - 1:
+            idx = np.append(idx, n - 1)
+        rows.append(np.isin(np.arange(n), idx))
+    return np.reshape(rows, stride.shape + (n,))
+
+
+def _reference_field_graph(x, y):
+    """The graphs [x / range, y[:, g] / max|y[:, g]|] of y (N, m, d)."""
+    y = np.ascontiguousarray(np.transpose(y, (2, 1, 0)))
+    scale = np.maximum(np.abs(y).max(axis=(0, 2)), 1e-300)[:, None]
+    return [np.asarray(x) / max(x[-1] - x[0], 1e-300), *(c / scale for c in y)]
+
+
+def test_knot_sites_are_the_stride_rule(selfsim9_frenet, cubic_frenet,
+                                        monkeypatch):
+    # random walks and sines, alone or in stacks of up to 6 graphs
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        N, m, d = (int(rng.integers(20, 2501)), int(rng.integers(1, 7)),
+                   int(rng.integers(1, 4)))
+        x = np.sort(rng.uniform(0.0, rng.uniform(0.1, 100.0), N))
+        y = (rng.standard_normal((d, m, N)).cumsum(axis=-1) if trial % 2 else
+             np.sin(x / x[-1] * rng.uniform(0.1, 30.0, (d, m, 1)))
+             * rng.uniform(1e-3, 1e3, (d, m, 1)))
+        graph = [x / (x[-1] - x[0]), *(y[:, 0] if trial % 3 == 0 else y)]
+        for k, noise in ((5 + 2 * (trial % 5), POSITION_NOISE), (5, FIELD_NOISE)):
+            assert np.array_equal(_knot_sites(graph, k, noise),
+                                  _reference_sites(graph, k, noise))
+    # every fit of the pipeline is made on those sites: the position fit
+    # of raw helix samples, the E^9 radii (several fits) and a Sabban
+    # gamma (one fit of three coordinates)
+    sites = []
+    fit = curves.make_interp_spline
+
+    def recording(x, y, k):
+        sites.append(x)
+        return fit(x, y, k=k)
+
+    monkeypatch.setattr(curves, "make_interp_spline", recording)
+    t = np.linspace(0.0, 4.0 * np.pi, 2000)
+    pts = np.column_stack([3.0 * np.cos(t), 3.0 * np.sin(t), 0.6 * t])
+    _engine(fs.SampledCurve(3, t, pts))
+    want = _reference_sites(pts.T, 7, POSITION_NOISE)
+    assert len(sites) == 1 and np.array_equal(sites[0], t[want])
+    assert len(sites[0]) < len(t)
+    x, y = _radii(selfsim9_frenet)
+    sig = fs.shape_curvatures(cubic_frenet, 2)
+    gamma = fs.indicatrix_curve(cubic_frenet, sig).gamma
+    for x, y, fit_counts in ((x, y[:, :, None], range(3, 9)),
+                             (sig.sigma, gamma[:, None], [1])):
+        sites.clear()
+        fits = field_fits(x, y)
+        want = _reference_sites(_reference_field_graph(x, y), 5, FIELD_NOISE)
+        assert len(fits) in fit_counts and len(sites) == len(fits)
+        assert sum(graphs.sum() for graphs, _ in fits) == y.shape[1]
+        for (graphs, _), got in zip(fits, sites):
+            for c in np.flatnonzero(graphs):
+                assert np.array_equal(got, x[want[c]])
+
+
+def test_spline_fit_debug_line(caplog):
+    # each fit names its degree, knot count, sample count and the range
+    # of its knot gaps in samples: every stride-th sample and the last
+    caplog.set_level(logging.DEBUG, logger="frenetsim.curves")
+    t = np.linspace(0.0, 4.0 * np.pi, 400)
+    pts = np.column_stack([3.0 * np.cos(t), 3.0 * np.sin(t), 0.6 * t])
+    position = _engine(fs.SampledCurve(3, t, pts)).spline
+    x = np.linspace(0.0, 2.0, 400)
+    [(_, field)] = field_fits(x, (x ** 3 - x)[:, None, None])
+    caplog.clear()
+    _engine(fs.SampledCurve(3, t, pts))
+    field_derivative(x, x ** 3 - x)
+    lines = re.findall(r"spline fit: degree (\d+), (\d+) knots of (\d+) "
+                       r"samples, gaps (\d+) to (\d+)", caplog.text)
+    assert len(lines) == 2
+    for spline, line in zip((position, field), lines):
+        k, knots, n, lo, hi = map(int, line)
+        assert k == spline.k and knots == len(spline.t) - k - 1 and n == 400
+        assert 1 <= lo <= hi < n and (knots - 2) * hi + lo == n - 1
 
 
 def test_coarse_circle_still_accurate():

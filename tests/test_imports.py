@@ -5,8 +5,10 @@ name bound by an import statement must appear as a name somewhere in
 the module. The package's __init__ is left out, since it imports names
 to re-export them; its own check is that it exports only what the
 command line, the scripts, the benchmark and the acceptance tests use.
-A last check keeps scipy.integrate out of the package: no file under
+Another check keeps scipy.integrate out of the package: no file under
 src/ imports it, and a fresh `import frenetsim.cli` does not load it.
+A last one keeps the spline fit in curves.py: no other file under src/
+imports scipy.interpolate or reaches a private of the fit layer.
 """
 
 import ast
@@ -186,3 +188,54 @@ def test_launch_loads_no_scipy_integrate():
         env=env, capture_output=True, text=True, check=True).stdout.split()
     assert "frenetsim.cli" in loaded
     assert [m for m in loaded if m.split(".")[:2] == ["scipy", "integrate"]] == []
+
+
+# the privates of curves.py that decide or make a spline fit, and the
+# make_interp_spline binding that every fit goes through
+FIT_LAYER = {"_knot_sites", "_fit_spline_source", "_SplineSource", "_engine",
+             "make_interp_spline"}
+
+
+def fit_layer_uses(tree: ast.Module) -> list:
+    """Line of every import of scipy.interpolate or use of a FIT_LAYER name."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.split(".")[:2] == ["scipy", "interpolate"]
+                      for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            module = [] if node.level else (node.module or "").split(".")
+            hit = (module[:2] == ["scipy", "interpolate"]
+                   or module == ["scipy"] and "interpolate" in names
+                   or bool(names & FIT_LAYER))
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr in FIT_LAYER
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_fit_layer_use_is_found():
+    tree = ast.parse("import scipy.interpolate\n"
+                     "from scipy import interpolate\n"
+                     "from scipy.interpolate import make_interp_spline\n"
+                     "from .curves import TRIM, _knot_sites\n"
+                     "from . import curves\n"
+                     "fit = curves._engine\n"
+                     "from scipy.integrate import cumulative_simpson\n"
+                     "from .curves import field_derivative, field_fits\n"
+                     "import scipy.fft\n")
+    assert fit_layer_uses(tree) == [1, 2, 3, 4, 6]
+
+
+def test_one_module_owns_the_spline_fit():
+    # curves.py alone places knots and fits splines; indicatrix, focal,
+    # evolute and signatures differentiate through field_derivative and
+    # field_fits, so a new fit elsewhere would bypass the one site rule
+    found = {path.name: fit_layer_uses(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(found) > 10 and found.pop("curves.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
