@@ -296,8 +296,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(q, *, input_help="input curve CSV (header t,x1,...,xn)"):
-        q.add_argument("--input", required=True, help=input_help)
+    def common(q):
+        q.add_argument("--input", required=True,
+                       help="input curve CSV (header t,x1,...,xn)")
         q.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                        help="arc-length resampling count (default 2000)")
 

@@ -50,7 +50,8 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, make_interp_spline
@@ -468,11 +469,10 @@ def _arclength_table(source, t_lo: float, t_hi: float, n_hint: int):
     maximum at a grid point or, refined by _slowest_point, between two:
     the pipeline's one speed check. A largest speed not above
     sqrt(float64 tiny), about 1.5e-154, whose square underflows, raises
-    FloatingPointError, which the callers' float64 guards refuse as out
-    of range. At debug level it logs its point count, the total length,
-    the stall margin min(ds)/mean(ds) between grid points, which is <= 0
-    where the stall refusal below fires, and the knot spans of a spline
-    source.
+    FloatingPointError, which _float64_guard refuses as out of range.
+    At debug level it logs its point count, the total length, the stall
+    margin min(ds)/mean(ds) between grid points, which is <= 0 where the
+    stall refusal below fires, and the knot spans of a spline source.
     """
     spans = source.knot_spans if isinstance(source, _SplineSource) else None
     m = max(4 * n_hint, 4096)
@@ -525,28 +525,35 @@ class _ReparamSource:
     inner source alive avoids refitting splines to resampled data, which
     would destroy the high-order derivatives.
 
-    The last jet is kept, read-only, with its query grid: a call on an
-    equal grid and at most that order returns its leading entries, so
-    the similarity images of one curve evaluate its spline once.
+    The jet of the given order on the grid is computed when the source is
+    built and kept read-only: a call on an equal grid and at most that
+    order returns its leading entries, any other call a fresh jet, so the
+    frame and the similarity images of a curve evaluate its spline once.
     """
 
     inner: object
     t_of_s: object
-    _last: list = field(default_factory=list, init=False, compare=False,
-                        repr=False)
+    grid: np.ndarray
+    order: InitVar[int]
+    grid_jet: np.ndarray = field(init=False, repr=False)
 
-    def jet(self, sq: np.ndarray, order: int) -> np.ndarray:
-        if self._last and order < len(self._last[1]) \
-                and np.array_equal(sq, self._last[0]):
-            return self._last[1][: order + 1]
+    def __post_init__(self, order):
+        self.grid.setflags(write=False)
+        object.__setattr__(self, "grid_jet", self._unit_jet(self.grid, order))
+
+    def _unit_jet(self, sq: np.ndarray, order: int) -> np.ndarray:
         P = self.inner.jet(self.t_of_s(sq), order)
         if order:
             v = np.linalg.norm(P[1], axis=-1, keepdims=True)
-            # not in place: an inner _ReparamSource returns its kept jet
+            # not in place: an inner _ReparamSource returns read-only jets
             P = P / v ** np.arange(order + 1).reshape(-1, 1, 1)
         P.setflags(write=False)
-        self._last[:] = (np.array(sq), P)
         return P
+
+    def jet(self, sq: np.ndarray, order: int) -> np.ndarray:
+        if order < len(self.grid_jet) and np.array_equal(sq, self.grid):
+            return self.grid_jet[: order + 1]
+        return self._unit_jet(sq, order)
 
     def velocity(self, sq: np.ndarray) -> np.ndarray:
         D1 = self.inner.velocity(self.t_of_s(sq))
@@ -556,10 +563,32 @@ class _ReparamSource:
         return sq - sq[0]
 
 
-def _coordinate_extent(points: np.ndarray) -> float:
-    """The widest coordinate range of the points, inf past float64."""
-    lo, hi = points.min(axis=0), points.max(axis=0)
-    return max(float(b) - float(a) for a, b in zip(lo, hi))
+@contextmanager
+def _float64_guard(curve, D=None):
+    """Refuse with BadRange an overflow or invalid operation of the body.
+
+    It names the builtin curve, or the widest coordinate range of the
+    sampled one (inf past float64), and the parameter span; given a frame's
+    derivatives D (N, n, n), also the order whose square overflows, if one
+    does: d^j a/ds^j grows as size^(1 - j), so small curves get there first.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        if isinstance(curve, BuiltinCurve):
+            what, t = f"the {curve.kind} curve {curve.params}", curve.t_span
+        else:
+            lo, hi = curve.points.min(axis=0), curve.points.max(axis=0)
+            extent = max(float(b) - float(a) for a, b in zip(lo, hi))
+            what, t = f"coordinates spanning {extent:.3g}", curve.t
+        big = np.abs(D).max(axis=(0, 1)) if D is not None else np.zeros(1)
+        j = int(np.argmax(big))
+        why = (f"give |d^{j + 1}a/dt^{j + 1}| up to {big[j]:.3g}, whose square is"
+               if big[j] > math.sqrt(sys.float_info.max)
+               else "put the curve's speed or derivatives")
+        raise BadRange(f"{what} over a parameter span of {t[-1] - t[0]:.3g} {why} "
+                       "outside float64; rescale the points or t") from None
 
 
 def arclength_reparam(curve, n_samples: int) -> SampledCurve:
@@ -574,8 +603,7 @@ def arclength_reparam(curve, n_samples: int) -> SampledCurve:
     bit), which the source keeps, so frenet_apparatus of the result reads
     that jet instead of evaluating t(s) and the inner source a second
     time. A speed table, t(s) or jet that would leave float64, a speed
-    by underflow too, is refused with BadRange, naming the coordinate
-    extent and the parameter span, before any of them leaves it.
+    by underflow too, is refused by _float64_guard before it leaves.
     """
     if isinstance(curve, BuiltinCurve):
         t_lo, t_hi = curve.t_span
@@ -585,23 +613,14 @@ def arclength_reparam(curve, n_samples: int) -> SampledCurve:
         raise BadParameters(f"not a curve: {type(curve).__name__}")
     dim = curve.dimension
     n_samples = int(n_samples)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            src = curve if isinstance(curve, BuiltinCurve) else _engine(curve)
-            _require_samples(n_samples, dim)
-            tt, svals, sp = _arclength_table(src, t_lo, t_hi, n_samples)
-            rep = _ReparamSource(src, CubicHermiteSpline(svals, tt, 1.0 / sp))
-            s_targets = np.linspace(0.0, svals[-1], n_samples)
-            points = rep.jet(s_targets, dim)[0]
-    except FloatingPointError:
-        if isinstance(curve, BuiltinCurve):
-            what = f"the {curve.kind} curve {curve.params}"
-        else:
-            what = f"coordinates spanning {_coordinate_extent(curve.points):.3g}"
-        raise BadRange(f"{what} over a parameter span of {t_hi - t_lo:.3g} put "
-                       "the curve's speed or derivatives outside float64; "
-                       "rescale the points or t") from None
-    return SampledCurve(dim, s_targets, points, source=rep)
+    with _float64_guard(curve):
+        src = curve if isinstance(curve, BuiltinCurve) else _engine(curve)
+        _require_samples(n_samples, dim)
+        tt, svals, sp = _arclength_table(src, t_lo, t_hi, n_samples)
+        s_targets = np.linspace(0.0, svals[-1], n_samples)
+        rep = _ReparamSource(src, CubicHermiteSpline(svals, tt, 1.0 / sp),
+                             s_targets, dim)
+    return SampledCurve(dim, s_targets, rep.grid_jet[0], source=rep)
 
 
 def _input_parameter(src, tq: float) -> float:
@@ -729,11 +748,7 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     samples, where kappa_{j-1} passes through zero. Each message names
     the sample and the input curve's parameter t there (_input_parameter).
     A derivative whose square leaves float64 in the norms, the sweep or
-    the speed table is refused with BadRange, naming the coordinate
-    extent and, where the square of the largest derivative overflows,
-    its order: in arc length d^j a/ds^j grows as size^(1 - j), so a small
-    curve in high dimension gets there first. A speed that underflows in
-    the table is worded as arclength_reparam words it.
+    the speed table is refused with BadRange by _float64_guard.
     """
     n = curve.dimension
     _require_samples(curve.n_samples, n)
@@ -744,24 +759,10 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     def t_in(q):
         return _input_parameter(src, curve.t[q])
 
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            dmag = np.linalg.norm(D[:, :, 1 : n - 1], axis=1)
-            Q, r, det = _householder_qr(D)
-            s = src.arclength(curve.t)
-    except FloatingPointError:
-        big = np.abs(D).max(axis=(0, 1))
-        j = int(np.argmax(big)) + 1
-        what = (f"coordinates spanning {_coordinate_extent(curve.points):.3g} "
-                f"over a parameter span of {curve.t[-1] - curve.t[0]:.3g}")
-        # an order is named only where its square overflows; otherwise a
-        # speed underflowed in the arc-length table
-        if big[j - 1] > math.sqrt(sys.float_info.max):
-            raise BadRange(
-                f"{what} give |d^{j}a/dt^{j}| up to {big[j - 1]:.3g}, whose "
-                "square is outside float64; rescale the points or t") from None
-        raise BadRange(f"{what} put the curve's speed or derivatives outside "
-                       "float64; rescale the points or t") from None
+    with _float64_guard(curve, D):
+        dmag = np.linalg.norm(D[:, :, 1 : n - 1], axis=1)
+        Q, r, det = _householder_qr(D)
+        s = src.arclength(curve.t)
     length = s[-1] - s[0]
     # pivots 2..n-1 (column c of bad and flat is column j = c + 1 of r)
     bad = np.abs(r[:, 1 : n - 1]) <= PIVOT_REL * dmag

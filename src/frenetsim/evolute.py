@@ -3,10 +3,15 @@
 An evolute beta = alpha + m1 V_2 + m2 V_3 meets every normal plane of
 alpha; m1 = 1/kappa_1 is forced, and m2 = m1 cot(phi) with
 phi = phi0 + integral of kappa_2 picks one member of the family per
-integration constant phi0. Two identities tie the evolute back to the
-source curve, and evolute_invariant_report checks them on an evolute
-from evolute_e3: the first shape curvature of alpha equals m1', and
-kappa_2/kappa_1 equals m1 (m1' m2 - m1 m2') / (m1^2 + m2^2).
+integration constant phi0. evolute_invariant_report evaluates two
+identities that tie the evolute back to the source curve: the first
+shape curvature of alpha equals m1', and kappa_2/kappa_1 equals
+m1 (m1' m2 - m1 m2') / (m1^2 + m2^2). Both hold by construction, so
+neither residual can detect a wrong curve, fit or evolute: m2' comes
+from m1' by the chain rule, which reduces the second to kappa_2/kappa_1
+whatever m1' is, and kt at index 1 and m1' are two fits of the same
+1/kappa_1 samples, one without the 2 + 2 end samples the signature
+trims.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ class EvoluteData:
     m1: np.ndarray
     m2: np.ndarray
     beta: np.ndarray
-    phi0: float
 
 
 @dataclass(frozen=True)
@@ -69,16 +73,15 @@ def evolute_e3(fr: FrenetData, phi0: float = math.pi / 2) -> EvoluteData:
     m2 = m1 * np.cos(phi) / sphi
     beta = fr.points + m1[:, None] * fr.frames[:, 1, :] \
         + m2[:, None] * fr.frames[:, 2, :]
-    return EvoluteData(fr.s, m1, m2, beta, phi0)
+    return EvoluteData(fr.s, m1, m2, beta)
 
 
 def evolute_invariant_report(fr: FrenetData, ed: EvoluteData) -> EvoluteReport:
     """Residuals of the two identities linking alpha to its evolute.
 
     ed is the evolute that evolute_e3(fr, phi0) built, for any phi0.
-    Both residuals vanish for exact data; numerically they inherit the
-    differentiation noise of m1, m2 and of the shape curvature of the
-    source curve.
+    residual_ratio reads roundoff alone, and residual_shape how far the
+    fit of 1/kappa_1 moves without its 2 + 2 end samples.
     """
     sig = shape_curvatures(fr, 1)
     sl = slice(TRIM, fr.n_samples - TRIM)

@@ -28,10 +28,6 @@ class FocalData:
     f: np.ndarray
     focal_points: np.ndarray
 
-    @property
-    def n_samples(self) -> int:
-        return len(self.s)
-
 
 def _check_kappa(kap_i: np.ndarray, i: int) -> None:
     mx = np.abs(kap_i).max()

@@ -26,7 +26,6 @@ from .curves import (
     field_fits,
 )
 from .errors import (
-    BadIndex,
     DegenerateSpeed,
     DimensionMismatch,
     DivisionDegenerate,
@@ -46,7 +45,7 @@ class SphericalCurve:
         sig = np.array(self.sigma, dtype=float, order="C")
         g = np.array(self.gamma, dtype=float, order="C")
         if g.shape != (len(sig), self.dimension):
-            raise BadIndex("gamma must be per-sample vectors in E^n")
+            raise DimensionMismatch("gamma must be per-sample vectors in E^n")
         if not np.all(np.diff(sig) > 0):
             raise DegenerateSpeed("sigma must be strictly increasing")
         r = np.linalg.norm(g, axis=1)

@@ -103,7 +103,6 @@ class SelfSimilarSolution:
     axial: the last component of V_1 for odd n (z_1), else None.
     """
 
-    spec: SelfSimilarSpec
     lambdas: tuple
     amps: tuple
     bvals: tuple
@@ -170,7 +169,6 @@ def solve_self_similar(spec: SelfSimilarSpec) -> SelfSimilarSolution:
     if odd:
         axial_amp = (z1 / spec.kt if spec.kt != 0.0 else z1,)
     return SelfSimilarSolution(
-        spec,
         tuple(float(v) for v in lam),
         tuple(float(v) for v in amps) + axial_amp,
         tuple(float(v) for v in bvals),

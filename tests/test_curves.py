@@ -277,31 +277,34 @@ def test_reparam_jet_has_unit_speed(helix_curve):
 
 def test_reparam_jet_memo(helix_curve):
     shared = _engine(helix_curve)
+    t, n = helix_curve.t, helix_curve.dimension
 
-    def new_source():
-        return curves._ReparamSource(shared.inner, shared.t_of_s)
+    def new_source(grid, order=n):
+        return curves._ReparamSource(shared.inner, shared.t_of_s, grid.copy(),
+                                     order)
 
-    rep = new_source()
-    t = helix_curve.t
-    first = rep.jet(t, 4)
-    again = rep.jet(t.copy(), 4)
-    fresh = new_source().jet(t, 4)
-    # the last jet comes back as it was stored, bit for bit and read-only
-    assert np.shares_memory(again, first)
-    assert np.array_equal(again, fresh) and not again.flags.writeable
-    low = rep.jet(t, 2)
-    assert low.base is first and low.shape[0] == 3
-    higher = rep.jet(t, 5)
-    assert not np.shares_memory(higher, first)
-    assert np.array_equal(higher[:5], fresh)
-    # the stored grid is a copy, so changing the caller's array misses
-    grid = t.copy()
-    before = rep.jet(grid, 4)
-    grid += 0.25 * (t[1] - t[0])
-    moved = rep.jet(grid, 4)
-    assert not np.shares_memory(moved, before)
-    assert np.array_equal(moved, new_source().jet(grid, 4))
-    # resampling a resampled curve reads the inner source's kept jet
+    rep = new_source(t)
+    kept = rep.grid_jet
+    assert np.array_equal(kept, shared.grid_jet)
+    assert not kept.flags.writeable and not rep.grid.flags.writeable
+    # the grid jet comes back as it was built, bit for bit and read-only,
+    # at every order up to n
+    for order in range(n + 1):
+        got = rep.jet(t.copy(), order)
+        assert got.shape[0] == order + 1 and np.shares_memory(got, kept)
+        assert np.array_equal(got, kept[: order + 1]) and not got.flags.writeable
+    # another grid, or a higher order, gets a fresh jet equal to that of a
+    # source built there, and the stored jet stays
+    moved = t + 0.25 * (t[1] - t[0])
+    off = rep.jet(moved, n)
+    assert not np.shares_memory(off, kept)
+    assert np.array_equal(off, new_source(moved).grid_jet)
+    higher = rep.jet(t, n + 1)
+    assert not np.shares_memory(higher, kept)
+    assert np.array_equal(higher, new_source(t, n + 1).grid_jet)
+    assert np.array_equal(higher[: n + 1], kept)
+    assert rep.grid_jet is kept and np.shares_memory(rep.jet(t, n), kept)
+    # resampling a resampled curve reads the inner source off its grid
     twice = fs.frenet_apparatus(fs.arclength_reparam(helix_curve, 500))
     assert np.abs(twice.kappas - [0.12, 0.16]).max() < 1e-8
 

@@ -11,7 +11,7 @@ def test_circle_focal_center(circle_frenet):
     assert np.abs(fd.f[:, 0] - 2.0).max() < 1e-9
     # every focal point collapses onto the circle's own center
     assert np.abs(fd.focal_points).max() < 1e-8
-    assert fd.n_samples == circle_frenet.n_samples
+    assert len(fd.s) == circle_frenet.n_samples
 
 
 def test_helix_focal_values(helix_frenet):

@@ -7,8 +7,10 @@ to re-export them; its own check is that it exports only what the
 command line, the scripts, the benchmark and the acceptance tests use.
 Another check keeps scipy.integrate out of the package: no file under
 src/ imports it, and a fresh `import frenetsim.cli` does not load it.
-A last one keeps the spline fit in curves.py: no other file under src/
-imports scipy.interpolate or reaches a private of the fit layer.
+Another keeps the spline fit in curves.py: no other file under src/
+imports scipy.interpolate or reaches a private of the fit layer. A last
+one keeps one float64 refusal: the package holds one except clause for
+FloatingPointError and one errstate call that raises on overflow.
 """
 
 import ast
@@ -239,3 +241,51 @@ def test_one_module_owns_the_spline_fit():
              for path in sorted(PACKAGE.glob("*.py"))}
     assert len(found) > 10 and found.pop("curves.py")
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def float64_guards(tree: ast.Module) -> list:
+    """("except", line) of every except clause that names FloatingPointError
+    and ("errstate", line) of every errstate call raising on overflow."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(getattr(t, "id", getattr(t, "attr", None)) == "FloatingPointError"
+                   for t in types):
+                found.append(("except", node.lineno))
+        elif isinstance(node, ast.Call) and getattr(
+                node.func, "attr", getattr(node.func, "id", None)) == "errstate":
+            if any(k.arg in ("over", "all") and isinstance(k.value, ast.Constant)
+                   and k.value.value == "raise" for k in node.keywords):
+                found.append(("errstate", node.lineno))
+    return sorted(found)
+
+
+def test_float64_guard_is_found():
+    tree = ast.parse("try:\n"
+                     "    with np.errstate(over='raise', invalid='raise'):\n"
+                     "        pass\n"
+                     "except FloatingPointError:\n"
+                     "    pass\n"
+                     "try:\n"
+                     "    pass\n"
+                     "except (ValueError, builtins.FloatingPointError):\n"
+                     "    pass\n"
+                     "except ValueError:\n"
+                     "    raise FloatingPointError\n"
+                     "with np.errstate(over='ignore', invalid='ignore'):\n"
+                     "    pass\n"
+                     "with errstate(all='raise'):\n"
+                     "    pass\n")
+    assert float64_guards(tree) == [("errstate", 2), ("errstate", 14),
+                                    ("except", 4), ("except", 8)]
+
+
+def test_one_float64_refusal():
+    # the resampling and the frame run under curves._float64_guard, so
+    # the BadRange wording of a trip outside float64 has one source
+    found = {path.name: float64_guards(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(found) > 10
+    hits = sorted((kind, name) for name, lines in found.items() for kind, _ in lines)
+    assert hits == [("errstate", "curves.py"), ("except", "curves.py")]

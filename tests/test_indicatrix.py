@@ -67,7 +67,7 @@ _POLE = np.tile([1.0, 0.0, 0.0], (50, 1))
 @pytest.mark.parametrize("build, error, match", [
     (lambda: fs.shape_curvatures(_spiky_frenet(), 1), E.IndicatrixDegenerate,
      "sigma_1 stops increasing at sample 5"),
-    (lambda: SphericalCurve(3, _SIGMA, _POLE[:, :2]), E.BadIndex,
+    (lambda: SphericalCurve(3, _SIGMA, _POLE[:, :2]), E.DimensionMismatch,
      "per-sample vectors in E"),
     (lambda: SphericalCurve(3, _SIGMA[::-1], _POLE), E.DegenerateSpeed,
      "strictly increasing"),
