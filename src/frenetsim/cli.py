@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .curves import (
-    TRIM,
     _read_text,
     _write_table,
     arclength_reparam,
@@ -100,11 +99,10 @@ def cmd_analyze(args) -> int:
     sig_path.write_text(_signature_text(n, args.index, sigma, kt, ktj) + "\n")
 
     sc = indicatrix_curve(fr, sig)
-    kappa_g = (float_texts(sabban_geodesic_curvature(sc).kappa_g) if n == 3
-               else None)
+    kappa_g = float_texts(sabban_geodesic_curvature(sc)) if n == 3 else None
     names = ["s", "sigma", *[f"kappa_{j}" for j in range(1, n)],
              "kt", *[f"kt_{j}" for j in range(1, n)]]
-    cols = [sig.s, sigma, fr.kappas[TRIM:fr.n_samples - TRIM], kt, *ktj]
+    cols = [sig.s, sigma, fr.kappas[fr.kept], kt, *ktj]
     if kappa_g is not None:
         names.append("kappa_g")
         cols.append(kappa_g)

@@ -109,6 +109,27 @@ def _require_samples(count: int, dimension: int) -> None:
         raise BadRange(f"at most {MAX_SAMPLES} samples, got {got}")
 
 
+def _kept(n_samples: int) -> slice:
+    """The samples every signature keeps: all but TRIM at each end."""
+    return slice(TRIM, n_samples - TRIM)
+
+
+def _frozen(value, **arrays) -> list:
+    """Set each array on the frozen dataclass value as a read-only copy.
+
+    Each copy is float64 and C-ordered, so freezing it leaves the
+    caller's array writable and unseen by the value. Returns the copies
+    in the order given.
+    """
+    copies = []
+    for name, a in arrays.items():
+        a = np.array(a, dtype=float, order="C")
+        a.setflags(write=False)
+        object.__setattr__(value, name, a)
+        copies.append(a)
+    return copies
+
+
 # ---------------------------------------------------------------------------
 # curve models
 
@@ -245,9 +266,7 @@ class SampledCurve:
     source: object | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        # copies, so freezing them leaves the caller's arrays writable
-        t = np.array(self.t, dtype=float, order="C")
-        pts = np.array(self.points, dtype=float, order="C")
+        t, pts = _frozen(self, t=self.t, points=self.points)
         if self.dimension < 2:
             raise BadParameters("curves live in E^n with n >= 2")
         if t.ndim != 1 or len(t) < 2:
@@ -264,10 +283,6 @@ class SampledCurve:
                                     f"{bad[0, 0]} holds NaN or Inf")
         if not np.all(np.diff(t) > 0):
             raise BadParameters("parameter values must be strictly increasing")
-        t.setflags(write=False)
-        pts.setflags(write=False)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "points", pts)
 
     @property
     def n_samples(self) -> int:
@@ -293,8 +308,8 @@ def _knot_sites(graph, k: int, noise: float) -> np.ndarray:
     graph is a sequence of coordinate arrays with the samples on the last
     axis; they may broadcast to a stack of polylines, and then one
     boolean mask over the samples per polyline comes back: every
-    stride-th sample and the last. The stride targets a spacing ~ rho *
-    noise^(1/(k+1)), rho the polyline's length per radian of turning, a
+    stride-th sample and the last. The stride targets a spacing ~ radius *
+    noise^(1/(k+1)), radius the polyline's length per radian of turning, a
     cheap feature-scale estimate, clipped to [1, chords // (3(k + 1))].
     """
     ch = [np.diff(c, axis=-1) for c in graph]
@@ -302,8 +317,8 @@ def _knot_sites(graph, k: int, noise: float) -> np.ndarray:
     unit = [c / np.maximum(cl, 1e-300) for c in ch]
     cosang = sum(c[..., :-1] * c[..., 1:] for c in unit)
     turning = np.arccos(np.clip(cosang, -1.0, 1.0)).sum(axis=-1)
-    rho = cl.sum(axis=-1) / np.maximum(turning, 1e-12)
-    target = STRIDE_C * rho * noise ** (1.0 / (k + 1))
+    radius = cl.sum(axis=-1) / np.maximum(turning, 1e-12)
+    target = STRIDE_C * radius * noise ** (1.0 / (k + 1))
     stride = np.rint(target / np.maximum(np.median(cl, axis=-1), 1e-300))
     stride = np.clip(stride, 1, max(1, cl.shape[-1] // (3 * (k + 1)))).astype(int)
     sites = np.arange(cl.shape[-1] + 1) % stride[..., None] == 0
@@ -526,9 +541,10 @@ class _ReparamSource:
     would destroy the high-order derivatives.
 
     The jet of the given order on the grid is computed when the source is
-    built and kept read-only: a call on an equal grid and at most that
-    order returns its leading entries, any other call a fresh jet, so the
-    frame and the similarity images of a curve evaluate its spline once.
+    built and kept read-only with a copy of the grid: a call on an equal
+    grid and at most that order returns its leading entries, any other
+    call a fresh jet, so the frame and the similarity images of a curve
+    evaluate its spline once.
     """
 
     inner: object
@@ -538,8 +554,8 @@ class _ReparamSource:
     grid_jet: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, order):
-        self.grid.setflags(write=False)
-        object.__setattr__(self, "grid_jet", self._unit_jet(self.grid, order))
+        [grid] = _frozen(self, grid=self.grid)
+        object.__setattr__(self, "grid_jet", self._unit_jet(grid, order))
 
     def _unit_jet(self, sq: np.ndarray, order: int) -> np.ndarray:
         P = self.inner.jet(self.t_of_s(sq), order)
@@ -645,6 +661,7 @@ class FrenetData:
     frames[j] is the n x n matrix whose ROWS are V_1..V_n at sample j;
     kappas[j] holds kappa_1..kappa_{n-1}. kappa_1..kappa_{n-2} are
     positive; kappa_{n-1} is signed by the det = +1 orientation rule.
+    kept is the window of samples that every signature of it keeps.
     """
 
     s: np.ndarray
@@ -653,15 +670,16 @@ class FrenetData:
     kappas: np.ndarray
 
     def __post_init__(self):
-        for name in ("s", "points", "frames", "kappas"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        n = self.frames.shape[-1]
-        if self.frames.shape != (len(self.s), n, n):
+        s, points, frames, kappas = _frozen(
+            self, s=self.s, points=self.points, frames=self.frames,
+            kappas=self.kappas)
+        n = frames.shape[-1]
+        if frames.shape != (len(s), n, n):
             raise DimensionMismatch("frames must be per-sample n x n matrices")
-        if self.kappas.shape != (len(self.s), n - 1):
+        if kappas.shape != (len(s), n - 1):
             raise DimensionMismatch("kappas must be per-sample (n-1)-vectors")
+        if points.shape != (len(s), n):
+            raise DimensionMismatch("points must be per-sample n-vectors")
 
     @property
     def dimension(self) -> int:
@@ -670,6 +688,10 @@ class FrenetData:
     @property
     def n_samples(self) -> int:
         return len(self.s)
+
+    @property
+    def kept(self) -> slice:
+        return _kept(len(self.s))
 
 
 def _householder_qr(D: np.ndarray):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TRIM, FrenetData, cumulative_simpson, field_derivative
+from .curves import FrenetData, cumulative_simpson, field_derivative
 from .errors import BadRange, CotSingularity, NotThreeDimensional
 from .signatures import shape_curvatures
 
@@ -59,7 +59,7 @@ def evolute_e3(fr: FrenetData, phi0: float = math.pi / 2) -> EvoluteData:
     if not math.isfinite(phi0):
         raise BadRange(f"phi0 must be finite, got {phi0}")
     integral = cumulative_simpson(fr.kappas[:, 1], fr.s)
-    phi = phi0 + integral - integral[TRIM]
+    phi = phi0 + integral - integral[fr.kept.start]
     sphi = np.sin(phi)
     pole = (np.abs(sphi) <= SIN_FLOOR) | (sphi * sphi[0] < 0)
     if pole.any():
@@ -84,7 +84,7 @@ def evolute_invariant_report(fr: FrenetData, ed: EvoluteData) -> EvoluteReport:
     fit of 1/kappa_1 moves without its 2 + 2 end samples.
     """
     sig = shape_curvatures(fr, 1)
-    sl = slice(TRIM, fr.n_samples - TRIM)
+    sl = fr.kept
     m1p = field_derivative(ed.s, ed.m1)[sl]
     m1 = ed.m1[sl]
     m2 = ed.m2[sl]

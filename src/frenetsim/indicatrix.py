@@ -1,4 +1,4 @@
-"""Spherical V_i-indicatrices, their arc length, and Sabban geometry in E^3.
+"""Spherical V_i-indicatrices, their arc length, and the Sabban kappa_g in E^3.
 
 The V_i-indicatrix traces the i-th frame vector on the unit sphere;
 its arc element is dsigma_i = sqrt(kappa_{i-1}^2 + kappa_i^2) ds with
@@ -8,8 +8,10 @@ boundary noise) and is invariant under direct similarities.
 signatures._ladder_signatures integrates sigma_i and decides whether a
 V_i-indicatrix exists; a ShapeSignature keeps that sigma_i, and this
 module only reads it: indicatrix_curve takes frame row V_i on it, so the
-indicatrix needs no second quadrature, and the Sabban geometry, the E^3
-closed forms and the CSV writer build on that curve.
+indicatrix needs no second quadrature. On that curve,
+sabban_geodesic_curvature returns the geodesic curvature kappa_g of an
+E^3 indicatrix, geodesic_closed_form its closed form in the shape
+curvatures, and indicatrix_to_csv writes it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (
-    TRIM,
     FrenetData,
+    _frozen,
     _write_table,
     field_derivative,
     field_fits,
@@ -42,8 +44,7 @@ class SphericalCurve:
     gamma: np.ndarray
 
     def __post_init__(self):
-        sig = np.array(self.sigma, dtype=float, order="C")
-        g = np.array(self.gamma, dtype=float, order="C")
+        sig, g = _frozen(self, sigma=self.sigma, gamma=self.gamma)
         if g.shape != (len(sig), self.dimension):
             raise DimensionMismatch("gamma must be per-sample vectors in E^n")
         if not np.all(np.diff(sig) > 0):
@@ -51,10 +52,6 @@ class SphericalCurve:
         r = np.linalg.norm(g, axis=1)
         if np.any(np.abs(r - 1.0) > 1e-6):
             raise DegenerateSpeed("indicatrix samples left the unit sphere")
-        sig.setflags(write=False)
-        g.setflags(write=False)
-        object.__setattr__(self, "sigma", sig)
-        object.__setattr__(self, "gamma", g)
 
 
 def indicatrix_curve(fr: FrenetData, sig) -> SphericalCurve:
@@ -64,32 +61,20 @@ def indicatrix_curve(fr: FrenetData, sig) -> SphericalCurve:
     it keeps. DimensionMismatch refuses a signature of another apparatus,
     of another dimension or sample count.
     """
-    kept = fr.n_samples - 2 * TRIM
-    if sig.dimension != fr.dimension or len(sig.sigma) != kept:
+    frames = fr.frames[fr.kept]
+    if sig.dimension != fr.dimension or len(sig.sigma) != len(frames):
         raise DimensionMismatch(f"signature of {len(sig.sigma)} samples in E^"
-                                f"{sig.dimension}, apparatus keeps {kept} in "
-                                f"E^{fr.dimension}")
-    return SphericalCurve(fr.dimension, sig.sigma,
-                          fr.frames[TRIM:fr.n_samples - TRIM, sig.index - 1])
+                                f"{sig.dimension}, apparatus keeps {len(frames)} "
+                                f"in E^{fr.dimension}")
+    return SphericalCurve(fr.dimension, sig.sigma, frames[:, sig.index - 1])
 
 
 # ---------------------------------------------------------------------------
-# Sabban frame and geodesic curvature (E^3 only)
+# Sabban geodesic curvature (E^3 only)
 
 
-@dataclass(frozen=True)
-class SabbanData:
-    """Per-sample Sabban triple (gamma, t_vec, rho) and geodesic curvature."""
-
-    sigma: np.ndarray
-    gamma: np.ndarray
-    t_vec: np.ndarray
-    rho: np.ndarray
-    kappa_g: np.ndarray
-
-
-def sabban_geodesic_curvature(sc: SphericalCurve) -> SabbanData:
-    """Numeric geodesic curvature of a spherical curve in E^3.
+def sabban_geodesic_curvature(sc: SphericalCurve) -> np.ndarray:
+    """The geodesic curvature kappa_g of a spherical curve in E^3, per sample.
 
     Fits gamma(sigma) once by field_fits, the fit of field_derivative, as
     one graph of three coordinates, so that the knot sites are those of
@@ -107,11 +92,8 @@ def sabban_geodesic_curvature(sc: SphericalCurve) -> SabbanData:
     speed = np.linalg.norm(d1, axis=1)
     if speed.min() <= 1e-8 * max(speed.max(), 1e-300):
         raise DegenerateSpeed("spherical curve speed collapses")
-    t_vec = d1 / speed[:, None]
-    rho = np.cross(sc.gamma, t_vec)
     det = np.einsum("qd,qd->q", np.cross(d1, d2), sc.gamma)
-    kappa_g = det / speed**3
-    return SabbanData(sc.sigma, sc.gamma, t_vec, rho, kappa_g)
+    return det / speed**3
 
 
 def geodesic_closed_form(sig) -> np.ndarray:

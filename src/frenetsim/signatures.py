@@ -31,9 +31,10 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .curves import (
-    TRIM,
     FrenetData,
     SampledCurve,
+    _frozen,
+    _kept,
     cumulative_simpson,
     field_derivative,
     frenet_apparatus,
@@ -103,9 +104,7 @@ class ShapeSignature:
         n = self.dimension
         if not 1 <= self.index <= n:
             raise BadIndex(f"index must be in 1..{n}, got {self.index}")
-        sig = np.array(self.sigma, dtype=float, order="C")
-        kt = np.array(self.kt, dtype=float, order="C")
-        ktj = np.array(self.ktj, dtype=float, order="C")
+        sig, kt, ktj = _frozen(self, sigma=self.sigma, kt=self.kt, ktj=self.ktj)
         if kt.shape != sig.shape or ktj.shape != (n - 1, len(sig)):
             raise BadParameters("signature arrays have inconsistent shapes")
         if not np.all(np.diff(sig) > 0):
@@ -114,9 +113,6 @@ class ShapeSignature:
                 and np.all(np.isfinite(ktj))):
             raise BadParameters("signature contains non-finite entries")
         _check_index_circle(ktj, self.index, UNIT_CIRCLE_TOL)
-        for name, arr in (("sigma", sig), ("kt", kt), ("ktj", ktj)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @property
     def span(self) -> float:
@@ -129,8 +125,9 @@ def _ladder_signatures(kappas: np.ndarray, s: np.ndarray, indices,
 
     kappas holds kappa_1..kappa_{n-1} as columns over the arc-length grid
     s, padded here to the ladder kappa_0..kappa_n with kappa_0 = kappa_n
-    = 0; the direct and the focal route both end here. Two samples per
-    end are dropped as boundary noise, and sigma_i is the cumulative
+    = 0; the direct and the focal route both end here. The samples
+    outside the window that FrenetData.kept names are dropped as
+    boundary noise (curves._kept), and sigma_i is the cumulative
     Simpson integral of the remaining speed Q_i, anchored at 0
     (curves.cumulative_simpson, bit-identical to scipy's). One hypot and
     one cumulative_simpson run over the rows of all the valid indices,
@@ -148,7 +145,7 @@ def _ladder_signatures(kappas: np.ndarray, s: np.ndarray, indices,
     """
     ladder = np.pad(kappas.T, ((1, 1), (0, 0)))
     n = len(ladder) - 1
-    sl = slice(TRIM, len(s) - TRIM)
+    sl = _kept(len(s))
     rows = np.array([i for i in indices if 1 <= i <= n], dtype=int)
     qs = np.hypot(ladder[rows - 1, sl], ladder[rows, sl])
     sigma = cumulative_simpson(qs, s[sl])
@@ -169,11 +166,11 @@ def _ladder_signatures(kappas: np.ndarray, s: np.ndarray, indices,
                 f"(min {lo[r]:.3g} against scale {scale[r]:.3g})")
         elif len(stall):
             refusal = IndicatrixDegenerate(
-                f"sigma_{i} stops increasing at sample {TRIM + stall[0] + 1} "
+                f"sigma_{i} stops increasing at sample {sl.start + stall[0] + 1} "
                 f"(speed spans {lo[r]:.3g} to {hi[r]:.3g})")
         elif (i == n or n == 2) and len(flips):
             refusal = IndicatrixDegenerate(
-                f"kappa_{n - 1} changes sign at sample {TRIM + flips[0] + 1}, "
+                f"kappa_{n - 1} changes sign at sample {sl.start + flips[0] + 1}, "
                 f"so the V_{i}-indicatrix speed vanishes there")
         else:
             kept.append((i, r))
@@ -349,7 +346,7 @@ def invariance_sweep(curve: SampledCurve, transforms) -> dict:
     base_kg = {}
     if fr.dimension == 3:
         dev["geodesic_invariance"] = dict.fromkeys(base, 0.0)
-        base_kg = {i: sabban_geodesic_curvature(indicatrix_curve(fr, sig)).kappa_g
+        base_kg = {i: sabban_geodesic_curvature(indicatrix_curve(fr, sig))
                    for i, sig in base.items()}
     for T in transforms:
         fri = frenet_apparatus(apply_similarity(T, curve))
@@ -360,7 +357,7 @@ def invariance_sweep(curve: SampledCurve, transforms) -> dict:
                    "shape_invariance": max(np.abs(sig.kt - img.kt).max(),
                                            np.abs(sig.ktj - img.ktj).max())}
             if base_kg:
-                kg = sabban_geodesic_curvature(indicatrix_curve(fri, img)).kappa_g
+                kg = sabban_geodesic_curvature(indicatrix_curve(fri, img))
                 now["geodesic_invariance"] = np.abs(base_kg[i] - kg).max()
             for prop, value in now.items():
                 dev[prop][i] = max(dev[prop][i], float(value))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import AffineImage, SampledCurve
+from .curves import AffineImage, SampledCurve, _frozen
 from .errors import BadParameters, BadRange, DimensionMismatch
 from .jsonio import MALFORMED, json_float, json_floats, render
 
@@ -32,8 +32,7 @@ class SimilarityTransform:
 
     def __post_init__(self):
         lam = float(self.lam)
-        A = np.array(self.A, dtype=float, order="C")
-        b = np.array(self.b, dtype=float, order="C")
+        A, b = _frozen(self, A=self.A, b=self.b)
         for name, value in (("scale lambda", lam), ("matrix A", A),
                             ("offset b", b)):
             if not np.all(np.isfinite(value)):
@@ -48,11 +47,7 @@ class SimilarityTransform:
             raise BadParameters("A is not orthogonal within 1e-12")
         if not abs(np.linalg.det(A) - 1.0) <= 1e-9:
             raise BadParameters("A must have determinant +1 (direct similarity)")
-        A.setflags(write=False)
-        b.setflags(write=False)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
 
     @property
     def dimension(self) -> int:

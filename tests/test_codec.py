@@ -184,7 +184,7 @@ def test_analyze_artifacts_are_the_writers_bytes(dimension, data_dir, tmp_path,
     n = fr.dimension
     sig = fs.shape_curvatures(fr, index)
     sc = fs.indicatrix_curve(fr, sig)
-    kappa_g = fs.sabban_geodesic_curvature(sc).kappa_g if n == 3 else None
+    kappa_g = fs.sabban_geodesic_curvature(sc) if n == 3 else None
     assert (tmp_path / "out.signature.json").read_text() \
         == fs.signature_to_json(sig) + "\n"
     ref = tmp_path / "ref.csv"

@@ -940,21 +940,29 @@ def test_sampled_curve_validation():
         FrenetData(s, np.zeros((4, 3)), frames[:3], np.zeros((4, 2)))
     with pytest.raises(E.DimensionMismatch, match="kappas"):
         FrenetData(s, np.zeros((4, 3)), frames, np.zeros((4, 3)))
+    with pytest.raises(E.DimensionMismatch, match="points"):
+        FrenetData(s, np.zeros((20, 2)), frames, np.zeros((4, 2)))
 
 
 def test_frozen_values_leave_the_callers_arrays_writable():
-    # each value object freezes a copy: the caller may still write to the
-    # arrays it passed in, and the object does not see the write
+    # each value object freezes a copy (curves._frozen): the caller may
+    # still write to the arrays it passed in, and the object does not see
+    # the write
     t = np.linspace(0.0, 1.0, 50)
     plane = np.column_stack([np.cos(t), np.sin(t)])
     sphere = np.column_stack([plane, np.zeros(50)])
     kt, ktj, A, b = np.zeros(50), np.ones((1, 50)), np.eye(3), np.ones(3)
+    frames, kappas = np.tile(np.eye(3), (50, 1, 1)), np.ones((50, 2))
     made = [(fs.SampledCurve(2, t, plane), ("t", "points")),
             (fs.ShapeSignature(2, 1, t, kt, ktj), ("sigma", "kt", "ktj")),
             (SphericalCurve(3, t, sphere), ("sigma", "gamma")),
-            (SimilarityTransform(2.0, A, b), ("A", "b"))]
+            (SimilarityTransform(2.0, A, b), ("A", "b")),
+            (FrenetData(t, sphere, frames, kappas),
+             ("s", "points", "frames", "kappas")),
+            (curves._ReparamSource(fs.helix(3.0, 4.0), lambda s: s, t, 2),
+             ("grid",))]
     kept = [[getattr(obj, name).copy() for name in names] for obj, names in made]
-    for arr in (t, plane, sphere, kt, ktj, A, b):
+    for arr in (t, plane, sphere, kt, ktj, A, b, frames, kappas):
         arr[...] = 7.0
     for (obj, names), values in zip(made, kept):
         for name, value in zip(names, values):

@@ -8,9 +8,12 @@ command line, the scripts, the benchmark and the acceptance tests use.
 Another check keeps scipy.integrate out of the package: no file under
 src/ imports it, and a fresh `import frenetsim.cli` does not load it.
 Another keeps the spline fit in curves.py: no other file under src/
-imports scipy.interpolate or reaches a private of the fit layer. A last
-one keeps one float64 refusal: the package holds one except clause for
-FloatingPointError and one errstate call that raises on overflow.
+imports scipy.interpolate or reaches a private of the fit layer. One
+keeps one float64 refusal: the package holds one except clause for
+FloatingPointError and one errstate call that raises on overflow. The
+last two keep one freeze rule, setflags(write=False) in curves._frozen
+and in the jet of _ReparamSource alone, and one kept window, the name
+TRIM read in curves.py alone.
 """
 
 import ast
@@ -289,3 +292,88 @@ def test_one_float64_refusal():
     assert len(found) > 10
     hits = sorted((kind, name) for name, lines in found.items() for kind, _ in lines)
     assert hits == [("errstate", "curves.py"), ("except", "curves.py")]
+
+
+def freezes(tree: ast.Module) -> list:
+    """The qualified name of the function (or "<module>") around every
+    setflags call that clears the write flag, in the order met."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "attr", None) == "setflags"):
+                write = [k.value for k in child.keywords if k.arg == "write"]
+                flag = (write or child.args[:1] or [None])[0]
+                if isinstance(flag, ast.Constant) and flag.value is False:
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_freeze_is_found():
+    tree = ast.parse("a.setflags(write=False)\n"
+                     "class C:\n"
+                     "    def f(self, a):\n"
+                     "        a.setflags(write=False)\n"
+                     "        def g():\n"
+                     "            a.setflags(False)\n"
+                     "def h(a):\n"
+                     "    a.setflags(write=True)\n"
+                     "    a.setflags(align=False)\n"
+                     "    return [a.setflags(write=False)]\n")
+    assert freezes(tree) == ["<module>", "C.f", "C.f.g", "h"]
+
+
+def test_one_freeze_rule():
+    # every value type sets its arrays through curves._frozen, which
+    # freezes copies; only the jet that _ReparamSource computes is frozen
+    # where it is made, since it owns that array
+    found = {path.name: freezes(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(found) > 10
+    hits = sorted((name, scope) for name, scopes in found.items()
+                  for scope in scopes)
+    assert hits == [("curves.py", "_ReparamSource._unit_jet"),
+                    ("curves.py", "_frozen")]
+
+
+def trim_reads(tree: ast.Module) -> list:
+    """Line of every import of the name TRIM and of every read of it."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            hit = any(alias.name == "TRIM" for alias in node.names)
+        elif isinstance(node, ast.Name):
+            hit = node.id == "TRIM" and isinstance(node.ctx, ast.Load)
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == "TRIM"
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_trim_read_is_found():
+    tree = ast.parse("from .curves import TRIM, FrenetData\n"
+                     "TRIM = 2\n"
+                     "sl = slice(TRIM, -2)\n"
+                     "n = curves.TRIM + 1\n"
+                     "text = 'TRIM'\n")
+    assert trim_reads(tree) == [1, 3, 4]
+
+
+def test_one_kept_window():
+    # FrenetData.kept and _ladder_signatures take the samples a signature
+    # keeps from curves._kept, so no other module slices by TRIM itself
+    found = {path.name: trim_reads(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(found) > 10
+    assert [name for name, lines in found.items() if lines] == ["curves.py"]
