@@ -11,7 +11,7 @@ tq[0] to each query parameter.
   length is the source's times the scale;
 * _SplineSource: raw samples interpolated once by a B-spline whose knots
   are subsampled to keep high-order derivatives away from the roundoff
-  amplification floor;
+  amplification floor, and whose derivatives are its derivative chain's;
 * _ReparamSource: the arclength reparameterization of another source,
   whose first derivative has unit length at each query point and whose
   parameter is its own arc length, read back to t through the inner
@@ -27,7 +27,14 @@ sigma_i (signatures) and the evolute phase (evolute); it is written here
 so that no launch imports scipy's integrate package.
 
 A SampledCurve carries its source, or gets a spline fitted to its
-samples, so no finite differencing of positions ever happens. One rule,
+samples, so no finite differencing of positions ever happens. Every
+derivative of a fitted spline S is read off its derivative chain
+(derivative_chain): S, S', S'', ..., each the B-spline one degree lower
+whose coefficients are the scaled differences of the one before, as in
+de Boor's BVALUE (A Practical Guide to Splines, 2001, ch. X). Order j is
+then one plain evaluation at degree k - j, which repeats no basis
+recursion across orders and loses less to cancellation than the
+derivative steps of an evaluation at degree k. One rule,
 _knot_sites, places the knots of every spline: the position fit reads
 them off the sample polyline, and field_fits, which fits computed fields
 (field_derivative, the Sabban fit of an indicatrix), off their graphs.
@@ -326,25 +333,67 @@ def _knot_sites(graph, k: int, noise: float) -> np.ndarray:
     return sites
 
 
+def derivative_chain(spline, order: int) -> list:
+    """[S, S', ..., S^(order)] of the B-spline S.
+
+    Each derivative is made from the one before by BSpline.derivative:
+    the spline of one degree less whose coefficients are the differences
+    of the coefficients before, times the degree over the knot spans.
+    Past the degree of S the derivatives are zero splines. scipy words a
+    difference that overflows as a ValueError about repeated knots, which
+    the knots of an interpolating fit cannot have: it is raised here as
+    the FloatingPointError that _float64_guard refuses as out of range.
+    """
+    chain = [spline]
+    for _ in range(order):
+        last = chain[-1]
+        if last.k == 0:
+            chain.append(last.construct_fast(last.t, np.zeros_like(last.c), 0,
+                                             extrapolate=last.extrapolate,
+                                             axis=last.axis))
+            continue
+        try:
+            chain.append(last.derivative())
+        except ValueError:
+            raise FloatingPointError("a derivative spline overflows") from None
+    return chain
+
+
 @dataclass(frozen=True)
 class _SplineSource:
-    """B-spline interpolant of raw samples, exposing its derivatives."""
+    """B-spline interpolant of raw samples, exposing its derivatives.
+
+    chain holds the derivative chain of the spline (derivative_chain),
+    built once, on first use, as far as the highest order asked, so a
+    derivative that no one reads is never made; entry [j] of a jet is the
+    evaluation of chain[j].
+    """
 
     spline: object
+    chain: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "chain", [self.spline])
 
     @property
     def knot_spans(self) -> int:
         """Number of polynomial pieces of the spline."""
         return len(np.unique(self.spline.t)) - 1
 
+    def _derivatives(self, order: int) -> list:
+        more = order + 1 - len(self.chain)
+        if more > 0:
+            self.chain.extend(derivative_chain(self.chain[-1], more)[1:])
+        return self.chain[: order + 1]
+
     def jet(self, tq: np.ndarray, order: int) -> np.ndarray:
-        out = np.zeros((order + 1, len(tq), self.spline.c.shape[-1]))
-        for j in range(min(order, self.spline.k) + 1):
-            out[j] = self.spline(tq, j)
+        out = np.empty((order + 1, len(tq), self.spline.c.shape[-1]))
+        for j, d in enumerate(self._derivatives(order)):
+            out[j] = d(tq)
         return out
 
     def velocity(self, tq: np.ndarray) -> np.ndarray:
-        return self.spline(tq, 1)
+        return self._derivatives(1)[1](tq)
 
     def arclength(self, tq: np.ndarray) -> np.ndarray:
         return _arclength(self, tq)
@@ -618,8 +667,9 @@ def arclength_reparam(curve, n_samples: int) -> SampledCurve:
     [0] of the order-n jet on the new grid (P[0] / v^0 = P[0], bit for
     bit), which the source keeps, so frenet_apparatus of the result reads
     that jet instead of evaluating t(s) and the inner source a second
-    time. A speed table, t(s) or jet that would leave float64, a speed
-    by underflow too, is refused by _float64_guard before it leaves.
+    time. A derivative chain, speed table, t(s) or jet that would leave
+    float64, a speed by underflow too, is refused by _float64_guard
+    before it leaves.
     """
     if isinstance(curve, BuiltinCurve):
         t_lo, t_hi = curve.t_span
@@ -769,14 +819,16 @@ def frenet_apparatus(curve: SampledCurve) -> FrenetData:
     total arc length, or when some V_j, 2 <= j < n, reverses between two
     samples, where kappa_{j-1} passes through zero. Each message names
     the sample and the input curve's parameter t there (_input_parameter).
-    A derivative whose square leaves float64 in the norms, the sweep or
-    the speed table is refused with BadRange by _float64_guard.
+    A derivative spline that overflows as it is made, or a derivative
+    whose square leaves float64 in the norms, the sweep or the speed
+    table, is refused with BadRange by _float64_guard.
     """
     n = curve.dimension
     _require_samples(curve.n_samples, n)
-    src = _engine(curve)
-    # columns of D[q] are d^j alpha/dt^j at sample q, j = 1..n
-    D = np.moveaxis(src.jet(curve.t, n)[1:], 0, -1)
+    with _float64_guard(curve):
+        src = _engine(curve)
+        # columns of D[q] are d^j alpha/dt^j at sample q, j = 1..n
+        D = np.moveaxis(src.jet(curve.t, n)[1:], 0, -1)
 
     def t_in(q):
         return _input_parameter(src, curve.t[q])
@@ -852,7 +904,8 @@ def field_fits(x: np.ndarray, y: np.ndarray) -> list:
     The graphs on equal sites share one fit, of degree FIELD_DEGREE lowered
     to an odd number below the site count, which gives each graph the
     values of a fit of it alone. Returns [(graphs, spline)], graphs a
-    boolean mask over m and spline the fit of y[:, graphs].
+    boolean mask over m and spline the fit of y[:, graphs]; a caller reads
+    its derivatives off derivative_chain(spline, order).
     """
     if len(x) < 2:
         raise TooFewSamples(f"{len(x)} samples are too few to fit a spline")
@@ -878,13 +931,15 @@ def field_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y is 1-d, read as one column, or (N, m). Each column is a graph of its
     own in field_fits, a quintic fit with a noise floor matched to fields
     we computed ourselves (~1e-9 relative), so its derivative is
-    bit-identical to that of a 1-d call on it.
+    bit-identical to that of a 1-d call on it. The derivative is entry
+    [1] of each fit's derivative chain, the quartic of its differenced
+    coefficients, evaluated at x.
     """
     y = np.asarray(y, dtype=float)
     cols = y.reshape(len(x), -1, 1)
     out = np.empty_like(cols)
     for graphs, fit in field_fits(x, cols):
-        out[:, graphs] = fit(x, 1)
+        out[:, graphs] = derivative_chain(fit, 1)[1](x)
     return out.reshape(y.shape)
 
 

@@ -24,6 +24,7 @@ from .curves import (
     FrenetData,
     _frozen,
     _write_table,
+    derivative_chain,
     field_derivative,
     field_fits,
 )
@@ -78,19 +79,24 @@ def sabban_geodesic_curvature(sc: SphericalCurve) -> np.ndarray:
 
     Fits gamma(sigma) once by field_fits, the fit of field_derivative, as
     one graph of three coordinates, so that the knot sites are those of
-    the joint graph [sigma / range, gamma / max|gamma|]; differentiates
-    that fit twice and evaluates
-    kappa_g = det(gamma, gamma', gamma'') / |gamma'|^3, which equals
-    the Sabban-frame geodesic curvature when sigma is arc length.
+    the joint graph [sigma / range, gamma / max|gamma|]; reads gamma' and
+    gamma'' off that fit's derivative chain (derivative_chain) and
+    evaluates kappa_g = det(gamma, gamma', gamma'') / |gamma'|^3, which
+    equals the Sabban-frame geodesic curvature when sigma is arc length.
+    Since sigma is arc length, |gamma'| is about 1: DegenerateSpeed
+    refuses a speed at or below 1e-8 of that unit (or of the largest
+    speed, if larger), so a curve at rest is refused whatever its
+    roundoff.
     """
     if sc.dimension != 3:
         raise NotThreeDimensional(
             f"Sabban frame is defined in E^3, curve lives in E^{sc.dimension}"
         )
     [(_, fit)] = field_fits(sc.sigma, sc.gamma[:, None])
-    d1, d2 = fit(sc.sigma, 1)[:, 0], fit(sc.sigma, 2)[:, 0]
+    d1, d2 = (d(sc.sigma)[:, 0] for d in derivative_chain(fit, 2)[1:])
     speed = np.linalg.norm(d1, axis=1)
-    if speed.min() <= 1e-8 * max(speed.max(), 1e-300):
+    # sigma is arc length, so |gamma'| is 1 up to the fit's error
+    if speed.min() <= 1e-8 * max(speed.max(), 1.0):
         raise DegenerateSpeed("spherical curve speed collapses")
     det = np.einsum("qd,qd->q", np.cross(d1, d2), sc.gamma)
     return det / speed**3

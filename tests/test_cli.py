@@ -516,6 +516,43 @@ def test_scaled_curve_runs_or_is_refused_as_out_of_range(tmp_path, capsys):
             assert rc in (unscaled[name], 2), (e, name, rc)
 
 
+def test_t_scaled_curve_runs_or_is_refused_as_out_of_range(tmp_path, capsys):
+    # the helix of the test above with its t column scaled by 10^e: the
+    # derivatives d^j a/dt^j scale by 10^(-je), so the derivative chain of
+    # the position fit, its speed or its jet may leave float64. Each
+    # command exits as it does on the unscaled curve, or exits 2 naming
+    # the coordinate extent and "outside float64"; never with a traceback
+    # or a RuntimeWarning
+    u = np.linspace(0.0, 4.0 * np.pi, 400)
+    helix = np.column_stack([3.0 * np.cos(u), 3.0 * np.sin(u), 0.6 * u])
+
+    def codes(e):
+        path = tmp_path / f"h{e}.csv"
+        fs.curve_to_csv(fs.SampledCurve(3, u * 10.0 ** e, helix), path)
+        common = ["--input", str(path), "--samples", "400"]
+        out = ["--output", str(tmp_path / f"o{e}")]
+        runs = {"analyze": ["analyze", *common, "--index", "2", *out],
+                "match": ["match", *common, "--input-b", str(path), "--index", "2"],
+                "verify": ["verify", *common, "--trials", "2"],
+                "focal": ["focal", *common, *out],
+                "evolute": ["evolute", *common, *out]}
+        got = {}
+        for name, argv in runs.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got[name] = main(argv)
+            err = capsys.readouterr().err
+            if got[name] == 2:
+                assert "coordinates spanning" in err and "outside float64" in err
+        return got
+
+    unscaled = codes(0)
+    for e in (-300, -250, -200, -150, -120, -100, -60, 60, 100, 120, 150,
+              200, 300):
+        for name, rc in codes(e).items():
+            assert rc in (unscaled[name], 2), (e, name, rc)
+
+
 def test_t_column_far_from_zero_is_refused_as_out_of_range(tmp_path, capsys):
     # 400 helix rows at t = 1e12 + 2 ulp k span 0.0974, which holds fewer
     # float64 values than the arc-length table has points: every command

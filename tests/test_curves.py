@@ -4,6 +4,7 @@ import logging
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -363,13 +364,103 @@ _RAW_HELIX = _raw_helix_spline()
     (fs.log_spiral(-0.1), _exp_derivatives(1.0, -0.1 + 1j, 4), 1e-12),
     (fs.custom_poly([[0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]]),
      _cubic_derivatives(4), 1e-12),
-    # scipy's derivative spline and de Boor evaluation differ by ~1e-8
-    # at order 4, still far below a stray factor k! or 1/k!
+    # the jet evaluates the chain of derivative splines, which a single
+    # derivative(k) makes to roundoff; a stray factor k! or 1/k! is far
+    # above the tolerance
     (_RAW_HELIX, [_RAW_HELIX.spline.derivative(k)(_TQ) for k in range(5)], 1e-7),
 ], ids=["circle", "helix", "log_spiral", "custom_poly", "raw_spline"])
 def test_jets_are_derivatives(source, want, tol):
     # entry [k] of every jet source is d^k alpha/dt^k
     assert np.abs(source.jet(_TQ, 4) - np.asarray(want)).max() < tol
+
+
+def _exact_jet(spline, x, order):
+    """d^j S/dt^j at the points x, j = 0..order, in exact arithmetic.
+
+    The float64 knots, coefficients and points of the B-spline S are
+    read as the rationals they are; the coefficients are differenced
+    exactly, c'_i = k (c_{i+1} - c_i) / (t_{i+k+1} - t_{i+1}) on the
+    knots t[1:-1], and each derivative is evaluated by de Boor's
+    algorithm, so the result is the exact derivative of S rounded once.
+    """
+    t = [Fraction(v) for v in spline.t]
+    k = spline.k
+    c = [[Fraction(v) for v in row] for row in spline.c[: len(t) - k - 1]]
+    out = np.empty((order + 1, len(x), len(c[0])))
+    for j in range(order + 1):
+        n = len(c)
+        for q, xq in enumerate(map(Fraction, x)):
+            l = min(max(i for i in range(k, n) if t[i] <= xq), n - 1)
+            d = [list(c[i + l - k]) for i in range(k + 1)]
+            for r in range(1, k + 1):
+                for i in range(k, r - 1, -1):
+                    lo = t[i + l - k]
+                    a = (xq - lo) / (t[i + 1 + l - r] - lo)
+                    d[i] = [(1 - a) * p + a * v for p, v in zip(d[i - 1], d[i])]
+            out[j, q] = [float(v) for v in d[k]]
+        c = [[k * (b - a) / (t[i + k + 1] - t[i + 1]) for a, b in zip(c[i], c[i + 1])]
+             for i in range(n - 1)]
+        t, k = t[1:-1], k - 1
+    return out
+
+
+def _raw_e9_spline(kt, ktj, t_span=(0.0, 4.0)):
+    spec = fs.SelfSimilarSpec(9, 2, kt, ktj, t_span, 2000)
+    cur = fs.synthesize_self_similar(spec)
+    return _engine(fs.SampledCurve(9, cur.t, cur.points))
+
+
+# the position fits of raw samples: the E^3 helix above, the E^9 curve of
+# the selfsim9_curve fixture, and that of the small E^9 CLI test
+_POSITION_FITS = {
+    "e3_degree7": lambda: _RAW_HELIX,
+    "e9_degree13": lambda: _raw_e9_spline(
+        -0.025, (math.cos(0.95), math.sin(0.95), -0.7, -1.1, -0.6, 0.7, 0.9,
+                 -1.1)),
+    "e9_degree13_cli": lambda: _raw_e9_spline(
+        0.05879554615818304,
+        (0.44724213674813557, 0.8944129198065969, 0.7007720463612888,
+         0.9222037050360933, -1.044273858044125, -1.0012522407224957,
+         1.1407660843433551, -1.1022755544280192), (0.0, 8.0)),
+}
+
+
+# per-order bounds on the error relative to max|D_j|, set between the
+# two routes' errors measured on other fits of these degrees: above the
+# chain's (3.9e-16, 1.1e-14 and 6.2e-13 at E^3 orders 1 to 3; 3.9e-14,
+# 1.3e-11, 2.5e-9 and 3.1e-8 at E^9 orders 3, 5, 7 and 9), below those
+# of evaluating S at degree k with j derivative steps (6.8e-14, 2.8e-12
+# and 5.7e-10; 8.1e-12, 3.5e-8, 1.4e-6 and 4.1e-5)
+_JET_BOUNDS = {
+    3: [1e-14, 1e-14, 1e-12, 1e-11],
+    9: [1e-13, 1e-13, 3e-13, 1e-12, 2e-11, 3e-10, 4e-9, 5e-8, 2e-7, 1e-6],
+}
+
+
+@pytest.mark.parametrize("fit", sorted(_POSITION_FITS))
+def test_spline_jet_matches_exact_derivatives(fit):
+    # every order 0..n of the position fit's jet against the exact
+    # derivatives of the same float64 spline
+    source = _POSITION_FITS[fit]()
+    spline = source.spline
+    n = spline.c.shape[-1]
+    bounds = _JET_BOUNDS[n]
+    assert spline.k == n + 4
+    lo, hi = spline.t[spline.k], spline.t[-spline.k - 1]
+    x = lo + (hi - lo) * np.array([0.0, 0.013, 0.26, 0.5, 0.77, 0.991, 1.0])
+    exact = _exact_jet(spline, x, n)
+
+    def errors(jet):
+        return [np.abs(jet[j] - exact[j]).max() / np.abs(exact[j]).max()
+                for j in range(n + 1)]
+
+    got = errors(source.jet(x, n))
+    assert all(e < b for e, b in zip(got, bounds)), got
+    # the bounds can fail: some order of the evaluation of S at its full
+    # degree with j derivative steps falls outside them (on the helix and
+    # the fixture's E^9 curve the top order, 4.3e-10 and 5.8e-5)
+    steps = errors(np.array([spline(x, j) for j in range(n + 1)]))
+    assert any(e > b for e, b in zip(steps, bounds)), steps
 
 
 def test_affine_image_jet(helix_curve):

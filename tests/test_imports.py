@@ -10,10 +10,12 @@ src/ imports it, and a fresh `import frenetsim.cli` does not load it.
 Another keeps the spline fit in curves.py: no other file under src/
 imports scipy.interpolate or reaches a private of the fit layer. One
 keeps one float64 refusal: the package holds one except clause for
-FloatingPointError and one errstate call that raises on overflow. The
-last two keep one freeze rule, setflags(write=False) in curves._frozen
-and in the jet of _ReparamSource alone, and one kept window, the name
-TRIM read in curves.py alone.
+FloatingPointError and one errstate call that raises on overflow. Two
+keep one freeze rule, setflags(write=False) in curves._frozen and in
+the jet of _ReparamSource alone, and one kept window, the name TRIM read
+in curves.py alone. The last keeps one derivative rule: no call passes a
+derivative order to a fitted spline, whose derivatives are read off its
+derivative chain instead.
 """
 
 import ast
@@ -377,3 +379,84 @@ def test_one_kept_window():
              for path in sorted(PACKAGE.glob("*.py"))}
     assert len(found) > 10
     assert [name for name, lines in found.items() if lines] == ["curves.py"]
+
+
+# calls that return a fitted spline, a derivative chain of one, or fits
+# holding one, and the attributes that hold one
+SPLINE_MAKERS = {"make_interp_spline", "CubicHermiteSpline", "BSpline",
+                 "construct_fast", "derivative", "derivative_chain",
+                 "_derivatives", "field_fits", "_fit_spline_source"}
+SPLINE_ATTRS = {"spline", "chain", "t_of_s"}
+
+
+def spline_order_calls(tree: ast.Module) -> list:
+    """Line of every call that passes a derivative order to a fitted spline.
+
+    A fitted spline is an attribute in SPLINE_ATTRS, a name that some
+    assignment, for loop, comprehension or with statement of the module
+    binds from a value calling one of SPLINE_MAKERS, a call of one of
+    those, or an item of any of these. Passing an order is a second
+    positional argument or a nu keyword.
+    """
+    def makes(value):
+        return any(isinstance(node, ast.Call) and getattr(
+            node.func, "attr", getattr(node.func, "id", None)) in SPLINE_MAKERS
+            for node in ast.walk(value))
+
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            pairs = [(t, node.value) for t in node.targets]
+        elif isinstance(node, ast.AnnAssign):
+            pairs = [(node.target, node.value)]
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            pairs = [(node.target, node.iter)]
+        elif isinstance(node, ast.withitem):
+            pairs = [(node.optional_vars, node.context_expr)]
+        else:
+            continue
+        for target, value in pairs:
+            if target is not None and value is not None and makes(value):
+                bound.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+    def spline(func):
+        while isinstance(func, ast.Subscript):
+            func = func.value
+        if isinstance(func, ast.Attribute):
+            return func.attr in SPLINE_ATTRS
+        if isinstance(func, ast.Name):
+            return func.id in bound
+        return isinstance(func, ast.Call) and makes(func)
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and spline(node.func)
+                  and (len(node.args) > 1 or any(k.arg == "nu" for k in node.keywords)))
+
+
+def test_spline_order_call_is_found():
+    tree = ast.parse("fit = make_interp_spline(x, y, k=5)\n"
+                     "a = fit(x, 1)\n"
+                     "b = fit(x)\n"
+                     "out[j] = self.spline(tq, j)\n"
+                     "for graphs, g in field_fits(x, y):\n"
+                     "    g(x, nu=1)\n"
+                     "chain = derivative_chain(fit, 2)\n"
+                     "c = chain[2](x)\n"
+                     "d = chain[2](x, 0)\n"
+                     "e = make_interp_spline(x, y)(x, 2)\n"
+                     "f = self.t_of_s(sq, 1)\n"
+                     "g2 = np.diff(x, 2) + fit.derivative(2)(x)\n"
+                     "h = CubicHermiteSpline(a, b, c)(t)\n"
+                     "k = [d(x) for d in self._derivatives(3)]\n"
+                     "m = [d(x, 1) for d in self.chain]\n")
+    assert spline_order_calls(tree) == [2, 4, 6, 9, 10, 11, 15]
+
+
+def test_every_derivative_is_read_off_a_chain():
+    # a fitted spline is evaluated, never differentiated in the call: its
+    # derivatives are the splines of curves.derivative_chain, so the basis
+    # recursion runs once per order at that order's own degree
+    found = {path.name: spline_order_calls(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(found) > 10
+    assert {name: lines for name, lines in found.items() if lines} == {}
