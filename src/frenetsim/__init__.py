@@ -21,7 +21,7 @@ from .curves import (
     line,
     log_spiral,
 )
-from .evolute import evolute_e3, evolute_invariant_report
+from .evolute import evolute_e3
 from .focal import focal_curvatures, shape_from_focal
 from .indicatrix import (
     geodesic_closed_form,
@@ -65,7 +65,6 @@ __all__ = [
     "custom_poly",
     "errors",
     "evolute_e3",
-    "evolute_invariant_report",
     "focal_curvatures",
     "frame_ode_oracle",
     "frenet_apparatus",

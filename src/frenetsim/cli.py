@@ -29,9 +29,10 @@ from .curves import (
     curve_from_csv,
     curve_to_csv,
     frenet_apparatus,
+    tangent_residual,
 )
 from .errors import BadParameters, BadRange, GeometryError, UsageError
-from .evolute import evolute_e3, evolute_invariant_report
+from .evolute import evolute_e3
 from .focal import focal_curvatures
 from .indicatrix import (
     indicatrix_curve,
@@ -227,6 +228,8 @@ def cmd_focal(args) -> int:
         "f_min": fd.f.min(axis=0),
         "f_max": fd.f.max(axis=0),
         "focal_point_spread": float(radii.max()),
+        "tangent_residual": tangent_residual(fr, fd.focal_points,
+                                             fr.frames[:, -1]),
         "output": str(out_csv),
     }))
     return 0
@@ -235,15 +238,13 @@ def cmd_focal(args) -> int:
 def cmd_evolute(args) -> int:
     fr = frenet_apparatus(_load_curve(args.input, args.samples))
     ed = evolute_e3(fr, args.phi0)
-    rep = evolute_invariant_report(fr, ed)
     base = _base_path(args)
     out_csv = Path(f"{base}.evolute.csv")
     _write_table(out_csv, ["s", "m1", "m2", "b1", "b2", "b3"],
                  [ed.s, ed.m1, ed.m2, ed.beta])
     sys.stdout.write(dump_pretty({
         "phi0": args.phi0,
-        "residual_shape": rep.residual_shape,
-        "residual_ratio": rep.residual_ratio,
+        "tangent_residual": tangent_residual(fr, ed.beta, ed.beta - fr.points),
         "output": str(out_csv),
     }))
     return 0

@@ -247,6 +247,9 @@ class AffineImage:
     matrix: np.ndarray
     offset: np.ndarray
 
+    def __post_init__(self):
+        _frozen(self, matrix=self.matrix, offset=self.offset)
+
     def jet(self, tq: np.ndarray, order: int) -> np.ndarray:
         out = self.scale * (self.source.jet(tq, order) @ self.matrix.T)
         out[0] += self.offset
@@ -333,6 +336,14 @@ def _knot_sites(graph, k: int, noise: float) -> np.ndarray:
     return sites
 
 
+def _interp_fit(x: np.ndarray, y: np.ndarray, sites: np.ndarray, k: int):
+    """The one spline fit: degree k through (x, y) at the mask sites, logged."""
+    gaps = np.diff(np.flatnonzero(sites))
+    log.debug("spline fit: degree %d, %d knots of %d samples, gaps %d to %d",
+              k, len(gaps) + 1, len(sites), gaps.min(), gaps.max())
+    return make_interp_spline(x[sites], y[sites], k=k)
+
+
 def derivative_chain(spline, order: int) -> list:
     """[S, S', ..., S^(order)] of the B-spline S.
 
@@ -414,10 +425,7 @@ def _fit_spline_source(curve: SampledCurve) -> _SplineSource:
     big = np.frexp(np.abs(curve.points).max())[1]
     sites = _knot_sites(np.ldexp(curve.points.T, -big), k, POSITION_NOISE)
     # k stays: the sites are all >= 2(n + 2) > k samples, or >= 3(k + 1)
-    gaps = np.diff(np.flatnonzero(sites))
-    log.debug("spline fit: degree %d, %d knots of %d samples, gaps %d to %d",
-              k, len(gaps) + 1, len(sites), gaps.min(), gaps.max())
-    return _SplineSource(make_interp_spline(curve.t[sites], curve.points[sites], k=k))
+    return _SplineSource(_interp_fit(curve.t, curve.points, sites, k))
 
 
 def _engine(curve: SampledCurve) -> object:
@@ -917,11 +925,8 @@ def field_fits(x: np.ndarray, y: np.ndarray) -> list:
     fits = []
     for row in {r.tobytes(): r for r in sites}.values():  # each distinct row
         k = min(FIELD_DEGREE, (np.count_nonzero(row) - 2) | 1)
-        gaps = np.diff(np.flatnonzero(row))
-        log.debug("spline fit: degree %d, %d knots of %d samples, gaps %d to %d",
-                  k, len(gaps) + 1, len(row), gaps.min(), gaps.max())
         graphs = (sites == row).all(axis=1)
-        fits.append((graphs, make_interp_spline(x[row], y[row][:, graphs], k=k)))
+        fits.append((graphs, _interp_fit(x, y[:, graphs], row, k)))
     return fits
 
 
@@ -941,6 +946,25 @@ def field_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for graphs, fit in field_fits(x, cols):
         out[:, graphs] = derivative_chain(fit, 1)[1](x)
     return out.reshape(y.shape)
+
+
+def tangent_residual(fr: FrenetData, points: np.ndarray,
+                     direction: np.ndarray) -> float:
+    """Sup of the part of C' = dC/ds across direction, over max(1, sup |C'|).
+
+    points (N, n) is a curve C on fr's arc-length grid, and direction the
+    line that C' follows by a theorem the construction of C does not use:
+    V_n for a focal curve, beta - alpha for an evolute. The sup runs over
+    fr.kept. The 1 is the source curve's unit speed, so where C stands
+    still, as a circle's focal curve does, roundoff is not divided by
+    roundoff.
+    """
+    sl = fr.kept
+    d = field_derivative(fr.s, points)[sl]
+    u = direction[sl] / np.linalg.norm(direction[sl], axis=1, keepdims=True)
+    across = d - np.einsum("qd,qd->q", d, u)[:, None] * u
+    return float(np.linalg.norm(across, axis=1).max()
+                 / max(1.0, np.linalg.norm(d, axis=1).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 The focal curve is C = alpha + f_1 V_2 + ... + f_{n-1} V_n. Its
 coefficients, the focal curvatures, satisfy f_1 = 1/kappa_1 and the
 recursion f_i = (f_1 f_1' + ... + f_{i-1} f_{i-1}') / (kappa_i f_{i-1})
-with derivatives in arc length. Inverting the recursion gives the
-curvatures, and so the shape invariants, from the focal curvatures
-alone (shape_from_focal): an independent cross-path to the same
-signature.
+with derivatives in arc length. shape_from_focal inverts it, the
+paper's expression of the shape invariants through the focal
+curvatures; it reuses the fits of the f_j, so it restates the signature
+and does not check it. C' is parallel to V_n (Uribe-Vargas, Bull. Braz.
+Math. Soc. 36, 2005), which curves.tangent_residual checks.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PIVOT_REL, FrenetData, field_derivative
+from .curves import PIVOT_REL, FrenetData, _frozen, field_derivative
 from .errors import ZeroCurvature, ZeroFocalPivot
 from .signatures import ShapeSignature, _ladder_signatures
 
@@ -27,6 +28,9 @@ class FocalData:
     s: np.ndarray
     f: np.ndarray
     focal_points: np.ndarray
+
+    def __post_init__(self):
+        _frozen(self, s=self.s, f=self.f, focal_points=self.focal_points)
 
 
 def _check_kappa(kap_i: np.ndarray, i: int) -> None:

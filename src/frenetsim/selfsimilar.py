@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .curves import SampledCurve, _require_samples, structure_skew
+from .curves import SampledCurve, _frozen, _require_samples, structure_skew
 from .errors import (
     BadIndex,
     BadParameters,
@@ -110,6 +110,9 @@ class SelfSimilarSolution:
     plane_spin: tuple
     frame0: np.ndarray
     axial: float | None
+
+    def __post_init__(self):
+        _frozen(self, frame0=self.frame0)
 
 
 def solve_self_similar(spec: SelfSimilarSpec) -> SelfSimilarSolution:

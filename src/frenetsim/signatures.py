@@ -105,6 +105,8 @@ class ShapeSignature:
         if not 1 <= self.index <= n:
             raise BadIndex(f"index must be in 1..{n}, got {self.index}")
         sig, kt, ktj = _frozen(self, sigma=self.sigma, kt=self.kt, ktj=self.ktj)
+        if self.s is not None:
+            _frozen(self, s=self.s)
         if kt.shape != sig.shape or ktj.shape != (n - 1, len(sig)):
             raise BadParameters("signature arrays have inconsistent shapes")
         if not np.all(np.diff(sig) > 0):

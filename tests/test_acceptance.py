@@ -12,6 +12,7 @@ import pytest
 
 import frenetsim as fs
 from frenetsim import errors as E
+from frenetsim.curves import tangent_residual
 
 RT13 = math.sqrt(13.0)
 TOL = 1e-3
@@ -148,33 +149,58 @@ def test_criterion_5_geodesic_curvature(helix_frenet, helix_images, capsys):
            f"invariance dev {dev_inv:.3e}, tol {TOL:g}")
 
 
-def test_criterion_6_focal_curvatures(helix_frenet, spiral_frenet,
-                                      selfsim3_frenet, capsys):
-    dev_f1 = 0.0
-    for fr in (helix_frenet, spiral_frenet, selfsim3_frenet):
-        fd = fs.focal_curvatures(fr)
-        dev_f1 = max(dev_f1, float(
-            np.abs(fd.f[:, 0] - 1.0 / fr.kappas[:, 0]).max()))
+@pytest.fixture(scope="module")
+def elliptic_frenet():
+    # 400 raw rows of the elliptic helix (2 cos t, sin t, t/2), t in
+    # [0, 3], resampled to 2000: its focal curvatures and the evolute's
+    # m_1, m_2 vary along it, unlike a circular helix's
+    t = np.linspace(0.0, 3.0, 400)
+    raw = fs.SampledCurve(3, t, np.column_stack([2 * np.cos(t), np.sin(t),
+                                                 t / 2]))
+    return fs.frenet_apparatus(fs.arclength_reparam(raw, 2000))
+
+
+def focal_check(fr, f=None):
+    # C' of the focal curve C = alpha + sum f_j V_{j+1} lies along V_n
+    # (Uribe-Vargas, Bull. Braz. Math. Soc. 36, 2005), a direction
+    # focal_curvatures never uses; f replaces the focal curvatures
+    if f is None:
+        f = fs.focal_curvatures(fr).f
+    C = fr.points + np.einsum("qj,qjd->qd", f, fr.frames[:, 1:, :])
+    return tangent_residual(fr, C, fr.frames[:, -1])
+
+
+def test_criterion_6_focal_curvatures(helix_frenet, elliptic_frenet,
+                                      selfsim3_frenet, selfsim4_frenet, capsys):
+    checks = [focal_check(fr) for fr in
+              (elliptic_frenet, selfsim3_frenet, selfsim4_frenet)]
+    # planted fault: the focal curve built with the sign of f_2 flipped
+    fault = focal_check(elliptic_frenet,
+                        fs.focal_curvatures(elliptic_frenet).f * [1.0, -1.0])
     hd = fs.focal_curvatures(helix_frenet)
     dev_f2 = float(np.abs(hd.f[:, 1]).max())
     radius = np.hypot(hd.focal_points[:, 0], hd.focal_points[:, 1])
     dev_radius = float(np.abs(radius - 16.0 / 3.0).max())
-    dev_cross = 0.0
+    # the paper's expression of the shape invariants through the focal
+    # curvatures; it reuses the fits of the f_j, so it is no cross-check
+    dev_expr = 0.0
     sd = fs.focal_curvatures(selfsim3_frenet)
     for i in (1, 2, 3):
         via = fs.shape_from_focal(sd, i)
         direct = fs.shape_curvatures(selfsim3_frenet, i)
-        dev_cross = max(dev_cross, float(np.abs(via.kt - direct.kt).max()))
+        dev_expr = max(dev_expr, float(np.abs(via.kt - direct.kt).max()))
         for j in range(len(direct.ktj)):
-            dev_cross = max(dev_cross, float(
+            dev_expr = max(dev_expr, float(
                 np.abs(via.ktj[j] - direct.ktj[j]).max()))
-    ok = dev_f1 <= 1e-6 and dev_f2 <= 1e-4 and dev_radius <= TOL \
-        and dev_cross <= TOL
-    report(capsys, "focal curvatures: f_1 = 1/kappa_1, helix f_2 = 0, "
-           "focal radius 16/3, focal-vs-direct shape", ok,
-           f"f1 dev {dev_f1:.3e} (tol 1e-06), f2 {dev_f2:.3e} (tol 1e-04), "
-           f"radius dev {dev_radius:.3e}, crosspath dev {dev_cross:.3e}, "
-           f"tol {TOL:g}")
+    ok = max(checks) <= TOL and fault > TOL and dev_f2 <= 1e-4 \
+        and dev_radius <= TOL and dev_expr <= TOL
+    report(capsys, "focal curvatures: focal tangent along V_n on 3 curves, "
+           "helix f_2 = 0, focal radius 16/3, the paper's focal expression", ok,
+           f"tangent check: elliptic helix {checks[0]:.3e}, self-similar E3 "
+           f"{checks[1]:.3e}, self-similar E4 {checks[2]:.3e}; planted f_2 "
+           f"sign fault {fault:.3e} (must exceed tol); f2 {dev_f2:.3e} "
+           f"(tol 1e-04), radius dev {dev_radius:.3e}, focal-expression dev "
+           f"{dev_expr:.3e}, tol {TOL:g}")
 
 
 def helix_evolute_deviation(a, b, phi0):
@@ -200,27 +226,31 @@ def helix_evolute_deviation(a, b, phi0):
     return float(np.abs(fs.evolute_e3(fr, phi0).beta - want).max())
 
 
-def test_criterion_7_evolute_residuals(selfsim3_frenet, capsys):
+def evolute_check(fr, phi0, m2_sign=1.0):
+    # beta' lies along beta - alpha, a direction evolute_e3 never uses;
+    # m2_sign = -1 builds beta with the sign of m_2 flipped
+    ed = fs.evolute_e3(fr, phi0)
+    beta = fr.points + ed.m1[:, None] * fr.frames[:, 1] \
+        + m2_sign * ed.m2[:, None] * fr.frames[:, 2]
+    return tangent_residual(fr, beta, beta - fr.points)
+
+
+def test_criterion_7_evolute_residuals(elliptic_frenet, capsys):
     # the closed form of a right- and a left-handed helix checks the
-    # evolute itself; the two residuals of evolute_invariant_report hold
-    # by construction (evolute module docstring), so they are kept as
-    # identities, not as the criterion's margin
+    # evolute itself, the tangent line of beta a curve whose m_1 and m_2
+    # vary; the phases stay at least 0.6 from a multiple of pi, since the
+    # check grows as beta nears the cotangent's pole
     closed = max(helix_evolute_deviation(3.0, 4.0, 1.0),
                  helix_evolute_deviation(3.0, -4.0, 2.0))
-    t = np.linspace(0.0, 1.8, 400)
-    cur = fs.builtin_evaluate(fs.helix(3.0, 4.0, t_span=(0.0, 1.8)), t)
-    helix_fr = fs.frenet_apparatus(fs.arclength_reparam(cur, 2000))
-    r_helix = fs.evolute_invariant_report(helix_fr, fs.evolute_e3(helix_fr))
-    r_sim = fs.evolute_invariant_report(
-        selfsim3_frenet, fs.evolute_e3(selfsim3_frenet, phi0=0.6))
-    worst = max(r_helix.max_residual, r_sim.max_residual)
-    report(capsys, "evolute: helix closed form + invariant identities "
-           "(helix + nonconstant curve)",
-           closed <= TOL and worst <= TOL,
+    checks = [evolute_check(elliptic_frenet, phi0) for phi0 in (0.6, 1.0)]
+    fault = evolute_check(elliptic_frenet, 1.0, m2_sign=-1.0)
+    report(capsys, "evolute: helix closed form + evolute tangent along "
+           "beta - alpha (elliptic helix)",
+           closed <= TOL and max(checks) <= TOL and fault > TOL,
            f"closed-form dev {closed:.3e} (raw helices (3, 4) at phi0 = 1 and "
-           f"(3, -4) at phi0 = 2); identity residuals: helix "
-           f"{r_helix.max_residual:.3e}, self-similar {r_sim.max_residual:.3e}; "
-           f"tol {TOL:g}")
+           f"(3, -4) at phi0 = 2); tangent check: elliptic helix "
+           f"{checks[0]:.3e} at phi0 = 0.6, {checks[1]:.3e} at phi0 = 1; "
+           f"planted m_2 sign fault {fault:.3e} (must exceed tol); tol {TOL:g}")
 
 
 def test_criterion_8_reference_example(selfsim3_spec, selfsim3_frenet, capsys):

@@ -290,17 +290,18 @@ def test_focal_command(data_dir, tmp_path, capsys):
     assert rc == 0
     info = json.loads(out)
     assert abs(info["f_mean"][0] - 25.0 / 3.0) < 1e-6
+    assert info["tangent_residual"] < 1e-4
     header = (tmp_path / "h.focal.csv").read_text().splitlines()[0]
     assert header.split(",") == ["s", "f_1", "f_2", "c1", "c2", "c3"]
 
 
 def test_evolute_command(data_dir, tmp_path, capsys):
     rc, out = run(capsys, "evolute", "--input", str(data_dir / "helix_short.csv"),
-                  "--samples", "800", "--output", str(tmp_path / "e"))
+                  "--samples", "800", "--phi0", "1.0", "--output", str(tmp_path / "e"))
     assert rc == 0
     info = json.loads(out)
-    assert info["residual_shape"] < 1e-3
-    assert info["residual_ratio"] < 1e-3
+    assert list(info) == ["phi0", "tangent_residual", "output"]
+    assert info["tangent_residual"] < 1e-4
     header = (tmp_path / "e.evolute.csv").read_text().splitlines()[0]
     assert header.split(",") == ["s", "m1", "m2", "b1", "b2", "b3"]
 

@@ -6,7 +6,7 @@ import pytest
 
 import frenetsim as fs
 from frenetsim import errors as E
-from frenetsim.curves import TRIM
+from frenetsim.curves import TRIM, tangent_residual
 
 
 @pytest.fixture(scope="module")
@@ -35,26 +35,54 @@ def test_helix_evolute_closed_form(short_helix_frenet):
     assert ev.beta.shape == (ev.s.shape[0], 3)
 
 
+def evolute_check(fr, phi0):
+    ev = fs.evolute_e3(fr, phi0)
+    return tangent_residual(fr, ev.beta, ev.beta - fr.points)
+
+
 def test_helix_evolute_residuals(short_helix_frenet):
-    rep = fs.evolute_invariant_report(short_helix_frenet,
-                                      fs.evolute_e3(short_helix_frenet))
-    assert rep.residual_shape < 1e-4
-    assert rep.residual_ratio < 1e-3
-    assert rep.max_residual == max(rep.residual_shape, rep.residual_ratio)
+    # beta' lies along beta - alpha; at phi0 = 1 the phase stays 0.70 from
+    # a multiple of pi
+    assert evolute_check(short_helix_frenet, 1.0) < 1e-4
 
 
 def test_cubic_evolute_residuals(short_cubic_frenet):
-    ev = fs.evolute_e3(short_cubic_frenet, phi0=math.pi / 2 - 0.6)
-    rep = fs.evolute_invariant_report(short_cubic_frenet, ev)
-    assert rep.residual_shape < 1e-3
-    assert rep.residual_ratio < 1e-3
+    # the torsion integral sweeps 2.15, so phi0 = 0.5 keeps the phase
+    # 0.49 from both poles
+    assert evolute_check(short_cubic_frenet, 0.5) < 1e-4
 
 
 def test_self_similar_evolute_residuals(selfsim3_frenet):
-    rep = fs.evolute_invariant_report(selfsim3_frenet,
-                                      fs.evolute_e3(selfsim3_frenet, phi0=0.6))
-    assert rep.residual_shape < 1e-3
-    assert rep.residual_ratio < 1e-3
+    # the worst sample is the last kept one, where the phase is nearest
+    # pi: 0.33 from it at phi0 = 0.6 and 0.027 at phi0 = 0.9, where beta
+    # runs off towards the cotangent's pole and the check grows with it
+    near = evolute_check(selfsim3_frenet, 0.6)
+    assert near < 5e-3
+    assert evolute_check(selfsim3_frenet, 0.9) > 30 * near
+
+
+def test_still_curves_read_roundoff(circle_frenet, planar_circle_frenet):
+    # the focal curve of a circle in E^2 and the evolute of a planar
+    # circle are its center, so their derivatives are roundoff; over
+    # max |C'| alone the check read about 1 and 0.4 on them
+    fd = fs.focal_curvatures(circle_frenet)
+    assert tangent_residual(circle_frenet, fd.focal_points,
+                            circle_frenet.frames[:, -1]) < 1e-12
+    assert evolute_check(planar_circle_frenet, 1.0) < 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the field fits have "
+                   "one-sided support at the ends of the kept samples")
+def test_twisted_cubic_tangent_checks_within_tol():
+    # (t, t^2, t^3), t in [0.2, 1.5], 2000 exact rows: the focal check
+    # reads 1.8e-3 and the evolute check at phi0 = 1 reads 2.6e-3, both at
+    # the first kept sample
+    t = np.linspace(0.2, 1.5, 2000)
+    raw = fs.SampledCurve(3, t, np.column_stack([t, t * t, t ** 3]))
+    fr = fs.frenet_apparatus(fs.arclength_reparam(raw, 2000))
+    fd = fs.focal_curvatures(fr)
+    assert tangent_residual(fr, fd.focal_points, fr.frames[:, -1]) < 1e-3
+    assert evolute_check(fr, 1.0) < 1e-3
 
 
 def test_planar_circle_evolute(planar_circle_frenet):

@@ -11,9 +11,10 @@ Another keeps the spline fit in curves.py: no other file under src/
 imports scipy.interpolate or reaches a private of the fit layer. One
 keeps one float64 refusal: the package holds one except clause for
 FloatingPointError and one errstate call that raises on overflow. Two
-keep one freeze rule, setflags(write=False) in curves._frozen and in
-the jet of _ReparamSource alone, and one kept window, the name TRIM read
-in curves.py alone. The last keeps one derivative rule: no call passes a
+keep one freeze rule: setflags(write=False) in curves._frozen and in
+the jet of _ReparamSource alone, and every array that a frozen
+dataclass takes set through _frozen. One keeps one kept window, the
+name TRIM read in curves.py alone. The last keeps one derivative rule: no call passes a
 derivative order to a fitted spline, whose derivatives are read off its
 derivative chain instead.
 """
@@ -199,8 +200,8 @@ def test_launch_loads_no_scipy_integrate():
 
 # the privates of curves.py that decide or make a spline fit, and the
 # make_interp_spline binding that every fit goes through
-FIT_LAYER = {"_knot_sites", "_fit_spline_source", "_SplineSource", "_engine",
-             "make_interp_spline"}
+FIT_LAYER = {"_knot_sites", "_interp_fit", "_fit_spline_source", "_SplineSource",
+             "_engine", "make_interp_spline"}
 
 
 def fit_layer_uses(tree: ast.Module) -> list:
@@ -346,6 +347,63 @@ def test_one_freeze_rule():
                     ("curves.py", "_frozen")]
 
 
+def unfrozen_arrays(tree: ast.Module) -> list:
+    """(class, field) of every array field of a frozen dataclass that its
+    __post_init__ does not hand to _frozen by name.
+
+    An array field is one whose annotation names ndarray and that the
+    constructor takes, so not a field(init=False).
+    """
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) or not any(
+                isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+                and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
+                        for k in d.keywords)
+                for d in node.decorator_list):
+            continue
+        arrays = [stmt.target.id for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign)
+                  and "ndarray" in ast.unparse(stmt.annotation)
+                  and not (isinstance(stmt.value, ast.Call) and any(
+                      k.arg == "init" and getattr(k.value, "value", None) is False
+                      for k in stmt.value.keywords))]
+        frozen = {k.arg for fn in node.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                  for call in ast.walk(fn) if isinstance(call, ast.Call)
+                  and getattr(call.func, "id", getattr(call.func, "attr", None)) == "_frozen"
+                  for k in call.keywords}
+        found += [(node.name, name) for name in arrays if name not in frozen]
+    return found
+
+
+def test_unfrozen_array_is_found():
+    tree = ast.parse("@dataclass(frozen=True)\n"
+                     "class A:\n"
+                     "    a: np.ndarray\n"
+                     "    b: np.ndarray | None = None\n"
+                     "    c: np.ndarray = field(init=False)\n"
+                     "    d: float = 0.0\n"
+                     "    def __post_init__(self):\n"
+                     "        if self.b is not None:\n"
+                     "            _frozen(self, b=self.b)\n"
+                     "@dataclass(frozen=True)\n"
+                     "class B:\n"
+                     "    x: np.ndarray\n"
+                     "@dataclass\n"
+                     "class C:\n"
+                     "    y: np.ndarray\n")
+    assert unfrozen_arrays(tree) == [("A", "a"), ("B", "x")]
+
+
+def test_every_value_array_is_frozen():
+    # a frozen dataclass that takes an array sets it through
+    # curves._frozen, so no value hands out an array its caller can write
+    found = [(path.name, *hit) for path in sorted(PACKAGE.glob("*.py"))
+             for hit in unfrozen_arrays(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
 def trim_reads(tree: ast.Module) -> list:
     """Line of every import of the name TRIM and of every read of it."""
     lines = []
@@ -385,7 +443,7 @@ def test_one_kept_window():
 # holding one, and the attributes that hold one
 SPLINE_MAKERS = {"make_interp_spline", "CubicHermiteSpline", "BSpline",
                  "construct_fast", "derivative", "derivative_chain",
-                 "_derivatives", "field_fits", "_fit_spline_source"}
+                 "_derivatives", "field_fits", "_interp_fit", "_fit_spline_source"}
 SPLINE_ATTRS = {"spline", "chain", "t_of_s"}
 
 
