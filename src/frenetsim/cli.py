@@ -4,7 +4,9 @@ Subcommands: analyze, transform, match, synthesize, focal, evolute,
 verify. Curves travel as CSV (header t,x1,...,xn), transforms and
 signatures as JSON, and every float is printed with 17 significant
 digits. Exit codes: 0 success (or "similar"), 1 a decision or property
-check failed, 2 usage or parse problems, 3 geometric degeneracy.
+check failed (match finds the curves dissimilar, verify sees a deviation
+above its --tol, or the tangent_residual of focal or evolute exceeds
+TANGENT_TOL = 1e-3), 2 usage or parse problems, 3 geometric degeneracy.
 Set FRENETSIM_LOG=info (or debug) for progress logging on stderr; a
 value that is not a logging level name is ignored with a warning.
 """
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import math
 import os
@@ -40,12 +41,12 @@ from .indicatrix import (
     sabban_geodesic_curvature,
 )
 from .jsonio import (
-    MALFORMED,
     dump_pretty,
     float_texts,
     json_float,
     json_floats,
     json_int,
+    read_document,
 )
 from .selfsimilar import (
     SelfSimilarSpec,
@@ -71,6 +72,8 @@ log = logging.getLogger("frenetsim.cli")
 
 DEFAULT_SAMPLES = 2000
 LAMBDA_RANGE = (0.5, 2.0)
+# the largest tangent_residual with which focal and evolute exit 0
+TANGENT_TOL = 1e-3
 
 
 def _load_curve(path: str, samples: int):
@@ -103,7 +106,7 @@ def cmd_analyze(args) -> int:
     kappa_g = float_texts(sabban_geodesic_curvature(sc)) if n == 3 else None
     names = ["s", "sigma", *[f"kappa_{j}" for j in range(1, n)],
              "kt", *[f"kt_{j}" for j in range(1, n)]]
-    cols = [sig.s, sigma, fr.kappas[fr.kept], kt, *ktj]
+    cols = [fr.s[fr.kept], sigma, fr.kappas[fr.kept], kt, *ktj]
     if kappa_g is not None:
         names.append("kappa_g")
         cols.append(kappa_g)
@@ -167,8 +170,7 @@ def cmd_match(args) -> int:
 
 
 def _spec_from_json(path: str) -> SelfSimilarSpec:
-    try:
-        obj = json.loads(_read_text(path))
+    def build(obj):
         return SelfSimilarSpec(
             dimension=json_int(obj["dimension"], "dimension"),
             index=json_int(obj["index"], "index"),
@@ -178,8 +180,8 @@ def _spec_from_json(path: str) -> SelfSimilarSpec:
                                           "sigma_range").tolist()),
             n_samples=json_int(obj.get("samples", DEFAULT_SAMPLES), "samples"),
         )
-    except MALFORMED as exc:
-        raise BadParameters(f"malformed self-similar spec JSON: {exc}") from None
+
+    return read_document(_read_text(path), "self-similar spec", build)
 
 
 def cmd_synthesize(args) -> int:
@@ -222,17 +224,17 @@ def cmd_focal(args) -> int:
     _write_table(out_csv, names, [fd.s, fd.f, fd.focal_points])
     center = fd.focal_points.mean(axis=0)
     radii = np.linalg.norm(fd.focal_points - center, axis=1)
+    residual = tangent_residual(fr, fd.focal_points, fr.frames[:, -1])
     sys.stdout.write(dump_pretty({
         "dimension": n,
         "f_mean": fd.f.mean(axis=0),
         "f_min": fd.f.min(axis=0),
         "f_max": fd.f.max(axis=0),
         "focal_point_spread": float(radii.max()),
-        "tangent_residual": tangent_residual(fr, fd.focal_points,
-                                             fr.frames[:, -1]),
+        "tangent_residual": residual,
         "output": str(out_csv),
     }))
-    return 0
+    return 0 if residual <= TANGENT_TOL else 1
 
 
 def cmd_evolute(args) -> int:
@@ -242,12 +244,13 @@ def cmd_evolute(args) -> int:
     out_csv = Path(f"{base}.evolute.csv")
     _write_table(out_csv, ["s", "m1", "m2", "b1", "b2", "b3"],
                  [ed.s, ed.m1, ed.m2, ed.beta])
+    residual = tangent_residual(fr, ed.beta, ed.beta - fr.points)
     sys.stdout.write(dump_pretty({
         "phi0": args.phi0,
-        "tangent_residual": tangent_residual(fr, ed.beta, ed.beta - fr.points),
+        "tangent_residual": residual,
         "output": str(out_csv),
     }))
-    return 0
+    return 0 if residual <= TANGENT_TOL else 1
 
 
 def cmd_verify(args) -> int:

@@ -344,8 +344,8 @@ def _interp_fit(x: np.ndarray, y: np.ndarray, sites: np.ndarray, k: int):
     return make_interp_spline(x[sites], y[sites], k=k)
 
 
-def derivative_chain(spline, order: int) -> list:
-    """[S, S', ..., S^(order)] of the B-spline S.
+def derivative_chain(spline, order: int) -> tuple:
+    """(S, S', ..., S^(order)) of the B-spline S.
 
     Each derivative is made from the one before by BSpline.derivative:
     the spline of one degree less whose coefficients are the differences
@@ -367,44 +367,33 @@ def derivative_chain(spline, order: int) -> list:
             chain.append(last.derivative())
         except ValueError:
             raise FloatingPointError("a derivative spline overflows") from None
-    return chain
+    return tuple(chain)
 
 
 @dataclass(frozen=True)
 class _SplineSource:
     """B-spline interpolant of raw samples, exposing its derivatives.
 
-    chain holds the derivative chain of the spline (derivative_chain),
-    built once, on first use, as far as the highest order asked, so a
-    derivative that no one reads is never made; entry [j] of a jet is the
-    evaluation of chain[j].
+    chain is the derivative chain of the spline to its degree k
+    (derivative_chain), chain[0] the spline itself; entry [j] of a jet
+    is the evaluation of chain[j], and zero past order k.
     """
 
-    spline: object
-    chain: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "chain", [self.spline])
+    chain: tuple
 
     @property
     def knot_spans(self) -> int:
         """Number of polynomial pieces of the spline."""
-        return len(np.unique(self.spline.t)) - 1
-
-    def _derivatives(self, order: int) -> list:
-        more = order + 1 - len(self.chain)
-        if more > 0:
-            self.chain.extend(derivative_chain(self.chain[-1], more)[1:])
-        return self.chain[: order + 1]
+        return len(np.unique(self.chain[0].t)) - 1
 
     def jet(self, tq: np.ndarray, order: int) -> np.ndarray:
-        out = np.empty((order + 1, len(tq), self.spline.c.shape[-1]))
-        for j, d in enumerate(self._derivatives(order)):
+        out = np.zeros((order + 1, len(tq), self.chain[0].c.shape[-1]))
+        for j, d in enumerate(self.chain[: order + 1]):
             out[j] = d(tq)
         return out
 
     def velocity(self, tq: np.ndarray) -> np.ndarray:
-        return self._derivatives(1)[1](tq)
+        return self.chain[1](tq)
 
     def arclength(self, tq: np.ndarray) -> np.ndarray:
         return _arclength(self, tq)
@@ -425,7 +414,8 @@ def _fit_spline_source(curve: SampledCurve) -> _SplineSource:
     big = np.frexp(np.abs(curve.points).max())[1]
     sites = _knot_sites(np.ldexp(curve.points.T, -big), k, POSITION_NOISE)
     # k stays: the sites are all >= 2(n + 2) > k samples, or >= 3(k + 1)
-    return _SplineSource(_interp_fit(curve.t, curve.points, sites, k))
+    fit = _interp_fit(curve.t, curve.points, sites, k)
+    return _SplineSource(derivative_chain(fit, k))
 
 
 def _engine(curve: SampledCurve) -> object:

@@ -19,8 +19,8 @@ document and refuses a fraction or a boolean; json_float and json_floats
 read a number or nested arrays of numbers and refuse a string, a
 boolean or a null, which float() and np.array would take. MALFORMED
 holds what json.loads and these readers raise on a malformed document;
-each document reader (transform, signature, self-similar spec) turns it
-into BadParameters.
+read_document, which reads every document (transform, signature,
+self-similar spec), turns it into BadParameters.
 """
 
 from __future__ import annotations
@@ -63,6 +63,18 @@ def float_texts(a):
     if a.ndim == 1:
         return texts
     return np.array(texts, dtype=object).reshape(a.shape).tolist()
+
+
+def read_document(text: str, name: str, build):
+    """build(obj) of the JSON document text, refusing a malformed one.
+
+    What json.loads or build raises of MALFORMED becomes BadParameters
+    "malformed <name> JSON: <reason>".
+    """
+    try:
+        return build(json.loads(text))
+    except MALFORMED as exc:
+        raise BadParameters(f"malformed {name} JSON: {exc}") from None
 
 
 def json_int(value, name: str) -> int:

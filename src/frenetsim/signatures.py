@@ -22,10 +22,9 @@ per match.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -47,11 +46,11 @@ from .errors import (
 )
 from .indicatrix import indicatrix_curve, sabban_geodesic_curvature
 from .jsonio import (
-    MALFORMED,
     FloatTexts,
     float_texts,
     json_floats,
     json_int,
+    read_document,
     render,
 )
 from .transforms import apply_similarity
@@ -87,10 +86,9 @@ def _check_index_circle(ktj, i: int, tol: float) -> None:
 class ShapeSignature:
     """Sampled shape-curvature functions over the sigma_i grid.
 
-    ktj has shape (n-1, N): row j-1 is kt_j over the grid. The s field
-    carries the underlying arc lengths when the signature was computed
-    from a curve (None after JSON round trips); it feeds lambda
-    estimation but is not part of the serialized format.
+    ktj has shape (n-1, N): row j-1 is kt_j over the grid. A signature
+    is its JSON (signature_to_json): its five fields are the document's
+    keys, so signature_from_json gives back every value it holds.
     """
 
     dimension: int
@@ -98,15 +96,12 @@ class ShapeSignature:
     sigma: np.ndarray
     kt: np.ndarray
     ktj: np.ndarray
-    s: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         n = self.dimension
         if not 1 <= self.index <= n:
             raise BadIndex(f"index must be in 1..{n}, got {self.index}")
         sig, kt, ktj = _frozen(self, sigma=self.sigma, kt=self.kt, ktj=self.ktj)
-        if self.s is not None:
-            _frozen(self, s=self.s)
         if kt.shape != sig.shape or ktj.shape != (n - 1, len(sig)):
             raise BadParameters("signature arrays have inconsistent shapes")
         if not np.all(np.diff(sig) > 0):
@@ -184,7 +179,7 @@ def _ladder_signatures(kappas: np.ndarray, s: np.ndarray, indices,
     q = np.column_stack([qs[r] for _, r in kept])
     kt = field_derivative(s[sl], 1.0 / q)
     return {i: ShapeSignature(n, i, sigma[r], kt[:, c],
-                              ladder[1:n, sl] / q[:, c], s=s[sl])
+                              ladder[1:n, sl] / q[:, c])
             for c, (i, r) in enumerate(kept)}
 
 
@@ -285,8 +280,8 @@ def similarity_test(curve_a: SampledCurve, curve_b: SampledCurve, i: int,
     reports signature_distance there. Similar iff that distance is
     <= tol.
     lambda_est is the ratio of arc lengths swept over the matched sigma
-    window, which equals the similarity scale for genuinely similar
-    curves.
+    window, read off the kept samples of each Frenet apparatus, which
+    equals the similarity scale for genuinely similar curves.
     """
     if curve_a.dimension != curve_b.dimension:
         raise IncompatibleSignatures("curves live in different dimensions")
@@ -305,10 +300,10 @@ def similarity_test(curve_a: SampledCurve, curve_b: SampledCurve, i: int,
 
     w_lo = max(sa.sigma[0], sb.sigma[0] + shift)
     w_hi = min(sa.sigma[-1], sb.sigma[-1] + shift)
-    ds_a = float(np.interp(w_hi, sa.sigma, sa.s)
-                 - np.interp(w_lo, sa.sigma, sa.s))
-    ds_b = float(np.interp(w_hi - shift, sb.sigma, sb.s)
-                 - np.interp(w_lo - shift, sb.sigma, sb.s))
+    s_a, s_b = fa.s[fa.kept], fb.s[fb.kept]
+    ds_a = float(np.interp(w_hi, sa.sigma, s_a) - np.interp(w_lo, sa.sigma, s_a))
+    ds_b = float(np.interp(w_hi - shift, sb.sigma, s_b)
+                 - np.interp(w_lo - shift, sb.sigma, s_b))
     lam = ds_b / ds_a if ds_a > 0 else math.nan
     ok = bool(dist <= tol)
     log.debug("match: distance %.3g at shift %.3g, lambda %.6g; scan step "
@@ -387,14 +382,10 @@ def signature_to_json(sig: ShapeSignature) -> str:
 
 
 def signature_from_json(text: str) -> ShapeSignature:
-    try:
-        obj = json.loads(text)
-        return ShapeSignature(
-            json_int(obj["dimension"], "dimension"),
-            json_int(obj["index"], "index"),
-            json_floats(obj["sigma"], "sigma"),
-            json_floats(obj["kt"], "kt"),
-            json_floats(obj["ktj"], "ktj"),
-        )
-    except MALFORMED as exc:
-        raise BadParameters(f"malformed signature JSON: {exc}") from None
+    return read_document(text, "signature", lambda obj: ShapeSignature(
+        json_int(obj["dimension"], "dimension"),
+        json_int(obj["index"], "index"),
+        json_floats(obj["sigma"], "sigma"),
+        json_floats(obj["kt"], "kt"),
+        json_floats(obj["ktj"], "ktj"),
+    ))

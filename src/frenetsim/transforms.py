@@ -10,14 +10,13 @@ the curve's divided by lam, by construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import AffineImage, SampledCurve, _frozen
 from .errors import BadParameters, BadRange, DimensionMismatch
-from .jsonio import MALFORMED, json_float, json_floats, render
+from .jsonio import json_float, json_floats, read_document, render
 
 ORTHO_TOL = 1e-12
 
@@ -106,10 +105,6 @@ def transform_to_json(T: SimilarityTransform) -> str:
 
 
 def transform_from_json(text: str) -> SimilarityTransform:
-    try:
-        obj = json.loads(text)
-        return SimilarityTransform(json_float(obj["lambda"], "lambda"),
-                                   json_floats(obj["A"], "A"),
-                                   json_floats(obj["b"], "b"))
-    except MALFORMED as exc:
-        raise BadParameters(f"malformed transform JSON: {exc}") from None
+    return read_document(text, "transform", lambda obj: SimilarityTransform(
+        json_float(obj["lambda"], "lambda"), json_floats(obj["A"], "A"),
+        json_floats(obj["b"], "b")))

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import re
 import warnings
 
@@ -311,6 +312,39 @@ def test_evolute_phase_pole_exit(data_dir, capsys):
     rc, _ = run(capsys, "evolute", "--input", str(data_dir / "helix.csv"),
                 "--samples", "800")
     assert rc == 3
+
+
+def test_tangent_check_within_the_contract_exits_0(tmp_path, capsys):
+    # the elliptic helix (2 cos t, sin t, t/2), t in [0, 3], meets the
+    # tangent-line contract by a factor of 20 or more at every phase
+    t = np.linspace(0.0, 3.0, 400)
+    path = tmp_path / "ellipse.csv"
+    fs.curve_to_csv(fs.SampledCurve(
+        3, t, np.column_stack([2.0 * np.cos(t), np.sin(t), t / 2.0])), path)
+    out = ["--input", str(path), "--output", str(tmp_path / "o")]
+    for argv in (["focal"], *(["evolute", "--phi0", repr(phi0)]
+                              for phi0 in (0.6, 1.0, math.pi / 2))):
+        rc = main([*argv, *out])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (0, ""), argv
+        assert json.loads(captured.out)["tangent_residual"] < 1e-4
+
+
+def test_tangent_check_past_the_contract_exits_1(data_dir, tmp_path, capsys):
+    # the evolute of the short helix at the default phase pi/2 ends 0.13
+    # from the pole of its cotangent, and the focal curve of the twisted
+    # cubic carries the end error of its field fits: each prints its
+    # summary as always, stderr stays empty, and the exit is 1
+    t = np.linspace(0.2, 1.5, 2000)
+    cubic = tmp_path / "cubic.csv"
+    fs.curve_to_csv(fs.SampledCurve(3, t, np.column_stack([t, t * t, t ** 3])),
+                    cubic)
+    for argv in (["evolute", "--input", str(data_dir / "helix_short.csv")],
+                 ["focal", "--input", str(cubic)]):
+        rc = main([*argv, "--output", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (1, ""), argv
+        assert json.loads(captured.out)["tangent_residual"] > cli.TANGENT_TOL
 
 
 def test_verify_passes(data_dir, capsys):

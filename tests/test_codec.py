@@ -122,7 +122,7 @@ def test_analyze_artifacts_load_back_bit_exact(data_dir, tmp_path, capsys):
     sl = slice(TRIM, fr.n_samples - TRIM)
     samples = np.loadtxt(tmp_path / "helix.samples.csv", delimiter=",",
                          skiprows=1)
-    expect = np.column_stack([sig.s, sig.sigma, fr.kappas[sl], sig.kt,
+    expect = np.column_stack([fr.s[sl], sig.sigma, fr.kappas[sl], sig.kt,
                               sig.ktj.T])
     assert samples[:, :expect.shape[1]].tobytes() == expect.tobytes()
     indicatrix = np.loadtxt(tmp_path / "helix.indicatrix.csv", delimiter=",",
@@ -192,8 +192,7 @@ def test_analyze_artifacts_are_the_writers_bytes(dimension, data_dir, tmp_path,
     assert (tmp_path / "out.indicatrix.csv").read_bytes() == ref.read_bytes()
     names = ["s", "sigma", *[f"kappa_{j}" for j in range(1, n)],
              "kt", *[f"kt_{j}" for j in range(1, n)]]
-    cols = [sig.s, sig.sigma, fr.kappas[TRIM:fr.n_samples - TRIM], sig.kt,
-            sig.ktj.T]
+    cols = [fr.s[fr.kept], sig.sigma, fr.kappas[fr.kept], sig.kt, sig.ktj.T]
     if kappa_g is not None:
         names.append("kappa_g")
         cols.append(kappa_g)

@@ -180,9 +180,9 @@ def test_position_stride_does_not_depend_on_the_scale():
     # unscaled samples and its coefficients scale exactly
     t = np.linspace(0.0, 4.0 * np.pi, 400)
     pts = np.column_stack([3.0 * np.cos(t), 3.0 * np.sin(t), 0.6 * t])
-    base = _engine(fs.SampledCurve(3, t, pts)).spline
+    base = _engine(fs.SampledCurve(3, t, pts)).chain[0]
     for k in (-600, 600):
-        fit = _engine(fs.SampledCurve(3, t, np.ldexp(pts, k))).spline
+        fit = _engine(fs.SampledCurve(3, t, np.ldexp(pts, k))).chain[0]
         assert np.array_equal(fit.t, base.t)
         assert np.array_equal(fit.c, np.ldexp(base.c, k))
 
@@ -367,7 +367,7 @@ _RAW_HELIX = _raw_helix_spline()
     # the jet evaluates the chain of derivative splines, which a single
     # derivative(k) makes to roundoff; a stray factor k! or 1/k! is far
     # above the tolerance
-    (_RAW_HELIX, [_RAW_HELIX.spline.derivative(k)(_TQ) for k in range(5)], 1e-7),
+    (_RAW_HELIX, [_RAW_HELIX.chain[0].derivative(k)(_TQ) for k in range(5)], 1e-7),
 ], ids=["circle", "helix", "log_spiral", "custom_poly", "raw_spline"])
 def test_jets_are_derivatives(source, want, tol):
     # entry [k] of every jet source is d^k alpha/dt^k
@@ -442,7 +442,7 @@ def test_spline_jet_matches_exact_derivatives(fit):
     # every order 0..n of the position fit's jet against the exact
     # derivatives of the same float64 spline
     source = _POSITION_FITS[fit]()
-    spline = source.spline
+    spline = source.chain[0]
     n = spline.c.shape[-1]
     bounds = _JET_BOUNDS[n]
     assert spline.k == n + 4
@@ -936,7 +936,7 @@ def test_arclength_table_debug_line(caplog):
     caplog.clear()
     t = np.linspace(0.0, 5.0, 20000)
     raw = fs.SampledCurve(3, t, fs.helix(3.0, 4.0).jet(t, 0)[0])
-    spans = len(np.unique(_engine(raw).spline.t)) - 1
+    spans = len(np.unique(_engine(raw).chain[0].t)) - 1
     fs.arclength_reparam(raw, 20000)
     m = re.search(r"arc-length table: (\d+) points, length (\S+), "
                   r"stall margin (\S+) over (\d+) knot spans", caplog.text)
@@ -1223,7 +1223,7 @@ def test_spline_fit_debug_line(caplog):
     caplog.set_level(logging.DEBUG, logger="frenetsim.curves")
     t = np.linspace(0.0, 4.0 * np.pi, 400)
     pts = np.column_stack([3.0 * np.cos(t), 3.0 * np.sin(t), 0.6 * t])
-    position = _engine(fs.SampledCurve(3, t, pts)).spline
+    position = _engine(fs.SampledCurve(3, t, pts)).chain[0]
     x = np.linspace(0.0, 2.0, 400)
     [(_, field)] = field_fits(x, (x ** 3 - x)[:, None, None])
     caplog.clear()

