@@ -55,7 +55,7 @@ def main(argv=None) -> int:
 
     cur = fs.arclength_reparam(BASES[args.curve](), args.samples)
     n = cur.dimension
-    transforms = [fs.random_similarity(args.seed + k, (0.5, 2.0), n)
+    transforms = [fs.random_similarity(args.seed + k, n)
                   for k in range(args.trials)]
     dev = fs.invariance_sweep(cur, transforms)
     for i in range(1, n + 1):

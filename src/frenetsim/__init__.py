@@ -33,6 +33,7 @@ from .selfsimilar import (
     SelfSimilarSpec,
     frame_ode_oracle,
     solve_self_similar,
+    spec_from_json,
     synthesize_self_similar,
 )
 from .signatures import (
@@ -83,6 +84,7 @@ __all__ = [
     "signature_to_json",
     "similarity_test",
     "solve_self_similar",
+    "spec_from_json",
     "synthesize_self_similar",
     "transform_from_json",
     "transform_to_json",

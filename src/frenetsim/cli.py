@@ -6,7 +6,7 @@ signatures as JSON, and every float is printed with 17 significant
 digits. Exit codes: 0 success (or "similar"), 1 a decision or property
 check failed (match finds the curves dissimilar, verify sees a deviation
 above its --tol, or the tangent_residual of focal or evolute exceeds
-TANGENT_TOL = 1e-3), 2 usage or parse problems, 3 geometric degeneracy.
+CONTRACT_TOL), 2 usage or parse problems, 3 geometric degeneracy.
 Set FRENETSIM_LOG=info (or debug) for progress logging on stderr; a
 value that is not a logging level name is ignored with a warning.
 """
@@ -33,25 +33,18 @@ from .curves import (
     tangent_residual,
 )
 from .errors import BadParameters, BadRange, GeometryError, UsageError
-from .evolute import evolute_e3
+from .evolute import DEFAULT_PHI0, evolute_e3
 from .focal import focal_curvatures
 from .indicatrix import (
     indicatrix_curve,
     indicatrix_to_csv,
     sabban_geodesic_curvature,
 )
-from .jsonio import (
-    dump_pretty,
-    float_texts,
-    json_float,
-    json_floats,
-    json_int,
-    read_document,
-)
+from .jsonio import dump_pretty, float_texts
 from .selfsimilar import (
-    SelfSimilarSpec,
     frame_ode_oracle,
     solve_self_similar,
+    spec_from_json,
     synthesize_self_similar,
 )
 from .signatures import (
@@ -71,9 +64,9 @@ from .transforms import (
 log = logging.getLogger("frenetsim.cli")
 
 DEFAULT_SAMPLES = 2000
-LAMBDA_RANGE = (0.5, 2.0)
-# the largest tangent_residual with which focal and evolute exit 0
-TANGENT_TOL = 1e-3
+# the contract: the largest tangent_residual with which focal and evolute
+# exit 0, and the largest deviation verify passes by default
+CONTRACT_TOL = 1e-3
 
 
 def _load_curve(path: str, samples: int):
@@ -134,7 +127,7 @@ def cmd_analyze(args) -> int:
 def cmd_transform(args) -> int:
     raw = curve_from_csv(args.input)
     if args.seed is not None:
-        T = random_similarity(args.seed, LAMBDA_RANGE, raw.dimension)
+        T = random_similarity(args.seed, raw.dimension)
     else:
         T = transform_from_json(_read_text(args.input_b))
     image = apply_similarity(T, raw)
@@ -169,23 +162,8 @@ def cmd_match(args) -> int:
     return 0 if res.is_similar else 1
 
 
-def _spec_from_json(path: str) -> SelfSimilarSpec:
-    def build(obj):
-        return SelfSimilarSpec(
-            dimension=json_int(obj["dimension"], "dimension"),
-            index=json_int(obj["index"], "index"),
-            kt=json_float(obj["kt"], "kt"),
-            ktj=tuple(json_floats(obj["ktj"], "ktj").tolist()),
-            sigma_range=tuple(json_floats(obj.get("sigma_range", [0.0, 4.0]),
-                                          "sigma_range").tolist()),
-            n_samples=json_int(obj.get("samples", DEFAULT_SAMPLES), "samples"),
-        )
-
-    return read_document(_read_text(path), "self-similar spec", build)
-
-
 def cmd_synthesize(args) -> int:
-    spec = _spec_from_json(args.input)
+    spec = spec_from_json(_read_text(args.input))
     sol = solve_self_similar(spec)
     cur = synthesize_self_similar(spec)
     base = _base_path(args)
@@ -234,7 +212,7 @@ def cmd_focal(args) -> int:
         "tangent_residual": residual,
         "output": str(out_csv),
     }))
-    return 0 if residual <= TANGENT_TOL else 1
+    return 0 if residual <= CONTRACT_TOL else 1
 
 
 def cmd_evolute(args) -> int:
@@ -245,12 +223,15 @@ def cmd_evolute(args) -> int:
     _write_table(out_csv, ["s", "m1", "m2", "b1", "b2", "b3"],
                  [ed.s, ed.m1, ed.m2, ed.beta])
     residual = tangent_residual(fr, ed.beta, ed.beta - fr.points)
+    # |sin phi| = |m1| / hypot(m1, m2), the phase's distance from its pole
+    m1, m2 = ed.m1[fr.kept], ed.m2[fr.kept]
     sys.stdout.write(dump_pretty({
         "phi0": args.phi0,
+        "pole_margin": float((np.abs(m1) / np.hypot(m1, m2)).min()),
         "tangent_residual": residual,
         "output": str(out_csv),
     }))
-    return 0 if residual <= TANGENT_TOL else 1
+    return 0 if residual <= CONTRACT_TOL else 1
 
 
 def cmd_verify(args) -> int:
@@ -262,7 +243,7 @@ def cmd_verify(args) -> int:
     n = cur.dimension
     transforms = []
     for trial in range(args.trials):
-        transforms.append(random_similarity(args.seed + trial, LAMBDA_RANGE, n))
+        transforms.append(random_similarity(args.seed + trial, n))
         log.info("trial %d: lambda = %.6g", trial, transforms[-1].lam)
     dev = invariance_sweep(cur, transforms)
     properties = {name: {str(i): v for i, v in per.items()}
@@ -302,12 +283,12 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--input", required=True,
                        help="input curve CSV (header t,x1,...,xn)")
         q.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                       help="arc-length resampling count (default 2000)")
+                       help="arc-length resampling count (default %(default)d)")
 
     q = sub.add_parser("analyze", help="signature + per-sample CSV artifacts")
     common(q)
     q.add_argument("--index", type=int, default=1,
-                   help="indicatrix index i (default 1)")
+                   help="indicatrix index i (default %(default)d)")
     q.add_argument("--output", help="base path for output artifacts")
     q.set_defaults(func=cmd_analyze)
 
@@ -343,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("evolute", help="evolute of a curve in E^3")
     common(q)
-    q.add_argument("--phi0", type=float, default=math.pi / 2,
+    q.add_argument("--phi0", type=float, default=DEFAULT_PHI0,
                    help="integration constant (default pi/2)")
     q.add_argument("--output", help="base path for output artifacts")
     q.set_defaults(func=cmd_evolute)
@@ -353,8 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(q)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--trials", type=int, default=20)
-    q.add_argument("--tol", type=float, default=1e-3,
-                   help="max allowed deviation (default 1e-3)")
+    q.add_argument("--tol", type=float, default=CONTRACT_TOL,
+                   help="max allowed deviation (default %(default)g)")
     q.set_defaults(func=cmd_verify)
 
     return p

@@ -350,21 +350,15 @@ def derivative_chain(spline, order: int) -> tuple:
     Each derivative is made from the one before by BSpline.derivative:
     the spline of one degree less whose coefficients are the differences
     of the coefficients before, times the degree over the knot spans.
-    Past the degree of S the derivatives are zero splines. scipy words a
-    difference that overflows as a ValueError about repeated knots, which
-    the knots of an interpolating fit cannot have: it is raised here as
-    the FloatingPointError that _float64_guard refuses as out of range.
+    order must not exceed the degree of S. scipy words a difference that
+    overflows as a ValueError about repeated knots, which the knots of an
+    interpolating fit cannot have: it is raised here as the
+    FloatingPointError that _float64_guard refuses as out of range.
     """
     chain = [spline]
     for _ in range(order):
-        last = chain[-1]
-        if last.k == 0:
-            chain.append(last.construct_fast(last.t, np.zeros_like(last.c), 0,
-                                             extrapolate=last.extrapolate,
-                                             axis=last.axis))
-            continue
         try:
-            chain.append(last.derivative())
+            chain.append(chain[-1].derivative())
         except ValueError:
             raise FloatingPointError("a derivative spline overflows") from None
     return tuple(chain)

@@ -23,6 +23,7 @@ from .curves import FrenetData, _frozen, cumulative_simpson
 from .errors import BadRange, CotSingularity, NotThreeDimensional
 
 SIN_FLOOR = 1e-6
+DEFAULT_PHI0 = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class EvoluteData:
         _frozen(self, s=self.s, m1=self.m1, m2=self.m2, beta=self.beta)
 
 
-def evolute_e3(fr: FrenetData, phi0: float = math.pi / 2) -> EvoluteData:
+def evolute_e3(fr: FrenetData, phi0: float = DEFAULT_PHI0) -> EvoluteData:
     """Evolute of a curve in E^3 for the integration constant phi0."""
     if fr.dimension != 3:
         raise NotThreeDimensional(

@@ -32,6 +32,7 @@ from .errors import (
     NoRealSolution,
     RepeatedEigenvalue,
 )
+from .jsonio import json_float, json_floats, json_int, read_document
 from .signatures import _check_index_circle
 
 log = logging.getLogger("frenetsim.selfsimilar")
@@ -85,6 +86,20 @@ class SelfSimilarSpec:
         object.__setattr__(self, "ktj", ktj)
         object.__setattr__(self, "sigma_range", (lo, hi))
         object.__setattr__(self, "n_samples", int(self.n_samples))
+
+
+def spec_from_json(text: str) -> SelfSimilarSpec:
+    """The spec of a JSON document; sigma_range and samples are optional."""
+    return read_document(text, "self-similar spec", lambda obj: SelfSimilarSpec(
+        dimension=json_int(obj["dimension"], "dimension"),
+        index=json_int(obj["index"], "index"),
+        kt=json_float(obj["kt"], "kt"),
+        ktj=tuple(json_floats(obj["ktj"], "ktj").tolist()),
+        sigma_range=tuple(json_floats(
+            obj.get("sigma_range", list(SelfSimilarSpec.sigma_range)),
+            "sigma_range").tolist()),
+        n_samples=json_int(obj.get("samples", SelfSimilarSpec.n_samples),
+                           "samples")))
 
 
 @dataclass(frozen=True)

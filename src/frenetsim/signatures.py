@@ -197,7 +197,7 @@ class MatchResult:
     is_similar: bool
     distance: float
     lambda_est: float
-    sigma_shift: float
+    sigma_shift: float | None
 
 
 def _interp_tuple(sig: ShapeSignature, grid: np.ndarray, shift: float = 0.0):
@@ -243,7 +243,7 @@ def _shift_scan(a: ShapeSignature, b: ShapeSignature, lo: float, hi: float):
     (Jacovitti and Scarano, IEEE Trans. Signal Process. 41, 1993) where
     both neighbours are scored and the parabola opens upward, so the
     vertex stays within h/2 of it. Returns the shift, h, the number of
-    lags scored and the vertex offset in units of h.
+    lags scored, the vertex offset in units of h and the largest score.
     """
     h = min(a.span / (len(a.sigma) - 1), b.span / (len(b.sigma) - 1))
     ma = int(a.span / h) + 1
@@ -267,7 +267,8 @@ def _shift_scan(a: ShapeSignature, b: ShapeSignature, lo: float, hi: float):
         curv = y0 - 2.0 * y1 + y2
         if curv > 0:
             offset = float(0.5 * (y0 - y2) / curv)
-    return float(base + h * (lags[k] + offset)), h, len(lags), offset
+    return (float(base + h * (lags[k] + offset)), h, len(lags), offset,
+            float(score.max()))
 
 
 def similarity_test(curve_a: SampledCurve, curve_b: SampledCurve, i: int,
@@ -278,7 +279,9 @@ def similarity_test(curve_a: SampledCurve, curve_b: SampledCurve, i: int,
     among the shifts that leave an overlap of at least 10% of the
     shorter signature (two resamplings, one FFT correlation), and
     reports signature_distance there. Similar iff that distance is
-    <= tol.
+    <= tol. When every shift scored fits within tol (a mean square
+    within tol^2, as on a helix, whose signature is constant), none is
+    singled out and sigma_shift is None.
     lambda_est is the ratio of arc lengths swept over the matched sigma
     window, read off the kept samples of each Frenet apparatus, which
     equals the similarity scale for genuinely similar curves.
@@ -295,7 +298,7 @@ def similarity_test(curve_a: SampledCurve, curve_b: SampledCurve, i: int,
     margin = MIN_OVERLAP_FRACTION * min(sa.span, sb.span)
     lo = sa.sigma[0] - sb.sigma[-1] + margin
     hi = sa.sigma[-1] - sb.sigma[0] - margin
-    shift, h, n_lags, offset = _shift_scan(sa, sb, lo, hi)
+    shift, h, n_lags, offset, worst = _shift_scan(sa, sb, lo, hi)
     dist = signature_distance(sa, sb, shift)
 
     w_lo = max(sa.sigma[0], sb.sigma[0] + shift)
@@ -309,7 +312,8 @@ def similarity_test(curve_a: SampledCurve, curve_b: SampledCurve, i: int,
     log.debug("match: distance %.3g at shift %.3g, lambda %.6g; scan step "
               "h=%.3g over %d lags, vertex offset %.3f h", dist, shift, lam,
               h, n_lags, offset)
-    return MatchResult(ok, float(dist), lam, float(shift))
+    return MatchResult(ok, float(dist), lam,
+                       float(shift) if worst > tol ** 2 else None)
 
 
 # ---------------------------------------------------------------------------

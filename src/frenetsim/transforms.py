@@ -1,11 +1,13 @@
 """Direct similarities F(x) = lam A x + b and their JSON round trip.
 
 Only orientation-preserving similarities are modeled: lam > 0 and A a
-rotation. Applying a transform to a curve that carries a jet source (an
-analytic curve, a spline fit or an arc-length reparameterization) wraps
-the source in an AffineImage, so the image is the exact image of that
-source: its arc length is lam times the curve's and its curvatures are
-the curve's divided by lam, by construction.
+rotation. random_similarity draws one from a seed, its scale from
+LAMBDA_RANGE, the one range that `frenetsim transform` and `verify`
+draw from. Applying a transform to a curve that carries a jet source
+(an analytic curve, a spline fit or an arc-length reparameterization)
+wraps the source in an AffineImage, so the image is the exact image of
+that source: its arc length is lam times the curve's and its curvatures
+are the curve's divided by lam, by construction.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .errors import BadParameters, BadRange, DimensionMismatch
 from .jsonio import json_float, json_floats, read_document, render
 
 ORTHO_TOL = 1e-12
+# the scales random_similarity draws from, uniformly
+LAMBDA_RANGE = (0.5, 2.0)
 
 
 @dataclass(frozen=True)
@@ -56,18 +60,16 @@ class SimilarityTransform:
         return self.lam * (np.asarray(x, dtype=float) @ self.A.T) + self.b
 
 
-def random_similarity(seed: int, lambda_range, dimension: int) -> SimilarityTransform:
-    """Deterministic random direct similarity.
+def random_similarity(seed: int, dimension: int) -> SimilarityTransform:
+    """Deterministic random direct similarity of E^dimension.
 
     Rotation from QR of a Gaussian matrix with the usual sign fix, then
-    determinant corrected to +1; translation componentwise in [-10, 10].
-    The seed must be a non-negative integer.
+    determinant corrected to +1; scale uniform in LAMBDA_RANGE;
+    translation componentwise in [-10, 10]. The seed must be a
+    non-negative integer.
     """
     if seed < 0:
         raise BadRange(f"seed must be non-negative, got {seed}")
-    lo, hi = float(lambda_range[0]), float(lambda_range[1])
-    if not (0 < lo <= hi):
-        raise BadRange(f"need 0 < lo <= hi, got ({lo}, {hi})")
     if dimension < 2:
         raise BadRange("dimension must be >= 2")
     rng = np.random.default_rng(seed)
@@ -75,7 +77,7 @@ def random_similarity(seed: int, lambda_range, dimension: int) -> SimilarityTran
     q = q * np.sign(np.diag(r))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
-    lam = rng.uniform(lo, hi)
+    lam = rng.uniform(*LAMBDA_RANGE)
     b = rng.uniform(-10.0, 10.0, size=dimension)
     return SimilarityTransform(lam, q, b)
 

@@ -26,7 +26,7 @@ def report(capsys, name, ok, detail):
 
 
 def image_apparatus(curve, seed, dim):
-    T = fs.random_similarity(seed, (0.5, 2.0), dim)
+    T = fs.random_similarity(seed, dim)
     return T, fs.frenet_apparatus(
         fs.arclength_reparam(fs.apply_similarity(T, curve), 2000))
 

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line, run in process."""
 
+import inspect
 import json
 import logging
 import math
@@ -181,6 +182,21 @@ def test_match_scaled_copy(data_dir, capsys):
     assert abs(info["lambda_est"] - 2.0) < 0.02
 
 
+def test_match_leaves_the_shift_of_a_constant_signature_null(data_dir, tmp_path,
+                                                             capsys):
+    # a helix's signature is constant, so every shift fits it equally: the
+    # scan scores every lag within tol^2 and singles none out
+    image = tmp_path / "image.csv"
+    assert main(["transform", "--input", str(data_dir / "helix.csv"),
+                 "--seed", "3", "--output", str(image)]) == 0
+    capsys.readouterr()
+    rc, out = run(capsys, "match", "--input", str(data_dir / "helix.csv"),
+                  "--input-b", str(image), "--index", "2", "--samples", "800")
+    info = json.loads(out)
+    assert rc == 0 and info["sigma_shift"] is None
+    assert abs(info["lambda_est"] - fs.random_similarity(3, 3).lam) < 1e-6
+
+
 def test_match_rejects_different_shape(data_dir, capsys):
     rc, out = run(capsys, "match", "--input", str(data_dir / "helix.csv"),
                   "--input-b", str(data_dir / "helix_swapped.csv"),
@@ -301,8 +317,15 @@ def test_evolute_command(data_dir, tmp_path, capsys):
                   "--samples", "800", "--phi0", "1.0", "--output", str(tmp_path / "e"))
     assert rc == 0
     info = json.loads(out)
-    assert list(info) == ["phi0", "tangent_residual", "output"]
+    assert list(info) == ["phi0", "pole_margin", "tangent_residual", "output"]
     assert info["tangent_residual"] < 1e-4
+    # the helix (3 cos t, 3 sin t, 4t) has torsion 4/25, so the phase is
+    # 1 + 4 (s - s_0) / 25, and the margin is its least |sin| over the
+    # kept samples
+    s = np.loadtxt(tmp_path / "e.evolute.csv", delimiter=",",
+                   skiprows=1)[curves.TRIM:-curves.TRIM, 0]
+    phase = 1.0 + 0.16 * (s - s[0])
+    assert abs(info["pole_margin"] - np.abs(np.sin(phase)).min()) < 1e-6
     header = (tmp_path / "e.evolute.csv").read_text().splitlines()[0]
     assert header.split(",") == ["s", "m1", "m2", "b1", "b2", "b3"]
 
@@ -312,6 +335,17 @@ def test_evolute_phase_pole_exit(data_dir, capsys):
     rc, _ = run(capsys, "evolute", "--input", str(data_dir / "helix.csv"),
                 "--samples", "800")
     assert rc == 3
+
+
+def test_command_defaults_are_the_library_defaults():
+    # each default has one owner: the parser reads it from the library, and
+    # the scale range of random_similarity is a constant of transforms
+    parser = cli._build_parser()
+    assert parser.parse_args(["evolute", "--input", "x"]).phi0 \
+        == inspect.signature(fs.evolute_e3).parameters["phi0"].default
+    assert parser.parse_args(["verify", "--input", "x"]).tol == cli.CONTRACT_TOL
+    assert list(inspect.signature(fs.random_similarity).parameters) \
+        == ["seed", "dimension"]
 
 
 def test_tangent_check_within_the_contract_exits_0(tmp_path, capsys):
@@ -344,7 +378,7 @@ def test_tangent_check_past_the_contract_exits_1(data_dir, tmp_path, capsys):
         rc = main([*argv, "--output", str(tmp_path / "o")])
         captured = capsys.readouterr()
         assert (rc, captured.err) == (1, ""), argv
-        assert json.loads(captured.out)["tangent_residual"] > cli.TANGENT_TOL
+        assert json.loads(captured.out)["tangent_residual"] > cli.CONTRACT_TOL
 
 
 def test_verify_passes(data_dir, capsys):
@@ -436,7 +470,7 @@ def test_verify_properties_match_invariance_sweep(data_dir, capsys):
                   "--seed", "4", "--samples", "600")
     assert rc == 0
     cur = fs.arclength_reparam(fs.curve_from_csv(path), 600)
-    transforms = [fs.random_similarity(4 + k, (0.5, 2.0), 3) for k in range(2)]
+    transforms = [fs.random_similarity(4 + k, 3) for k in range(2)]
     dev = fs.invariance_sweep(cur, transforms)
     assert json.loads(out)["properties"] == {
         name: {str(i): v for i, v in per.items()} for name, per in dev.items()}
@@ -798,7 +832,7 @@ def test_transform_only_maps_points(tmp_path, capsys):
         "noisy_helix": (th, helix + np.random.default_rng(1).normal(
             0.0, 1e-3 * diam, helix.shape)),
     }
-    want_T = fs.random_similarity(1, (0.5, 2.0), 3)
+    want_T = fs.random_similarity(1, 3)
     for name, (tt, pts) in inputs.items():
         path = tmp_path / f"{name}.csv"
         fs.curve_to_csv(fs.SampledCurve(3, tt, pts), path)

@@ -206,7 +206,7 @@ def test_velocity_is_the_jets_first_entry(helix_curve):
     raw = fs.SampledCurve(3, helix_curve.t, helix_curve.points)
     spline = _engine(raw)
     rep = _engine(fs.arclength_reparam(raw, 500))
-    T = fs.random_similarity(4, (0.5, 2.0), 3)
+    T = fs.random_similarity(4, 3)
     tq = np.linspace(0.1, 24.9, 301)
     for src in (fs.helix(3.0, 4.0), spline, rep,
                 AffineImage(spline, T.lam, T.A, T.b),
@@ -269,7 +269,7 @@ def test_reparam_jet_has_unit_speed(helix_curve):
     rep = _engine(helix_curve)
     tangent = rep.jet(helix_curve.t, 1)[1]
     assert np.abs(np.linalg.norm(tangent, axis=1) - 1.0).max() < 1e-12
-    T = fs.random_similarity(4, (0.5, 2.0), 3)
+    T = fs.random_similarity(4, 3)
     img = AffineImage(rep, T.lam, T.A, T.b)
     assert np.abs(parameter_speeds(img, helix_curve.t) - T.lam).max() < 1e-12
     s = T.lam * (helix_curve.t - helix_curve.t[0])
@@ -320,7 +320,7 @@ def test_twisted_cubic_curvatures_in_its_own_parameter():
     want = np.column_stack([2 * np.sqrt(w) / (1 + 4 * t**2 + 9 * t**4) ** 1.5,
                             3 / w])
     assert np.abs(fs.frenet_apparatus(cur).kappas - want).max() < 1e-12
-    T = fs.random_similarity(9, (0.5, 2.0), 3)
+    T = fs.random_similarity(9, 3)
     img = fs.frenet_apparatus(fs.apply_similarity(T, cur))
     assert np.abs(T.lam * img.kappas - want).max() < 1e-12
 
@@ -464,7 +464,7 @@ def test_spline_jet_matches_exact_derivatives(fit):
 
 
 def test_affine_image_jet(helix_curve):
-    T = fs.random_similarity(4, (0.5, 2.0), 3)
+    T = fs.random_similarity(4, 3)
     img = AffineImage(helix_curve.source, T.lam, T.A, T.b)
     tq = helix_curve.t[10:20]
     want = T.lam * np.einsum("ij,kqj->kqi", T.A, helix_curve.source.jet(tq, 4))
@@ -723,7 +723,7 @@ def test_degeneracy_message_names_input_t_of_image(interior_flat_curves):
     # the image keeps the arc-length grid of the resampled curve; the
     # message reads it back, through the image, to the CSV-side t
     cur = fs.arclength_reparam(interior_flat_curves[3], 2000)
-    image = fs.apply_similarity(fs.random_similarity(2, (0.5, 2.0), 3), cur)
+    image = fs.apply_similarity(fs.random_similarity(2, 3), cur)
     with pytest.raises(E.FrameDegenerate, match="V_2 reverses") as info:
         fs.frenet_apparatus(image)
     m = re.search(r"\(t = (\S+) to (\S+)\)", str(info.value))

@@ -107,7 +107,7 @@ def test_indicatrix_refuses_another_apparatus(helix_frenet, cubic_frenet,
 
 def test_sigma_invariance_random(helix_curve):
     for seed in (1, 2, 3):
-        T = fs.random_similarity(seed, (0.5, 2.0), 3)
+        T = fs.random_similarity(seed, 3)
         dev = fs.invariance_sweep(helix_curve, [T])["sigma_invariance"]
         assert sorted(dev) == [1, 2, 3]
         assert max(dev.values()) < 1e-9
@@ -197,7 +197,7 @@ def test_sabban_needs_three_dimensions(selfsim4_frenet):
 
 
 def test_geodesic_invariance_under_similarity(helix_curve, helix_frenet):
-    T = fs.random_similarity(9, (0.5, 2.0), 3)
+    T = fs.random_similarity(9, 3)
     fb = fs.frenet_apparatus(fs.apply_similarity(T, helix_curve))
     for i in (1, 2, 3):
         kg_a = fs.sabban_geodesic_curvature(indicatrix(helix_frenet, i))

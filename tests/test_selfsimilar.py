@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -180,6 +181,18 @@ def test_structure_skew_batched():
     ktj = np.random.default_rng(7).normal(size=(4, 3))
     want = np.stack([structure_skew(row) for row in ktj])
     assert np.array_equal(structure_skew(ktj), want)
+
+
+def test_spec_json_defaults_are_the_spec_defaults():
+    ktj = [3 / RT13, 2 / RT13]
+    doc = {"dimension": 3, "index": 2, "kt": -0.05, "ktj": ktj}
+    want = fs.SelfSimilarSpec(3, 2, -0.05, tuple(ktj))
+    assert fs.spec_from_json(json.dumps(doc)) == want
+    doc.update(sigma_range=[1, 2.5], samples=300)
+    assert fs.spec_from_json(json.dumps(doc)) == fs.SelfSimilarSpec(
+        3, 2, -0.05, tuple(ktj), sigma_range=(1.0, 2.5), n_samples=300)
+    with pytest.raises(E.BadParameters, match="malformed self-similar spec"):
+        fs.spec_from_json('{"dimension": 3}')
 
 
 def test_spec_validation():

@@ -159,7 +159,7 @@ def test_ladder_signatures_run_one_sigma_quadrature(selfsim9_frenet,
     assert len(calls) == 1
     # the input curve and each of 3 images: one quadrature per apparatus
     calls.clear()
-    fs.invariance_sweep(helix_curve, [fs.random_similarity(seed, (0.5, 2.0), 3)
+    fs.invariance_sweep(helix_curve, [fs.random_similarity(seed, 3)
                                       for seed in range(3)])
     assert len(calls) == 4
 
@@ -214,7 +214,7 @@ def test_subarc_match_recovers_scale():
     # a similarity image of a sub-arc matches at a non-trivial sigma shift
     cubic = fs.custom_poly([[0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.9]],
                            t_span=(-1.0, 1.0))
-    T = SimilarityTransform(1.0198, fs.random_similarity(3, (1.0, 2.0), 3).A,
+    T = SimilarityTransform(1.0198, fs.random_similarity(3, 3).A,
                             np.array([0.3, -1.2, 2.0]))
     ta, tb = np.linspace(-1.0, 1.0, 2000), np.linspace(-0.8, 0.9, 1700)
     a = fs.SampledCurve(3, ta, fs.builtin_evaluate(cubic, ta).points)
@@ -275,7 +275,7 @@ def _cubic_pairs():
         return np.column_stack([t, t * t, c * t ** 3])
 
     def image(rng, c, tb):
-        T = fs.random_similarity(int(rng.integers(1 << 30)), (0.5, 2.0), 3)
+        T = fs.random_similarity(int(rng.integers(1 << 30)), 3)
         return (fs.arclength_reparam(fs.SampledCurve(3, tb, T(cubic(c, tb))),
                                      2000), T.lam)
 
@@ -312,7 +312,8 @@ def test_shift_scan_matches_brute_force():
 def test_match_debug_line_reports_scan(caplog):
     cubic = fs.custom_poly([[0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.9]],
                            t_span=(-1.0, 1.0))
-    T = fs.random_similarity(3, (1.0, 2.0), 3)
+    R = fs.random_similarity(3, 3)
+    T = SimilarityTransform(1.1136720199214034, R.A, R.b)
     ta, tb = np.linspace(-1.0, 1.0, 2000), np.linspace(-0.8, 0.9, 1700)
     a = fs.SampledCurve(3, ta, fs.builtin_evaluate(cubic, ta).points)
     b = fs.SampledCurve(3, tb, T(fs.builtin_evaluate(cubic, tb).points))
@@ -347,7 +348,7 @@ def test_helix_vs_spiral(helix_curve, spiral_curve):
 
 def test_similarity_invariance_of_signature(helix_curve, helix_frenet):
     # the image keeps the sample grid, so the arrays compare sample by sample
-    T = fs.random_similarity(21, (0.5, 2.0), 3)
+    T = fs.random_similarity(21, 3)
     fb = fs.frenet_apparatus(fs.apply_similarity(T, helix_curve))
     for i in (1, 2, 3):
         a = fs.shape_curvatures(helix_frenet, i)
