@@ -95,8 +95,7 @@ def cmd_analyze(args) -> int:
     sig_path = Path(f"{base}.signature.json")
     sig_path.write_text(_signature_text(n, args.index, sigma, kt, ktj) + "\n")
 
-    sc = indicatrix_curve(fr, sig)
-    kappa_g = float_texts(sabban_geodesic_curvature(sc)) if n == 3 else None
+    kappa_g = float_texts(sabban_geodesic_curvature(fr, sig)) if n == 3 else None
     names = ["s", "sigma", *[f"kappa_{j}" for j in range(1, n)],
              "kt", *[f"kt_{j}" for j in range(1, n)]]
     cols = [fr.s[fr.kept], sigma, fr.kappas[fr.kept], kt, *ktj]
@@ -107,7 +106,7 @@ def cmd_analyze(args) -> int:
     _write_table(samples_path, names, cols)
     del cols, kt, ktj
     ind_path = Path(f"{base}.indicatrix.csv")
-    indicatrix_to_csv(ind_path, sigma, sc.gamma, kappa_g)
+    indicatrix_to_csv(ind_path, sigma, indicatrix_curve(fr, sig), kappa_g)
 
     sys.stdout.write(dump_pretty({
         "input": args.input,

@@ -7,22 +7,19 @@ the boundary conventions kappa_0 = kappa_n = 0. sigma_i is anchored at
 boundary noise) and is invariant under direct similarities.
 signatures._ladder_signatures integrates sigma_i and decides whether a
 V_i-indicatrix exists; a ShapeSignature keeps that sigma_i, and this
-module only reads it: indicatrix_curve takes frame row V_i on it, so the
-indicatrix needs no second quadrature. On that curve,
-sabban_geodesic_curvature returns the geodesic curvature kappa_g of an
-E^3 indicatrix, geodesic_closed_form its closed form in the shape
+module only reads it. indicatrix_curve returns the frame rows V_i of the
+apparatus on the samples the signature keeps, with no second quadrature.
+sabban_geodesic_curvature reads the kappa_g of an E^3 indicatrix off
+(fr, sig), geodesic_closed_form gives its closed form in the shape
 curvatures, and indicatrix_to_csv writes it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .curves import (
     FrenetData,
-    _frozen,
     _write_table,
     derivative_chain,
     field_derivative,
@@ -36,69 +33,53 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class SphericalCurve:
-    """A curve on S^{n-1} parameterized by its arc length sigma."""
-
-    dimension: int
-    sigma: np.ndarray
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        sig, g = _frozen(self, sigma=self.sigma, gamma=self.gamma)
-        if g.shape != (len(sig), self.dimension):
-            raise DimensionMismatch("gamma must be per-sample vectors in E^n")
-        if not np.all(np.diff(sig) > 0):
-            raise DegenerateSpeed("sigma must be strictly increasing")
-        r = np.linalg.norm(g, axis=1)
-        if np.any(np.abs(r - 1.0) > 1e-6):
-            raise DegenerateSpeed("indicatrix samples left the unit sphere")
-
-
-def indicatrix_curve(fr: FrenetData, sig) -> SphericalCurve:
+def indicatrix_curve(fr: FrenetData, sig) -> np.ndarray:
     """The V_i-indicatrix of fr on the sigma_i of sig, i = sig.index.
 
-    sig is a ShapeSignature of fr; gamma is frame row V_i on the samples
-    it keeps. DimensionMismatch refuses a signature of another apparatus,
-    of another dimension or sample count.
+    sig is a ShapeSignature of fr; the indicatrix is frame row V_i on
+    the samples it keeps, a read-only (N_kept, n) view of fr.frames.
+    DimensionMismatch refuses a signature of another apparatus, of
+    another dimension or sample count.
     """
     frames = fr.frames[fr.kept]
     if sig.dimension != fr.dimension or len(sig.sigma) != len(frames):
         raise DimensionMismatch(f"signature of {len(sig.sigma)} samples in E^"
                                 f"{sig.dimension}, apparatus keeps {len(frames)} "
                                 f"in E^{fr.dimension}")
-    return SphericalCurve(fr.dimension, sig.sigma, frames[:, sig.index - 1])
+    return frames[:, sig.index - 1]
 
 
 # ---------------------------------------------------------------------------
 # Sabban geodesic curvature (E^3 only)
 
 
-def sabban_geodesic_curvature(sc: SphericalCurve) -> np.ndarray:
-    """The geodesic curvature kappa_g of a spherical curve in E^3, per sample.
+def sabban_geodesic_curvature(fr: FrenetData, sig) -> np.ndarray:
+    """The geodesic curvature kappa_g of the V_i-indicatrix in E^3, per sample.
 
-    Fits gamma(sigma) once by field_fits, the fit of field_derivative, as
-    one graph of three coordinates, so that the knot sites are those of
-    the joint graph [sigma / range, gamma / max|gamma|]; reads gamma' and
-    gamma'' off that fit's derivative chain (derivative_chain) and
-    evaluates kappa_g = det(gamma, gamma', gamma'') / |gamma'|^3, which
-    equals the Sabban-frame geodesic curvature when sigma is arc length.
-    Since sigma is arc length, |gamma'| is about 1: DegenerateSpeed
-    refuses a speed at or below 1e-8 of that unit (or of the largest
-    speed, if larger), so a curve at rest is refused whatever its
-    roundoff.
+    sig is a ShapeSignature of fr, i = sig.index. Fits the indicatrix
+    gamma = indicatrix_curve(fr, sig) over sigma = sig.sigma once by
+    field_fits, the fit of field_derivative, as one graph of three
+    coordinates, so that the knot sites are those of the joint graph
+    [sigma / range, gamma / max|gamma|]; reads gamma' and gamma'' off
+    that fit's derivative chain (derivative_chain) and evaluates
+    kappa_g = det(gamma, gamma', gamma'') / |gamma'|^3, which equals the
+    Sabban-frame geodesic curvature when sigma is arc length. Since
+    sigma is arc length, |gamma'| is about 1: DegenerateSpeed refuses a
+    speed at or below 1e-8 of that unit (or of the largest speed, if
+    larger), so a curve at rest is refused whatever its roundoff.
     """
-    if sc.dimension != 3:
+    if fr.dimension != 3:
         raise NotThreeDimensional(
-            f"Sabban frame is defined in E^3, curve lives in E^{sc.dimension}"
+            f"Sabban frame is defined in E^3, curve lives in E^{fr.dimension}"
         )
-    [(_, fit)] = field_fits(sc.sigma, sc.gamma[:, None])
-    d1, d2 = (d(sc.sigma)[:, 0] for d in derivative_chain(fit, 2)[1:])
+    gamma = indicatrix_curve(fr, sig)
+    [(_, fit)] = field_fits(sig.sigma, gamma[:, None])
+    d1, d2 = (d(sig.sigma)[:, 0] for d in derivative_chain(fit, 2)[1:])
     speed = np.linalg.norm(d1, axis=1)
     # sigma is arc length, so |gamma'| is 1 up to the fit's error
     if speed.min() <= 1e-8 * max(speed.max(), 1.0):
         raise DegenerateSpeed("spherical curve speed collapses")
-    det = np.einsum("qd,qd->q", np.cross(d1, d2), sc.gamma)
+    det = np.einsum("qd,qd->q", np.cross(d1, d2), gamma)
     return det / speed**3
 
 

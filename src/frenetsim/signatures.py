@@ -44,7 +44,7 @@ from .errors import (
     IncompatibleSignatures,
     IndicatrixDegenerate,
 )
-from .indicatrix import indicatrix_curve, sabban_geodesic_curvature
+from .indicatrix import sabban_geodesic_curvature
 from .jsonio import (
     FloatTexts,
     float_texts,
@@ -196,7 +196,7 @@ def shape_curvatures(fr: FrenetData, i: int) -> ShapeSignature:
 class MatchResult:
     is_similar: bool
     distance: float
-    lambda_est: float
+    lambda_est: float | None
     sigma_shift: float | None
 
 
@@ -284,7 +284,9 @@ def similarity_test(curve_a: SampledCurve, curve_b: SampledCurve, i: int,
     singled out and sigma_shift is None.
     lambda_est is the ratio of arc lengths swept over the matched sigma
     window, read off the kept samples of each Frenet apparatus, which
-    equals the similarity scale for genuinely similar curves.
+    equals the similarity scale for genuinely similar curves. On a free
+    shift, where a shift d scales that ratio by e^(kt d), lambda_est is
+    None when |mean kt| of a's signature times the shift range > tol.
     """
     if curve_a.dimension != curve_b.dimension:
         raise IncompatibleSignatures("curves live in different dimensions")
@@ -312,8 +314,10 @@ def similarity_test(curve_a: SampledCurve, curve_b: SampledCurve, i: int,
     log.debug("match: distance %.3g at shift %.3g, lambda %.6g; scan step "
               "h=%.3g over %d lags, vertex offset %.3f h", dist, shift, lam,
               h, n_lags, offset)
-    return MatchResult(ok, float(dist), lam,
-                       float(shift) if worst > tol ** 2 else None)
+    free = worst <= tol * tol  # tol ** 2 raises above sqrt(float max)
+    if free and abs(np.mean(sa.kt)) * (hi - lo) > tol:
+        lam = None
+    return MatchResult(ok, float(dist), lam, None if free else float(shift))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +351,7 @@ def invariance_sweep(curve: SampledCurve, transforms) -> dict:
     base_kg = {}
     if fr.dimension == 3:
         dev["geodesic_invariance"] = dict.fromkeys(base, 0.0)
-        base_kg = {i: sabban_geodesic_curvature(indicatrix_curve(fr, sig))
+        base_kg = {i: sabban_geodesic_curvature(fr, sig)
                    for i, sig in base.items()}
     for T in transforms:
         fri = frenet_apparatus(apply_similarity(T, curve))
@@ -358,7 +362,7 @@ def invariance_sweep(curve: SampledCurve, transforms) -> dict:
                    "shape_invariance": max(np.abs(sig.kt - img.kt).max(),
                                            np.abs(sig.ktj - img.ktj).max())}
             if base_kg:
-                kg = sabban_geodesic_curvature(indicatrix_curve(fri, img))
+                kg = sabban_geodesic_curvature(fri, img)
                 now["geodesic_invariance"] = np.abs(base_kg[i] - kg).max()
             for prop, value in now.items():
                 dev[prop][i] = max(dev[prop][i], float(value))

@@ -36,16 +36,11 @@ def helix_images(helix_curve):
     return [image_apparatus(helix_curve, 100 + k, 3) for k in range(20)]
 
 
-def indicatrix(fr, i):
-    # built as the commands build it, on the sigma_i of its signature
-    return fs.indicatrix_curve(fr, fs.shape_curvatures(fr, i))
-
-
 def valid_indices(fr):
     out = []
     for i in range(1, fr.dimension + 1):
         try:
-            indicatrix(fr, i)
+            fs.shape_curvatures(fr, i)
         except E.IndicatrixDegenerate:
             continue
         out.append(i)
@@ -66,10 +61,10 @@ def test_criterion_1_curvature_scaling(helix_frenet, helix_images, capsys):
 def test_criterion_2_sigma_invariance(helix_frenet, helix_images, capsys):
     dev = 0.0
     for i in (1, 2, 3):
-        base = indicatrix(helix_frenet, i).sigma
+        base = fs.shape_curvatures(helix_frenet, i).sigma
         for _, fri in helix_images:
             dev = max(dev, float(
-                np.abs(indicatrix(fri, i).sigma - base).max()))
+                np.abs(fs.shape_curvatures(fri, i).sigma - base).max()))
     report(capsys, "indicatrix arc length invariance (i = 1, 2, 3)",
            dev <= TOL, f"max dev {dev:.3e}, tol {TOL:g}")
 
@@ -136,12 +131,13 @@ def test_criterion_5_geodesic_curvature(helix_frenet, helix_images, capsys):
     dev_val = dev_form = dev_inv = 0.0
     for i in (1, 2, 3):
         sig = fs.shape_curvatures(helix_frenet, i)
-        kg = fs.sabban_geodesic_curvature(fs.indicatrix_curve(helix_frenet, sig))
+        kg = fs.sabban_geodesic_curvature(helix_frenet, sig)
         dev_val = max(dev_val, float(np.abs(kg - closed[i]).max()))
         form = fs.geodesic_closed_form(sig)
         dev_form = max(dev_form, float(np.abs(kg - form).max()))
         for _, fri in helix_images[:5]:
-            kgi = fs.sabban_geodesic_curvature(indicatrix(fri, i))
+            kgi = fs.sabban_geodesic_curvature(
+                fri, fs.shape_curvatures(fri, i))
             dev_inv = max(dev_inv, float(np.abs(kgi - kg).max()))
     ok = max(dev_val, dev_form, dev_inv) <= TOL
     report(capsys, "Sabban geodesic curvature: helix values 4/3, 0, 3/4",

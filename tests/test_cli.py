@@ -182,19 +182,41 @@ def test_match_scaled_copy(data_dir, capsys):
     assert abs(info["lambda_est"] - 2.0) < 0.02
 
 
-def test_match_leaves_the_shift_of_a_constant_signature_null(data_dir, tmp_path,
-                                                             capsys):
-    # a helix's signature is constant, so every shift fits it equally: the
-    # scan scores every lag within tol^2 and singles none out
+@pytest.mark.parametrize("source, seed", [("helix", 3), ("spec3", 1)])
+def test_match_leaves_the_shift_of_a_constant_signature_null(
+        source, seed, data_dir, tmp_path, capsys):
+    # a constant signature fits every shift equally: the scan scores every
+    # lag within tol^2 and singles none out. A shift d scales the ratio of
+    # arc lengths by e^(kt d): the helix's kt is 0, so its scale is still
+    # read, while the spec curve's kt = -0.05 leaves it as free as the shift
+    curve = data_dir / "helix.csv"
+    if source == "spec3":
+        curve = tmp_path / "spec3.csv"
+        assert main(["synthesize", "--input", str(data_dir / "spec3.json"),
+                     "--output", str(curve)]) == 0
     image = tmp_path / "image.csv"
-    assert main(["transform", "--input", str(data_dir / "helix.csv"),
-                 "--seed", "3", "--output", str(image)]) == 0
+    assert main(["transform", "--input", str(curve),
+                 "--seed", str(seed), "--output", str(image)]) == 0
     capsys.readouterr()
-    rc, out = run(capsys, "match", "--input", str(data_dir / "helix.csv"),
+    rc, out = run(capsys, "match", "--input", str(curve),
                   "--input-b", str(image), "--index", "2", "--samples", "800")
     info = json.loads(out)
     assert rc == 0 and info["sigma_shift"] is None
-    assert abs(info["lambda_est"] - fs.random_similarity(3, 3).lam) < 1e-6
+    if source == "spec3":
+        assert info["lambda_est"] is None
+    else:
+        assert abs(info["lambda_est"] - fs.random_similarity(3, 3).lam) < 1e-6
+
+
+def test_match_takes_a_tol_above_the_root_of_float_max(data_dir, capsys):
+    # tol^2 overflows a float above 1.34e154; every shift then fits within
+    # it, and the command answers similar instead of failing
+    helix = str(data_dir / "helix.csv")
+    rc = main(["match", "--input", helix, "--input-b", helix,
+               "--tol", "1e200"])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert json.loads(out)["sigma_shift"] is None
 
 
 def test_match_rejects_different_shape(data_dir, capsys):

@@ -183,12 +183,12 @@ def test_analyze_artifacts_are_the_writers_bytes(dimension, data_dir, tmp_path,
                                                   samples))
     n = fr.dimension
     sig = fs.shape_curvatures(fr, index)
-    sc = fs.indicatrix_curve(fr, sig)
-    kappa_g = fs.sabban_geodesic_curvature(sc) if n == 3 else None
+    kappa_g = fs.sabban_geodesic_curvature(fr, sig) if n == 3 else None
     assert (tmp_path / "out.signature.json").read_text() \
         == fs.signature_to_json(sig) + "\n"
     ref = tmp_path / "ref.csv"
-    fs.indicatrix_to_csv(ref, sc.sigma, sc.gamma, kappa_g=kappa_g)
+    fs.indicatrix_to_csv(ref, sig.sigma, fs.indicatrix_curve(fr, sig),
+                         kappa_g=kappa_g)
     assert (tmp_path / "out.indicatrix.csv").read_bytes() == ref.read_bytes()
     names = ["s", "sigma", *[f"kappa_{j}" for j in range(1, n)],
              "kt", *[f"kt_{j}" for j in range(1, n)]]

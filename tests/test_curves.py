@@ -28,7 +28,6 @@ from frenetsim.curves import (
     min_samples,
     parameter_speeds,
 )
-from frenetsim.indicatrix import SphericalCurve
 from frenetsim.transforms import SimilarityTransform
 
 TAU = 2 * math.pi
@@ -1046,7 +1045,6 @@ def test_frozen_values_leave_the_callers_arrays_writable():
     frames, kappas = np.tile(np.eye(3), (50, 1, 1)), np.ones((50, 2))
     made = [(fs.SampledCurve(2, t, plane), ("t", "points")),
             (fs.ShapeSignature(2, 1, t, kt, ktj), ("sigma", "kt", "ktj")),
-            (SphericalCurve(3, t, sphere), ("sigma", "gamma")),
             (SimilarityTransform(2.0, A, b), ("A", "b")),
             (FrenetData(t, sphere, frames, kappas),
              ("s", "points", "frames", "kappas")),
@@ -1204,7 +1202,7 @@ def test_knot_sites_are_the_stride_rule(selfsim9_frenet, cubic_frenet,
     assert len(sites[0]) < len(t)
     x, y = _radii(selfsim9_frenet)
     sig = fs.shape_curvatures(cubic_frenet, 2)
-    gamma = fs.indicatrix_curve(cubic_frenet, sig).gamma
+    gamma = fs.indicatrix_curve(cubic_frenet, sig)
     for x, y, fit_counts in ((x, y[:, :, None], range(3, 9)),
                              (sig.sigma, gamma[:, None], [1])):
         sites.clear()

@@ -80,7 +80,7 @@ def test_normalization_identity(selfsim3_spec, selfsim3_frenet):
     fr = selfsim3_frenet
     sl = slice(TRIM, fr.n_samples - TRIM)
     q = np.hypot(fr.kappas[sl, 0], fr.kappas[sl, 1])
-    sigma = fs.indicatrix_curve(fr, fs.shape_curvatures(fr, selfsim3_spec.index)).sigma
+    sigma = fs.shape_curvatures(fr, selfsim3_spec.index).sigma
     want = np.exp(-selfsim3_spec.kt * sigma)
     assert np.abs(q / q[0] - want).max() < 1e-3
 

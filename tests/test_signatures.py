@@ -116,9 +116,8 @@ def test_ladder_signatures_match_one_index_at_a_time(selfsim9_frenet):
         one = fs.shape_curvatures(fr, i)
         for name in ("sigma", "kt", "ktj"):
             assert np.array_equal(getattr(sig, name), getattr(one, name))
-        sc = fs.indicatrix_curve(fr, sig)
-        assert np.array_equal(sc.sigma, sig.sigma)
-        assert np.array_equal(sc.gamma, fr.frames[sl, i - 1])
+        assert np.array_equal(fs.indicatrix_curve(fr, sig),
+                              fr.frames[sl, i - 1])
     with pytest.raises(E.IndicatrixDegenerate, match="kappa_8 changes sign"):
         _ladder_signatures(fr.kappas, fr.s, every)
     with pytest.raises(E.IndicatrixDegenerate, match="kappa_8 changes sign"):
